@@ -4,8 +4,8 @@ and fiber inspection.
 Exit codes: 0 success/verified, 1 mathematical violation found, 2 usage or
 parameter error, 3 resource budget exceeded.  The degree budget defaults to
 20 and can be overridden through the environment variable ``CSFKIT_MAX_N``;
-the oracle is additionally capped at 26 edges.  All output ordering is
-deterministic regardless of the worker count.
+the oracle is capped at 26 edges and the worker count at the CPU count.  All
+output ordering is deterministic regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from .coefficients import (
 from .errors import ResourceLimitError
 from .graphs import (
     FAMILIES,
+    FAMILY_TABLE,
     build_family_graph,
-    closed_form_cycle_chord,
-    closed_form_theta,
     expansion_closed_form,
     family_degree,
     csf_pbasis,
@@ -41,6 +40,8 @@ from .verify import SUITES, SweepConfig, run_suite
 
 DEFAULT_MAX_N = 20
 CLI_ORACLE_EDGE_BUDGET = 26
+# triple-deletion instances; each costs eight oracle calls on up to 14 edges
+MAX_INSTANCE_COUNT = 1000
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -58,8 +59,20 @@ def _n_budget() -> int:
         raise ValueError(f"CSFKIT_MAX_N must be an integer, got {raw!r}") from None
 
 
-def _family_params(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key, None) for key in ("n", "l", "a", "b", "c")}
+def _check_clock_pair(a: int, b: int) -> None:
+    if not (a >= b >= 2):
+        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+
+
+def _family_instance(args: argparse.Namespace) -> tuple:
+    """The family parameters given on the command line and their degree,
+    checked against the degree budget."""
+    params = {key: getattr(args, key, None) for key in ("n", "l", "a", "b", "c")}
+    n = family_degree(args.family, **params)
+    budget = _n_budget()
+    if n > budget:
+        raise ResourceLimitError(f"degree {n} exceeds the budget {budget}")
+    return params, n
 
 
 def _emit_grouped(grouped, fmt: str, out) -> None:
@@ -79,24 +92,17 @@ def _emit_grouped(grouped, fmt: str, out) -> None:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    params = _family_params(args)
-    n = family_degree(args.family, **params)
-    budget = _n_budget()
-    if n > budget:
-        raise ResourceLimitError(f"degree {n} exceeds the budget {budget}")
-    expansion = expansion_closed_form(
-        args.family, variant=args.variant, form=args.form, **params
-    )
+    params, _ = _family_instance(args)
+    # --variant and --form each name forms of one family; others ignore them
+    forms = FAMILY_TABLE[args.family].forms
+    form = next((f for f in (args.variant, args.form) if f in forms), None)
+    expansion = expansion_closed_form(args.family, form=form, **params)
     _emit_grouped(expansion.grouped_by_rho(), args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    params = _family_params(args)
-    n = family_degree(args.family, **params)
-    budget = _n_budget()
-    if n > budget:
-        raise ResourceLimitError(f"degree {n} exceeds the budget {budget}")
+    params, n = _family_instance(args)
     graph = build_family_graph(args.family, **params)
     if graph.edge_count > CLI_ORACLE_EDGE_BUDGET:
         raise ResourceLimitError(
@@ -104,18 +110,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         )
     oracle = csf_pbasis(graph)
     # check every displayed form of the family's closed formula
-    candidates = {}
-    if args.family == "theta":
-        a, b, c = params["a"], params["b"], params["c"]
-        candidates["c"] = closed_form_theta(a, b, c, variant="c")
-        candidates["c-prime"] = closed_form_theta(a, b, c, variant="c-prime")
-    elif args.family == "cycle-chord":
-        a, b = params["a"], params["b"]
-        candidates["delta"] = closed_form_cycle_chord(a, b, form="delta")
-        candidates["theta-sum"] = closed_form_cycle_chord(a, b, form="theta-sum")
-    else:
-        candidates["closed-form"] = expansion_closed_form(args.family, **params)
-    for label, expansion in candidates.items():
+    forms = FAMILY_TABLE[args.family].forms
+    for label in forms:
+        expansion = expansion_closed_form(args.family, form=label, **params)
         converted = evector_to_p(expansion.grouped_by_rho())
         diff = first_difference(converted, oracle)
         if diff is not None:
@@ -127,15 +124,24 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             return EXIT_VIOLATION
     print(
         f"OK {args.family} {tuple(v for v in params.values() if v is not None)}:"
-        f" {len(candidates)} form(s) match the oracle exactly (n={n})"
+        f" {len(forms)} form(s) match the oracle exactly (n={n})"
     )
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
+    if args.count > MAX_INSTANCE_COUNT:
+        raise ResourceLimitError(
+            f"--count {args.count} exceeds the limit {MAX_INSTANCE_COUNT}"
+        )
     budget = _n_budget()
     requested = [x for x in (args.n, args.n_max) if x is not None]
     if args.a is not None and args.b is not None:
+        _check_clock_pair(args.a, args.b)
         requested.append(args.a + args.b + 1)
     if requested and max(requested) > budget:
         raise ResourceLimitError(
@@ -178,6 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_fibers(args: argparse.Namespace) -> int:
     I = parse_composition(args.I)
     a, b = args.a, args.b
+    _check_clock_pair(a, b)
     if I.modulus != a + b + 1:
         raise ValueError(
             f"composition {I} has modulus {I.modulus}, expected a+b+1 = {a + b + 1}"
@@ -236,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a-max", dest="a_max", type=int)
     verify.add_argument("--b-max", dest="b_max", type=int)
     verify.add_argument("--count", type=int, default=25,
-                        help="random instances for triple-deletion")
+                        help=f"random instances for triple-deletion, at most {MAX_INSTANCE_COUNT}")
     verify.add_argument("--seed", type=int, default=2024)
     verify.add_argument("--workers", type=int, default=1,
-                        help="processes for parameter sweeps")
+                        help="processes for parameter sweeps, at most the CPU count")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(handler=cmd_verify)
 

@@ -272,15 +272,7 @@ def coeff_D(I: Composition, a: int, b: int) -> int:
     """
     if not (a >= b >= 2):
         raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
-    if I.modulus != a + b + 1:
-        raise ValueError(
-            f"composition {I} has modulus {I.modulus}, expected a+b+1 = {a + b + 1}"
-        )
-    return (
-        I.theta_plus(2)
-        - phi(I, a).reversed().theta_minus(a)
-        + delta(I, b + 1)
-    )
+    return coeff_c_prime(I, a, b, 2)
 
 
 def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:

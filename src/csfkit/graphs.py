@@ -11,13 +11,12 @@ master correctness check for everything in this package.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .compositions import Composition, Partition, weight_positive_compositions
-from .coefficients import coeff_c, coeff_c_prime, coeff_D, delta
+from .coefficients import coeff_c, coeff_c_prime, delta
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector
 
@@ -77,10 +76,10 @@ def build_path(n: int) -> Graph:
 
 
 def build_cycle(n: int) -> Graph:
-    """Cycle on n vertices."""
+    """Cycle on n vertices: the tadpole with an empty tail."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3 vertices, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_tadpole(n, 0)
 
 
 def build_tadpole(a: int, l: int) -> Graph:
@@ -202,12 +201,8 @@ def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
             size[ru] -= size[rv]
             parent[rv] = rv
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, m + 64))
-    try:
-        recurse(0, 1)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # depth m + 1 <= MAX_ORACLE_EDGES + 1 stays far below the default recursion limit
+    recurse(0, 1)
     return BasisVector(
         Basis.P, n, {Partition(key): Fraction(c) for key, c in acc.items() if c}
     )
@@ -256,10 +251,10 @@ def closed_form_path(n: int) -> EExpansion:
 
 
 def closed_form_cycle(n: int) -> EExpansion:
-    """Coefficient i_1 - 1."""
+    """Coefficient i_1 - 1: the tadpole expansion with an empty tail."""
     if n < 3:
         raise ValueError(f"cycle expansion needs n >= 3, got {n}")
-    return _assemble(n, lambda I: I.parts[0] - 1)
+    return closed_form_tadpole(n, 0)
 
 
 def closed_form_tadpole(a: int, l: int) -> EExpansion:
@@ -319,76 +314,77 @@ def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
 
 
 def closed_form_clock(a: int, b: int) -> EExpansion:
-    """Clock expansion with coefficients D_I."""
+    """Clock expansion with coefficients D_I: the three-path expansion at
+    c = 2 with the phi-twisted coefficients c'_I."""
     if not (a >= b >= 2):
         raise ValueError(f"clock expansion needs a >= b >= 2, got {(a, b)}")
-    return _assemble(a + b + 1, lambda I: coeff_D(I, a, b))
+    return closed_form_theta(a, b, 2, variant="c-prime")
 
 
-FAMILIES = ("path", "cycle", "tadpole", "cycle-chord", "theta", "clock")
+@dataclass(frozen=True)
+class Family:
+    """A graph family: its integer parameters in CLI order, its degree
+    (sum of the parameters plus ``degree_offset``), its graph builder, and
+    its closed forms by display label, the first being the default."""
 
-# family -> required integer parameters, in CLI order
-FAMILY_PARAMS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "tadpole": ("a", "l"),
-    "cycle-chord": ("a", "b"),
-    "theta": ("a", "b", "c"),
-    "clock": ("a", "b"),
+    params: Tuple[str, ...]
+    degree_offset: int
+    build: Callable[..., Graph]
+    forms: Dict[str, Callable[..., EExpansion]]
+
+
+# Path and cycle-chord keep their own kernels: no tadpole has n = 1, and
+# cycle-chord(a, b) is theta(a, b, 1) only for a >= b.
+FAMILY_TABLE: Dict[str, Family] = {
+    "path": Family(("n",), 0, build_path, {"closed-form": closed_form_path}),
+    "cycle": Family(("n",), 0, build_cycle, {"closed-form": closed_form_cycle}),
+    "tadpole": Family(("a", "l"), 0, build_tadpole, {"closed-form": closed_form_tadpole}),
+    "cycle-chord": Family(("a", "b"), 0, build_cycle_chord, {
+        "delta": lambda a, b: closed_form_cycle_chord(a, b, form="delta"),
+        "theta-sum": lambda a, b: closed_form_cycle_chord(a, b, form="theta-sum"),
+    }),
+    "theta": Family(("a", "b", "c"), -1, build_theta, {
+        "c": lambda a, b, c: closed_form_theta(a, b, c, variant="c"),
+        "c-prime": lambda a, b, c: closed_form_theta(a, b, c, variant="c-prime"),
+    }),
+    "clock": Family(("a", "b"), 1, build_clock, {"closed-form": closed_form_clock}),
 }
 
+FAMILIES = tuple(FAMILY_TABLE)
 
-def _family_args(family: str, params: dict) -> tuple:
-    if family not in FAMILY_PARAMS:
+
+def _family_args(family: str, params: dict) -> Tuple[Family, tuple]:
+    if family not in FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    values = []
-    for name in FAMILY_PARAMS[family]:
+    record = FAMILY_TABLE[family]
+    for name in record.params:
         if params.get(name) is None:
             raise ValueError(f"family {family!r} requires parameter --{name}")
-        values.append(int(params[name]))
-    return tuple(values)
+    return record, tuple(int(params[name]) for name in record.params)
 
 
-def expansion_closed_form(family: str, **params) -> EExpansion:
-    """Dispatch to the closed form for a family given its parameters."""
-    args = _family_args(family, params)
-    if family == "path":
-        return closed_form_path(*args)
-    if family == "cycle":
-        return closed_form_cycle(*args)
-    if family == "tadpole":
-        return closed_form_tadpole(*args)
-    if family == "cycle-chord":
-        return closed_form_cycle_chord(*args, form=params.get("form", "delta"))
-    if family == "theta":
-        return closed_form_theta(*args, variant=params.get("variant", "c"))
-    return closed_form_clock(*args)
+def expansion_closed_form(family: str, form: Optional[str] = None, **params) -> EExpansion:
+    """The family's closed form in the given display form (default: its first)."""
+    record, args = _family_args(family, params)
+    if form is None:
+        form = next(iter(record.forms))
+    if form not in record.forms:
+        raise ValueError(
+            f"family {family!r} has no form {form!r}; expected one of {tuple(record.forms)}"
+        )
+    return record.forms[form](*args)
 
 
 def build_family_graph(family: str, **params) -> Graph:
     """Construct the graph for a family given its parameters."""
-    args = _family_args(family, params)
-    builder = {
-        "path": build_path,
-        "cycle": build_cycle,
-        "tadpole": build_tadpole,
-        "cycle-chord": build_cycle_chord,
-        "theta": build_theta,
-        "clock": build_clock,
-    }[family]
-    return builder(*args)
+    record, args = _family_args(family, params)
+    return record.build(*args)
 
 
 def family_degree(family: str, **params) -> int:
     """Degree (vertex count) of the family instance, for budget checks."""
-    args = _family_args(family, params)
-    if family in ("path", "cycle"):
-        return args[0]
-    if family in ("tadpole", "cycle-chord"):
-        return args[0] + args[1]
-    if family == "theta":
-        return args[0] + args[1] + args[2] - 1
-    return args[0] + args[1] + 1
+    record, args = _family_args(family, params)
+    return sum(args) + record.degree_offset
 
 
 def verify_triple_deletion(graph: Graph, triple: Tuple[int, int, int]) -> bool:

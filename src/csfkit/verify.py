@@ -14,6 +14,7 @@ task order, making output independent of the worker count.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,8 +39,8 @@ from .graphs import (
     build_tadpole,
     build_theta,
     closed_form_clock,
-    closed_form_cycle_chord,
     csf_pbasis,
+    expansion_closed_form,
     verify_triple_deletion,
 )
 from .symfunc import Basis, BasisVector, first_difference
@@ -295,8 +296,7 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
         pairs = [(a, b)] if a is not None and b is not None else clock_pairs(n)
         for pa, pb in pairs:
             if pa + pb + 1 != n or not (pa >= pb >= 2):
-                result.fail(f"invalid pair (a,b)=({pa},{pb}) for n={n}")
-                continue
+                raise ValueError(f"invalid pair (a,b)=({pa},{pb}) for n={n}")
             greater: List[Composition] = []
             lesser: List[Composition] = []
             for I in compositions_of(n, 2):
@@ -400,19 +400,17 @@ def run_c_doubleprime(
 # positivity
 
 
-def _positivity_task(task: Tuple[str, int, int]):
-    family, a, b = task
+def _positivity_task(task: Tuple[str, int, int, bool]):
+    family, a, b, termwise = task
     checked = 0
     violations: List[str] = []
-    if family == "clock":
-        expansion = closed_form_clock(a, b)
-    else:
-        expansion = closed_form_cycle_chord(a, b)
+    expansion = expansion_closed_form(family, a=a, b=b)
+    if termwise:
         for I, (coeff, weight) in expansion.entries.items():
             checked += 1
             if coeff * weight < 0:
                 violations.append(
-                    f"negative cycle-chord term at I={I}, (a,b)=({a},{b})"
+                    f"negative {family} term at I={I}, (a,b)=({a},{b})"
                 )
     grouped = expansion.grouped_by_rho()
     minimum = min(grouped.terms.values(), default=0)
@@ -429,12 +427,14 @@ def _positivity_task(task: Tuple[str, int, int]):
 
 def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("positivity")
-    tasks: List[Tuple[str, int, int]] = []
+    # the clock is checked after grouping only; cycle-chord terms are
+    # nonnegative one by one as well, since delta >= 0
+    tasks: List[Tuple[str, int, int, bool]] = []
     for n in range(5, n_max + 1):
-        tasks.extend(("clock", a, b) for a, b in clock_pairs(n))
+        tasks.extend(("clock", a, b, False) for a, b in clock_pairs(n))
     for n in range(4, n_max + 1):
         tasks.extend(
-            ("cycle-chord", a, n - a) for a in range(2, n - 1) if n - a >= 2
+            ("cycle-chord", a, n - a, True) for a in range(2, n - 1) if n - a >= 2
         )
     tasks.sort()
     overall_min = None
@@ -532,6 +532,8 @@ def run_triple_deletion(
 
 
 def _run_tasks(fn, tasks, workers: int):
+    # processes beyond the CPU count only add start-up cost and memory
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, tasks)

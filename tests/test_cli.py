@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 import csfkit.cli as cli
+from csfkit.verify import run_fiber
 from csfkit.graphs import EExpansion
 from csfkit.compositions import Composition
 
@@ -177,3 +180,64 @@ def test_fibers_wrong_modulus_is_usage_error(capsys):
     code, _, err = run(capsys, "fibers", "--I", "7,2,2", "--a", "6", "--b", "5")
     assert code == 2
     assert "modulus" in err
+
+
+def test_bad_clock_pair_is_usage_error_before_any_output(capsys):
+    for argv in (("fibers", "--I", "7,2,2", "--a", "4", "--b", "6"),
+                 ("verify", "--suite", "fiber", "--a", "4", "--b", "6")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "a >= b >= 2" in err
+    with pytest.raises(ValueError):
+        run_fiber([11], 4, 6)
+
+
+def test_verify_bounds_workers_and_count(capsys):
+    for flag, value, expected in (("--workers", "0", 2), ("--workers", "-3", 2),
+                                  ("--count", "-5", 2),
+                                  ("--count", str(cli.MAX_INSTANCE_COUNT + 1), 3)):
+        code, out, err = run(capsys, "verify", "--suite", "triple-deletion",
+                             flag, value)
+        assert code == expected, (flag, value)
+        assert out == ""
+        assert len(err.splitlines()) == 1 and flag in err
+
+
+def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
+    import os
+
+    import csfkit.verify as verify
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ("verify", "--suite", "c-doubleprime", "--a-max", "4", "--b-max", "4")
+    code, out, _ = run(capsys, *argv, "--workers", "64")
+    assert code == 0 and pools == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(capsys, *argv, "--workers", "64") == (0, out, "")
+    assert pools == [3]  # one CPU: no pool at all
+
+
+def test_output_independent_of_worker_count(capsys):
+    for argv in (("verify", "--suite", "c-doubleprime", "--a-max", "6", "--b-max", "5"),
+                 ("verify", "--suite", "positivity", "--n-max", "9")):
+        serial = run(capsys, *argv, "--workers", "1")
+        pooled = run(capsys, *argv, "--workers", "2")
+        assert serial[0] == 0
+        assert pooled == serial

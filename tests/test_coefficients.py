@@ -342,6 +342,12 @@ def test_coeff_D_is_the_two_path_case_of_c_prime():
         for a, b in clock_pairs(n):
             for comp in compositions_of(n, 1):
                 assert coeff_D(comp, a, b) == coeff_c_prime(comp, a, b, 2)
+                # the clock formula written out
+                assert coeff_D(comp, a, b) == (
+                    comp.theta_plus(2)
+                    - phi(comp, a).reversed().theta_minus(a)
+                    + delta(comp, b + 1)
+                )
 
 
 def test_coeff_D_parameter_errors():

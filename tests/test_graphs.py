@@ -61,6 +61,7 @@ def test_path_and_cycle_shapes():
     assert build_path(1).edge_count == 0
     c5 = build_cycle(5)
     assert c5.vertex_count == 5 and c5.edge_count == 5
+    assert c5.edges == ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
     assert all(d == 2 for d in degrees(c5))
     with pytest.raises(ValueError):
         build_cycle(2)
@@ -91,6 +92,15 @@ def test_theta_shapes():
     for bad in [(2, 3, 2), (3, 2, 3), (3, 1, 1), (2, 1, 1)]:
         with pytest.raises(ValueError):
             build_theta(*bad)
+
+
+def test_cycle_chord_closed_form_is_theta_at_unit_path():
+    # per composition, delta(I, b) = c_I at c = 1 whenever a >= b
+    for n in range(4, 11):
+        for b in range(2, n // 2 + 1):
+            a = n - b
+            chord = closed_form_cycle_chord(a, b)
+            assert chord.entries == closed_form_theta(a, b, 1).entries
 
 
 def test_cycle_chord_matches_theta_with_unit_path():
@@ -144,6 +154,16 @@ def test_oracle_on_triangle():
         Partition((2, 1)): Fraction(-3),
         Partition((3,)): Fraction(2),
     }
+
+
+def test_oracle_leaves_the_recursion_limit_alone(monkeypatch):
+    import sys
+
+    def forbidden(limit):
+        raise AssertionError("csf_pbasis changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+    assert csf_pbasis(build_cycle(10)).equals(csf_pbasis(build_tadpole(10, 0)))
 
 
 def test_oracle_counts_isolated_vertices():
@@ -238,6 +258,13 @@ def test_family_dispatch():
         expansion_closed_form("path")  # missing n
     with pytest.raises(ValueError):
         expansion_closed_form("widget", n=3)
+    twisted = expansion_closed_form("theta", form="c-prime", a=3, b=3, c=2)
+    assert twisted.entries == closed_form_clock(3, 3).entries
+    assert expansion_closed_form("cycle-chord", a=3, b=2).entries == (
+        closed_form_cycle_chord(3, 2, form="delta").entries
+    )
+    with pytest.raises(ValueError):
+        expansion_closed_form("theta", form="delta", a=3, b=3, c=2)
 
 
 # ---------------------------------------------------------------------------
