@@ -1,12 +1,13 @@
-"""Graph families, the edge-subset power-sum oracle, and closed-form
-e-expansions.
+"""Graph families, the power-sum oracle, and closed-form e-expansions.
 
-The oracle expands the chromatic symmetric function of any small simple
-graph over all edge subsets, producing exact power-sum coefficients.  The
-closed forms assemble composition-indexed e-expansions for paths, cycles,
-tadpoles, cycle-chords, three-path (theta) graphs and clocks; converting a
-grouped closed form to the p-basis and comparing with the oracle is the
-master correctness check for everything in this package.
+The oracle computes the chromatic symmetric function of any small simple
+graph with exact integer power-sum coefficients, by a frontier dynamic
+program over the edges; the plain edge-subset sum is kept beside it as an
+independent cross-check.  The closed forms assemble composition-indexed
+e-expansions for paths, cycles, tadpoles, cycle-chords, three-path (theta)
+graphs and clocks; comparing a grouped closed form with the oracle mapped
+to the e-basis is the master correctness check for everything in this
+package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .coefficients import coeff_c, coeff_c_prime, delta
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector
 
-# Hard API bound on oracle size; each extra edge doubles the subset count.
+# Hard API bound on oracle size: each extra edge doubles the subset count,
+# which also bounds the number of frontier states.
 MAX_ORACLE_EDGES = 30
 
 
@@ -157,11 +159,100 @@ def build_clock(a: int, b: int) -> Graph:
 def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
     """Chromatic symmetric function in the power-sum basis.
 
-    Sums (-1)^|S| p_{lambda(S)} over all edge subsets S, where lambda(S) is
-    the partition of connected-component sizes of (V, S).  Components are
-    tracked by a size-ranked union-find that is unwound on backtrack, so
-    each subset costs amortized near-constant work on top of the leaf
-    bookkeeping.  Cost is Theta(2^|E|): guarded by ``max_edges``.
+    Evaluates the sum of (-1)^|S| p_{lambda(S)} over all edge subsets S,
+    where lambda(S) is the partition of connected-component sizes of
+    (V, S), as a frontier (transfer-matrix) dynamic program over the edges
+    in order.  A vertex is active from its first edge to its last.  A state
+    holds the component labels of the active vertices, relabelled in order
+    of first appearance, the sizes of the open components, and the multiset
+    of closed component sizes; it maps to a signed count.  A component
+    closes when its last active vertex has seen its last edge; isolated
+    vertices seed closed parts of size 1.  An edge inside one component
+    adds the same partition with both signs, so such states drop out.
+
+    The frontier never holds more states than there are subsets, so
+    ``max_edges`` still bounds the cost.  :func:`csf_pbasis_subsets` keeps
+    the plain subset sum as an independent cross-check.
+    """
+    m = graph.edge_count
+    if m > max_edges:
+        raise ResourceLimitError(
+            f"oracle budget exceeded: {m} edges > limit {max_edges}"
+        )
+    n = graph.vertex_count
+    last: Dict[int, int] = {}
+    for i, (u, v) in enumerate(graph.edges):
+        last[u] = last[v] = i
+    # the closed multiset is one int: the count of parts of size s sits in
+    # the bits [width * (s - 1), width * s)
+    width = n.bit_length()
+    active: List[int] = []
+    # (labels of the active vertices, sizes by label) -> {closed code -> count}
+    states: Dict[tuple, Dict[int, int]] = {((), ()): {n - len(last): 1}}
+    for i, (u, v) in enumerate(graph.edges):
+        grow = tuple(w for w in (u, v) if w not in active)
+        active += grow
+        pu, pv = active.index(u), active.index(v)
+        leaving = {p for p, w in enumerate(active) if last[w] == i}
+        nxt: Dict[tuple, Dict[int, int]] = {}
+        for (labels, sizes), closed in states.items():
+            if grow:
+                labels += tuple(range(len(sizes), len(sizes) + len(grow)))
+                sizes += (1,) * len(grow)
+            lu, lv = labels[pu], labels[pv]
+            if lu == lv:
+                continue
+            joined = list(sizes)
+            joined[lu] += joined[lv]
+            for sign, labs, sizs in (
+                (1, labels, sizes),
+                (-1, tuple(lu if x == lv else x for x in labels), joined),
+            ):
+                add = 0
+                if leaving:
+                    kept = [x for p, x in enumerate(labs) if p not in leaving]
+                    for x in {labs[p] for p in leaving}.difference(kept):
+                        add += 1 << (width * (sizs[x] - 1))
+                    labs = kept
+                relabel: Dict[int, int] = {}
+                for x in labs:
+                    if x not in relabel:
+                        relabel[x] = len(relabel)
+                key = (tuple(relabel[x] for x in labs), tuple(sizs[x] for x in relabel))
+                target = nxt.get(key)
+                if target is None:
+                    if sign > 0 and not add:
+                        # nothing closed: hand the dict on without a copy;
+                        # the branch with the edge has one component fewer,
+                        # so it never merges into this key
+                        nxt[key] = closed
+                    else:
+                        nxt[key] = {c + add: sign * k for c, k in closed.items()}
+                else:
+                    for c, k in closed.items():
+                        c += add
+                        target[c] = target.get(c, 0) + sign * k
+        states = nxt
+        active = [w for p, w in enumerate(active) if p not in leaving]
+    mask = (1 << width) - 1
+    terms: Dict[tuple, int] = {}
+    for closed in states.values():
+        for code, count in closed.items():
+            parts: List[int] = []
+            for s in range(n, 0, -1):
+                parts += [s] * ((code >> (width * (s - 1))) & mask)
+            terms[tuple(parts)] = count
+    return BasisVector(Basis.P, n, terms)
+
+
+def csf_pbasis_subsets(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
+    """:func:`csf_pbasis` by the plain sum over all 2^|E| edge subsets.
+
+    Kept on purpose as the independent cross-check of the frontier
+    program.  Components are tracked by a size-ranked union-find that is
+    unwound on backtrack, so each subset costs amortized near-constant work
+    on top of the leaf bookkeeping.  Cost is Theta(2^|E|): guarded by
+    ``max_edges``.
     """
     m = graph.edge_count
     if m > max_edges:
@@ -203,9 +294,7 @@ def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
 
     # depth m + 1 <= MAX_ORACLE_EDGES + 1 stays far below the default recursion limit
     recurse(0, 1)
-    return BasisVector(
-        Basis.P, n, {Partition(key): Fraction(c) for key, c in acc.items() if c}
-    )
+    return BasisVector(Basis.P, n, acc)
 
 
 @dataclass
@@ -357,6 +446,12 @@ def _family_args(family: str, params: dict) -> Tuple[Family, tuple]:
     if family not in FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     record = FAMILY_TABLE[family]
+    unknown = [name for name, value in params.items()
+               if value is not None and name not in record.params]
+    if unknown:
+        raise ValueError(
+            f"family {family!r} takes no parameter {unknown[0]!r}; expected {record.params}"
+        )
     for name in record.params:
         if params.get(name) is None:
             raise ValueError(f"family {family!r} requires parameter --{name}")

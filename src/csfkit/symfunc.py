@@ -1,10 +1,12 @@
 """Exact symmetric-function vectors in the elementary and power-sum bases.
 
-Closed-form expansions arrive in the e-basis and the brute-force graph
-oracle produces the p-basis natively, so equality of two expansions is
-always decided after mapping both sides to the power-sum basis.  Only the
-e -> p direction is implemented; coefficients are exact rationals because
-the images of e_n acquire denominators up to n!.
+Closed-form expansions arrive in the e-basis and the graph oracle produces
+the p-basis natively.  Equality is decided in the e-basis: by Newton's
+identities every p_lambda has integer e-coefficients, so
+:func:`pvector_to_e` maps the oracle's vector over with integers only.  The
+e -> p direction (:func:`e_partition_to_p`, :func:`evector_to_p`) stays as
+the independent route; its coefficients are exact rationals because the
+images of e_n acquire denominators up to n!.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Dict, Iterator, Optional, Tuple
 
 from .compositions import Partition
@@ -208,6 +210,69 @@ def evector_to_p(vector: BasisVector) -> BasisVector:
     for lam, coef in vector.terms.items():
         result = result.add(e_partition_to_p(lam).scale(coef))
     return result
+
+
+@lru_cache(maxsize=None)
+def _p_to_e_terms(k: int) -> Dict[tuple, int]:
+    """e-basis image of a single p_k by Newton's identity
+    p_k = sum_{i=1..k-1} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k.
+
+    Cached per k; recomputation is idempotent so concurrent readers are
+    safe.
+    """
+    if k == 0:
+        return {(): 1}
+    acc: Dict[tuple, int] = {(k,): k if k % 2 else -k}
+    for i in range(1, k):
+        sign = 1 if i % 2 else -1
+        for mu, coef in _p_to_e_terms(k - i).items():
+            key = tuple(sorted(mu + (i,), reverse=True))
+            acc[key] = acc.get(key, 0) + sign * coef
+    return {key: coef for key, coef in acc.items() if coef}
+
+
+def _p_terms_to_e(terms: Dict[tuple, int]) -> Dict[tuple, int]:
+    # p_lambda = p_k^m p_rest with k the largest part of lambda and m its
+    # multiplicity: group the terms by (k, m), convert each group's rests,
+    # then multiply by the image of p_k m times.  The recursion depth is the
+    # number of distinct parts; the empty partition forms the group m = 0.
+    groups: Dict[tuple, Dict[tuple, int]] = {}
+    for lam, coef in terms.items():
+        k = lam[0] if lam else 0
+        m = lam.count(k)
+        groups.setdefault((k, m), {})[lam[m:]] = coef
+    acc: Dict[tuple, int] = {}
+    for (k, m), rests in groups.items():
+        image = _p_terms_to_e(rests) if m else rests
+        factor = _p_to_e_terms(k)
+        for _ in range(m):
+            product: Dict[tuple, int] = {}
+            for mu, c1 in image.items():
+                for nu, c2 in factor.items():
+                    key = tuple(sorted(mu + nu, reverse=True))
+                    product[key] = product.get(key, 0) + c1 * c2
+            image = product
+        for key, coef in image.items():
+            acc[key] = acc.get(key, 0) + coef
+    return {key: coef for key, coef in acc.items() if coef}
+
+
+def pvector_to_e(vector: BasisVector) -> BasisVector:
+    """e-basis expansion of a p-basis vector.
+
+    The images of the p_k come from Newton's identities and each p_lambda
+    factors through its largest part, all in integers.  Rational
+    coefficients are scaled to integers first and the result scaled back.
+    """
+    if vector.basis is not Basis.P:
+        raise ValueError(f"expected a p-basis vector, got basis {vector.basis.value}")
+    scale = lcm(*(coef.denominator for coef in vector.terms.values()))
+    terms = {
+        tuple(lam): coef.numerator * (scale // coef.denominator)
+        for lam, coef in vector.terms.items()
+    }
+    result = BasisVector(Basis.E, vector.degree, _p_terms_to_e(terms))
+    return result if scale == 1 else result.scale(Fraction(1, scale))
 
 
 def first_difference(

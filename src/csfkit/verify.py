@@ -553,6 +553,10 @@ def run_suite(config: SweepConfig, n_budget: int = 20) -> SuiteResult:
     if name == "fiber":
         if config.a is not None and config.b is not None:
             ns = [config.a + config.b + 1]
+            if config.n is not None and config.n != ns[0]:
+                raise ValueError(
+                    f"--n {config.n} disagrees with a+b+1 = {ns[0]} for (a,b)=({config.a},{config.b})"
+                )
         else:
             ns = _n_range(config, default_max=10, lo=5)
         return run_fiber(ns, config.a, config.b)

@@ -6,6 +6,8 @@ test name itself doubles as the criterion label under ``pytest -v``.
 
 import time
 
+import pytest
+
 from csfkit.coefficients import (
     WClass,
     classify,
@@ -16,9 +18,12 @@ from csfkit.coefficients import (
 )
 from csfkit.compositions import Composition, weight_positive_compositions
 from csfkit.graphs import (
+    FAMILIES,
+    FAMILY_TABLE,
     build_clock,
     build_cycle,
     build_cycle_chord,
+    build_family_graph,
     build_path,
     build_tadpole,
     build_theta,
@@ -30,8 +35,10 @@ from csfkit.graphs import (
     closed_form_theta,
     csf_pbasis,
     e_positivity_report,
+    expansion_closed_form,
+    family_degree,
 )
-from csfkit.symfunc import Basis, BasisVector, evector_to_p
+from csfkit.symfunc import Basis, BasisVector, evector_to_p, pvector_to_e
 from csfkit.verify import (
     clock_pairs,
     run_c_doubleprime,
@@ -101,6 +108,33 @@ def test_acceptance_oracle_thetas():
             assert plain.equals(twisted), f"variants differ at ({a},{b},{c})"
             assert evector_to_p(plain).equals(oracle), f"oracle differs at ({a},{b},{c})"
     _passed("oracle equivalence, thetas, both coefficient variants (n <= 12)")
+
+
+def _instance(family, n):
+    # one instance of degree n, with its paths or parts as even as allowed
+    if family in ("path", "cycle"):
+        return {"n": n}
+    if family == "tadpole":
+        return {"a": n - n // 3, "l": n // 3}
+    if family == "cycle-chord":
+        return {"a": (n + 1) // 2, "b": n // 2}
+    if family == "theta":
+        c = (n + 1) // 3
+        b = (n + 1 - c) // 2
+        return {"a": n + 1 - b - c, "b": b, "c": c}
+    return {"a": n // 2, "b": n - 1 - n // 2}  # clock
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_acceptance_oracle_e_basis_degrees_13_to_20(family):
+    for n in range(13, 21):
+        params = _instance(family, n)
+        assert family_degree(family, **params) == n
+        oracle = pvector_to_e(csf_pbasis(build_family_graph(family, **params)))
+        for form in FAMILY_TABLE[family].forms:
+            grouped = expansion_closed_form(family, form=form, **params).grouped_by_rho()
+            assert grouped.equals(oracle), (params, form)
+    _passed(f"oracle equivalence in the e-basis, {family}, one instance per n = 13..20")
 
 
 def test_acceptance_clock_e_positivity():

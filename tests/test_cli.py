@@ -101,6 +101,40 @@ def test_oracle_check_reports_first_differing_partition(capsys, monkeypatch):
     assert "21" in out
 
 
+def test_oracle_check_edge_guard_fires_before_the_oracle_runs(capsys, monkeypatch):
+    import csfkit.graphs as graphs
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle ran past its edge guard")
+
+    monkeypatch.setattr(graphs, "csf_pbasis_subsets", forbidden)
+    monkeypatch.setattr(cli, "expansion_closed_form", forbidden)
+    monkeypatch.setattr(cli, "pvector_to_e", forbidden)
+    monkeypatch.setenv("CSFKIT_MAX_N", "30")
+    # theta(11, 10, 10) has n = 30 and 31 edges, one over the oracle's cap
+    code, out, err = run(capsys, "oracle-check", "--family", "theta",
+                         "--a", "11", "--b", "10", "--c", "10")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "31 edges > limit 30" in err
+
+
+def test_verify_fiber_rejects_n_that_disagrees_with_the_pair(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "fiber",
+                         "--n", "5", "--a", "6", "--b", "4")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "a+b+1 = 11" in err
+
+
+def test_verify_fiber_accepts_n_that_agrees_with_the_pair(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "fiber",
+                       "--n", "11", "--a", "6", "--b", "4")
+    assert code == 0
+    assert out == run(capsys, "verify", "--suite", "fiber", "--a", "6", "--b", "4")[1]
+    assert out.endswith("VIOLATIONS 0\n")
+
+
 def test_verify_fiber_fixture_pair(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "fiber", "--n", "11",
                        "--a", "6", "--b", "4")

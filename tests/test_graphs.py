@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csfkit.compositions import Composition, Partition
 from csfkit.errors import ResourceLimitError
@@ -23,13 +24,14 @@ from csfkit.graphs import (
     closed_form_tadpole,
     closed_form_theta,
     csf_pbasis,
+    csf_pbasis_subsets,
     e_positivity_report,
     expansion_closed_form,
     family_degree,
     verify_triple_deletion,
 )
 from csfkit.symfunc import evector_to_p
-from csfkit.verify import theta_deletion_instance
+from csfkit.verify import theta_deletion_instance, theta_triples
 
 
 def degrees(graph):
@@ -181,6 +183,33 @@ def test_oracle_edge_budget():
     # explicit smaller budget
     with pytest.raises(ResourceLimitError):
         csf_pbasis(build_cycle(12), max_edges=11)
+    with pytest.raises(ResourceLimitError):
+        csf_pbasis_subsets(build_cycle(12), max_edges=11)
+
+
+@st.composite
+def simple_graphs(draw):
+    # at most 8 vertices and 14 edges, so that the subset sum stays quick;
+    # the edges come in the order they were drawn
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph(n, [])
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(simple_graphs())
+def test_frontier_oracle_matches_subset_sum_on_random_graphs(graph):
+    assert csf_pbasis(graph).equals(csf_pbasis_subsets(graph))
+
+
+def test_both_oracles_agree_on_paths_cycles_and_thetas():
+    graphs = [build_path(n) for n in range(1, 13)]
+    graphs += [build_cycle(n) for n in range(3, 13)]
+    graphs += [build_theta(*t) for n in range(4, 13) for t in theta_triples(n)]
+    for graph in graphs:
+        assert csf_pbasis(graph).equals(csf_pbasis_subsets(graph)), graph
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +294,20 @@ def test_family_dispatch():
     )
     with pytest.raises(ValueError):
         expansion_closed_form("theta", form="delta", a=3, b=3, c=2)
+
+
+def test_family_registry_rejects_unknown_keywords():
+    # a keyword the family lacks is an error, not silently ignored
+    with pytest.raises(ValueError, match="variant"):
+        expansion_closed_form("theta", variant="c-prime", a=4, b=3, c=2)
+    with pytest.raises(ValueError, match="bogus"):
+        expansion_closed_form("path", n=3, bogus=1)
+    with pytest.raises(ValueError, match="'a'"):
+        build_family_graph("path", n=3, a=2)
+    with pytest.raises(ValueError, match="'l'"):
+        family_degree("clock", a=3, b=2, l=1)
+    # unset flags arrive as None and stay allowed
+    assert family_degree("path", n=4, a=None, c=None) == 4
 
 
 # ---------------------------------------------------------------------------

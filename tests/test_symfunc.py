@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csfkit.compositions import Partition
 from csfkit.symfunc import (
@@ -12,6 +13,7 @@ from csfkit.symfunc import (
     e_partition_to_p,
     evector_to_p,
     first_difference,
+    pvector_to_e,
 )
 
 
@@ -154,3 +156,49 @@ def test_json_round_trip_preserves_exact_coefficients():
     assert data["terms"][1] == {"partition": [5, 2, 2], "num": "-3", "den": "1"}
     again = BasisVector.from_json(vec.to_json())
     assert again.equals(vec) and again.basis is vec.basis
+
+
+# ---------------------------------------------------------------------------
+# p -> e with integers
+
+
+def test_p_to_e_newton_images():
+    def p(*parts):
+        return BasisVector(Basis.P, sum(parts), {parts: 1})
+
+    assert pvector_to_e(p(1)).terms == {Partition((1,)): 1}
+    assert pvector_to_e(p(2)).terms == {Partition((1, 1)): 1, Partition((2,)): -2}
+    # p3 = e1^3 - 3 e2 e1 + 3 e3
+    assert pvector_to_e(p(3)).terms == {
+        Partition((1, 1, 1)): 1, Partition((2, 1)): -3, Partition((3,)): 3,
+    }
+    assert pvector_to_e(BasisVector(Basis.P, 4)).is_zero()
+
+
+def test_p_to_e_rejects_e_basis_and_scales_fractions():
+    with pytest.raises(ValueError):
+        pvector_to_e(BasisVector(Basis.E, 2, {(2,): 1}))
+    # e2 = (p11 - p2) / 2
+    half = BasisVector(Basis.P, 2, {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)})
+    assert pvector_to_e(half).terms == {Partition((2,)): 1}
+    assert pvector_to_e(half.scale(Fraction(1, 3))).terms == {Partition((2,)): Fraction(1, 3)}
+
+
+@st.composite
+def integer_evectors(draw, max_degree=10):
+    n = draw(st.integers(1, max_degree))
+    lams = draw(st.lists(st.sampled_from(list(partitions_of(n))), unique=True, max_size=8))
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(lams), max_size=len(lams)))
+    return BasisVector(Basis.E, n, dict(zip(lams, coeffs)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(integer_evectors())
+def test_p_to_e_inverts_e_to_p(vector):
+    assert pvector_to_e(evector_to_p(vector)) == vector
+
+
+def test_p_to_e_of_every_e_partition_image_is_e_lambda():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            assert pvector_to_e(e_partition_to_p(lam)).terms == {Partition(lam): 1}
