@@ -13,6 +13,10 @@ n = a + b + c - 1.  This module implements the pieces of those coefficients:
   and ``coeff_c_doubleprime``.
 
 All functions are pure; every value is an exact Python integer.
+
+Statistics of a reversal are read from the composition itself through
+theta-duality, theta_minus(reversed I, k) = theta_plus(I, n - k) and
+theta_plus(reversed I, k) = theta_minus(I, n - k), so no reversal is built.
 """
 
 from __future__ import annotations
@@ -82,9 +86,10 @@ def _solve_cyclic(I: Composition, value: int) -> Tuple[int, int]:
         raise ValueError(
             f"equation value {value} outside [1, {I.modulus}] for {I}"
         )
-    shifted = tuple(m - I.parts[0] for m in I.prefix_moduli[1:])
-    q = bisect.bisect_left(shifted, value)
-    return q, value - shifted[q - 1]
+    # |i_2 ... i_k| = |i_1 ... i_k| - i_1, so bisect the prefix moduli for value + i_1
+    i1 = I.parts[0]
+    q = bisect.bisect_left(I.prefix_moduli, value + i1, 1) - 1
+    return q, value + i1 - I.prefix_moduli[q]
 
 
 def solve_ps(I: Composition, b: int) -> Tuple[int, int]:
@@ -148,7 +153,7 @@ def phi(I: Composition, a: int) -> Composition:
     if cut == 0:
         return I
     parts = I.parts
-    return Composition((parts[0],) + parts[1:cut][::-1] + parts[cut:])
+    return Composition._from_valid((parts[0],) + parts[1:cut][::-1] + parts[cut:])
 
 
 def split_LR(I: Composition, a: int) -> Tuple[Composition, Composition]:
@@ -160,7 +165,7 @@ def split_LR(I: Composition, a: int) -> Tuple[Composition, Composition]:
     if not I.parts or a < 1 or a >= I.modulus:
         raise ValueError(f"threshold {a} outside [1, {I.modulus}) for {I}")
     cut = bisect.bisect_left(I.prefix_moduli, I.modulus - a)
-    return Composition(I.parts[:cut]), Composition(I.parts[cut:])
+    return Composition._from_valid(I.parts[:cut]), Composition._from_valid(I.parts[cut:])
 
 
 def psi(I: Composition, a: int) -> Composition:
@@ -172,7 +177,7 @@ def psi(I: Composition, a: int) -> Composition:
     if not I.parts or min(I.parts) < 2:
         raise ValueError(f"psi requires all parts >= 2, got {I}")
     L, R = split_LR(I, a)
-    return Composition(L.parts[::-1] + R.parts)
+    return Composition._from_valid(L.parts[::-1] + R.parts)
 
 
 def classify(I: Composition, a: int) -> Classification:
@@ -186,11 +191,11 @@ def classify(I: Composition, a: int) -> Classification:
     """
     if not I.parts or a < 1 or a > I.modulus:
         raise ValueError(f"threshold {a} outside [1, {I.modulus}] for {I}")
-    rev = I.reversed()
-    in_A = I.weight > 0 and rev.theta_plus(a) == 0
+    n = I.modulus
+    in_A = I.weight > 0 and I.theta_minus(n - a) == 0
     if min(I.parts) < 2:
         return Classification(WClass.NOT_W, in_A)
-    if I.parts[0] > rev.theta_minus(a):
+    if I.parts[0] > I.theta_plus(n - a):
         return Classification(WClass.W_GT, in_A)
     return Classification(WClass.W_LE, in_A)
 
@@ -214,7 +219,7 @@ def fiber(I: Composition, a: int, b: int) -> List[Composition]:
     sol = solve_psqt(I, b)
     parts = I.parts
     return [
-        Composition(parts[: sol.p + r][::-1] + parts[sol.p + r :])
+        Composition._from_valid(parts[: sol.p + r][::-1] + parts[sol.p + r :])
         for r in range(1, sol.q - sol.p + 1)
     ]
 
@@ -242,9 +247,9 @@ def coeff_c(I: Composition, a: int, b: int, c: int) -> int:
     total = delta(I, b + c - 1)
     for k in range(2, c + 1):
         total += I.theta_plus(k)
-    rev = I.reversed()
+    n = I.modulus
     for k in range(a, a + c - 1):
-        total -= rev.theta_minus(k)
+        total -= I.theta_plus(n - k)
     return total
 
 
@@ -258,9 +263,10 @@ def coeff_c_prime(I: Composition, a: int, b: int, c: int) -> int:
     total = delta(I, b + c - 1)
     for k in range(2, c + 1):
         total += I.theta_plus(k)
-    rev = phi(I, a).reversed()
+    J = phi(I, a)
+    n = I.modulus
     for k in range(a, a + c - 1):
-        total -= rev.theta_minus(k)
+        total -= J.theta_plus(n - k)
     return total
 
 

@@ -5,11 +5,20 @@ and evaluated through the statistics defined here: the path weight ``w_I``
 and the overshoot/undershoot of prefix sums around a threshold.  All values
 are immutable and all functions are pure, so sweeps may share them freely
 across workers.
+
+Two constructors validate, because outside input enters through them:
+``Composition(parts)`` and :func:`parse_composition`.  Everything else
+derives its compositions from ones already checked, without re-checking the
+parts: the enumerators :func:`compositions_of` and
+:func:`weight_positive_compositions`, ``Composition.reversed`` and the
+rearrangement maps of :mod:`csfkit.coefficients` (``phi``, ``split_LR``,
+``psi``, ``fiber``).
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate
 from typing import Iterator
 
 # Parts and moduli stay machine-word sized; coefficients elsewhere are
@@ -62,6 +71,15 @@ class Composition:
         self.parts = parts
         self.prefix_moduli = tuple(moduli)
 
+    @classmethod
+    def _from_valid(cls, parts: tuple) -> "Composition":
+        # Parts already known valid: a slice or reordering of a checked
+        # composition, or an enumerator's output.  Skips the per-part checks.
+        self = object.__new__(cls)
+        self.parts = parts
+        self.prefix_moduli = (0, *accumulate(parts))
+        return self
+
     @property
     def modulus(self) -> int:
         return self.prefix_moduli[-1]
@@ -98,13 +116,14 @@ class Composition:
 
     def reversed(self) -> "Composition":
         """The composition with the same parts in opposite order."""
-        return Composition(self.parts[::-1])
+        return Composition._from_valid(self.parts[::-1])
 
     def rho(self) -> Partition:
         """The partition obtained by sorting the parts decreasingly."""
         if not self.parts:
             raise ValueError("the empty composition has no partition image")
-        return Partition(self.parts)
+        # parts are checked positive ints; sort without Partition's checks
+        return tuple.__new__(Partition, sorted(self.parts, reverse=True))
 
     @property
     def weight(self) -> int:
@@ -129,7 +148,8 @@ class Composition:
 
     def sigma_plus(self, a: int) -> int:
         """Smallest prefix modulus that is >= a (the empty prefix counts)."""
-        self._check_threshold(a)
+        if not (type(a) is int and 0 <= a <= self.prefix_moduli[-1]):
+            self._check_threshold(a)
         return self.prefix_moduli[bisect.bisect_left(self.prefix_moduli, a)]
 
     def theta_plus(self, a: int) -> int:
@@ -138,7 +158,8 @@ class Composition:
 
     def sigma_minus(self, a: int) -> int:
         """Largest prefix modulus that is <= a."""
-        self._check_threshold(a)
+        if not (type(a) is int and 0 <= a <= self.prefix_moduli[-1]):
+            self._check_threshold(a)
         return self.prefix_moduli[bisect.bisect_right(self.prefix_moduli, a) - 1]
 
     def theta_minus(self, a: int) -> int:
@@ -195,7 +216,7 @@ def compositions_of(n: int, min_part: int = 1) -> Iterator[Composition]:
     if n > MAX_MODULUS:
         raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
     for parts in _composition_tuples(n, min_part):
-        yield Composition(parts)
+        yield Composition._from_valid(parts)
 
 
 def weight_positive_compositions(n: int) -> Iterator[Composition]:
@@ -212,7 +233,7 @@ def weight_positive_compositions(n: int) -> Iterator[Composition]:
     for first in range(1, n + 1):
         rest = n - first
         if rest == 0:
-            yield Composition((first,))
+            yield Composition._from_valid((first,))
         elif rest >= 2:
             for tail in _composition_tuples(rest, 2):
-                yield Composition((first,) + tail)
+                yield Composition._from_valid((first,) + tail)

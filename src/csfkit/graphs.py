@@ -32,6 +32,8 @@ class Graph:
 
     vertex_count: int
     edges: Tuple[Tuple[int, int], ...]
+    # lookup index for has_edge; derived from edges, so not part of identity
+    edge_set: frozenset = field(compare=False, repr=False)
 
     def __init__(self, vertex_count: int, edges: Iterable[Tuple[int, int]]):
         if vertex_count < 1:
@@ -50,6 +52,7 @@ class Graph:
             canon.append(pair)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "edge_set", frozenset(seen))
 
     @property
     def edge_count(self) -> int:
@@ -57,7 +60,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         pair = (u, v) if u < v else (v, u)
-        return pair in self.edges
+        return pair in self.edge_set
 
     def with_edges(self, extra: Iterable[Tuple[int, int]]) -> "Graph":
         return Graph(self.vertex_count, list(self.edges) + list(extra))
@@ -375,12 +378,12 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
     if form == "theta-sum":
 
         def coeff(I: Composition) -> int:
-            rev = I.reversed()
+            # theta_minus(reversed I, i) read as theta_plus(I, n - i)
             total = 0
             for i in range(1, b + 1):
                 total += I.theta_plus(i)
             for i in range(1, b):
-                total -= rev.theta_minus(i)
+                total -= I.theta_plus(n - i)
             return total
 
         return _assemble(n, coeff)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
+    PSQTSolution,
     WClass,
     classify,
     coeff_c_doubleprime,
@@ -183,13 +184,11 @@ def _check_solver_identities(result: SuiteResult, I: Composition, a: int, b: int
 
 
 def _check_gt_bounds(
-    result: SuiteResult, I: Composition, a: int, b: int, counts: Dict[str, int]
+    result: SuiteResult, I: Composition, a: int, b: int,
+    sol: PSQTSolution, in_A: bool, D: int, counts: Dict[str, int],
 ) -> None:
     n = I.modulus
-    sol = solve_psqt(I, b)
     i1 = I.parts[0]
-    in_A = classify(I, a).in_A
-    D = coeff_D(I, a, b)
     result.checked += 1
     if D < i1 - 2:
         result.fail(f"D below i_1 - 2 on W_> at I={I}, (a,b)=({a},{b})")
@@ -224,13 +223,12 @@ def _check_gt_bounds(
 
 
 def _check_le_closed_form(
-    result: SuiteResult, I: Composition, a: int, b: int, counts: Dict[str, int]
+    result: SuiteResult, I: Composition, a: int, b: int,
+    sol: PSQTSolution, D: int, counts: Dict[str, int],
 ) -> None:
     counts["W<="] += 1
-    sol = solve_psqt(I, b)
     i1 = I.parts[0]
     ip = I.parts[sol.p - 1]
-    D = coeff_D(I, a, b)
     result.checked += 1
     if D != (sol.s - 1) * (ip - sol.s - i1) - 2 or D < -2:
         result.fail(f"W_<= closed form fails at I={I}, (a,b)=({a},{b})")
@@ -260,16 +258,19 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
                     if coeff_D(I, a, b) < 0:
                         result.fail(f"first-part-1 coefficient negative at I={I}")
             for I in compositions_of(n, 2):
-                kind = classify(I, a).wclass
-                if kind is WClass.W_GT:
-                    _check_gt_bounds(result, I, a, b, counts)
+                kind = classify(I, a)
+                sol = solve_psqt(I, b)
+                D = coeff_D(I, a, b)
+                if kind.wclass is WClass.W_GT:
+                    _check_gt_bounds(result, I, a, b, sol, kind.in_A, D, counts)
                 else:
-                    _check_le_closed_form(result, I, a, b, counts)
+                    _check_le_closed_form(result, I, a, b, sol, D, counts)
         # lower bound of the phi-twisted coefficient by its delta term on the
         # exact-suffix family, for every three-path parameter choice
         for a, b, c in theta_triples(n, min_c=2):
             for I in weight_positive_compositions(n):
-                if I.reversed().theta_plus(a) != 0:
+                # exact-suffix family: theta_plus(reversed I, a) = 0
+                if I.theta_minus(n - a) != 0:
                     continue
                 result.checked += 1
                 if coeff_c_prime(I, a, b, c) < delta(I, b + c - 1):
@@ -556,6 +557,10 @@ def run_suite(config: SweepConfig, n_budget: int = 20) -> SuiteResult:
             if config.n is not None and config.n != ns[0]:
                 raise ValueError(
                     f"--n {config.n} disagrees with a+b+1 = {ns[0]} for (a,b)=({config.a},{config.b})"
+                )
+            if config.n_max is not None and config.n_max < ns[0]:
+                raise ValueError(
+                    f"--n-max {config.n_max} is below a+b+1 = {ns[0]} for (a,b)=({config.a},{config.b})"
                 )
         else:
             ns = _n_range(config, default_max=10, lo=5)

@@ -205,6 +205,20 @@ def test_acceptance_structural_suites_exhaustive():
     _passed("structural sweeps exhaustive to n=12 (n=16 for fiber-grouped sums)")
 
 
+def test_acceptance_structural_suites_n13_to_16():
+    expected = [
+        (run_phi_involution([13]), 53248),
+        (run_theta_duality([13, 14]), 180224),
+        (run_lemma_bounds([13]), 47011),
+        (run_fiber(range(13, 17)), 4060),
+        (run_c_doubleprime(a_max=14, b_max=14, n_cap=17), 11510),
+    ]
+    for result, checked in expected:
+        assert result.ok, f"{result.name}: {result.violations[:5]}"
+        assert result.checked == checked, result.name
+    _passed("structural sweeps at n=13..16 with exact checked counts")
+
+
 def test_acceptance_triple_deletion():
     result = run_triple_deletion(count=25, seed=2024, max_vertices=10)
     assert result.checked >= 27

@@ -135,6 +135,24 @@ def test_verify_fiber_accepts_n_that_agrees_with_the_pair(capsys):
     assert out.endswith("VIOLATIONS 0\n")
 
 
+def test_verify_fiber_rejects_n_max_below_the_pair(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "fiber",
+                         "--n-max", "5", "--a", "6", "--b", "4")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--n-max 5 is below a+b+1 = 11" in err
+
+
+def test_verify_fiber_accepts_n_max_at_or_above_the_pair(capsys):
+    expected = run(capsys, "verify", "--suite", "fiber", "--a", "6", "--b", "4")[1]
+    for n_max in ("11", "18"):
+        code, out, _ = run(capsys, "verify", "--suite", "fiber",
+                           "--n-max", n_max, "--a", "6", "--b", "4")
+        assert code == 0
+        assert out == expected
+    assert expected.endswith("VIOLATIONS 0\n")
+
+
 def test_verify_fiber_fixture_pair(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "fiber", "--n", "11",
                        "--a", "6", "--b", "4")

@@ -130,6 +130,23 @@ def test_graph_json_round_trip():
     assert again == theta
 
 
+def test_has_edge_agrees_with_the_edge_tuple():
+    graphs = [build_path(5), build_cycle(6), build_theta(4, 3, 2),
+              build_tadpole(4, 3), Graph(5, [(3, 1), (0, 4)]), Graph(1, [])]
+    for graph in graphs:
+        n = graph.vertex_count
+        for u in range(n):
+            for v in range(n):
+                listed = (min(u, v), max(u, v)) in graph.edges
+                assert graph.has_edge(u, v) == listed
+    # the lookup index stays out of equality, hashing and repr
+    graph = Graph(3, [(0, 1), (1, 2)])
+    assert repr(graph) == "Graph(vertex_count=3, edges=((0, 1), (1, 2)))"
+    assert graph == Graph(3, [(1, 0), (2, 1)])
+    assert hash(graph) == hash(Graph(3, [(0, 1), (1, 2)]))
+    assert graph != Graph(3, [(1, 2), (0, 1)])
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
