@@ -40,7 +40,7 @@ from .symfunc import first_difference, pvector_to_e
 from .verify import SUITES, SweepConfig, run_suite
 
 DEFAULT_MAX_N = 20
-# triple-deletion instances; each costs eight oracle calls on up to 14 edges
+# triple-deletion instances; each costs six oracle calls on up to 14 edges
 MAX_INSTANCE_COUNT = 1000
 
 EXIT_OK = 0

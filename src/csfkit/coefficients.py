@@ -71,25 +71,23 @@ class PSQTSolution:
 
 def _solve_prefix(I: Composition, value: int) -> Tuple[int, int]:
     # unique (p, s): value = |i_1 ... i_{p-1}| + s with 1 <= s <= i_p
-    if value < 1 or value > I.modulus:
-        raise ValueError(
-            f"equation value {value} outside [1, {I.modulus}] for {I}"
-        )
-    p = bisect.bisect_left(I.prefix_moduli, value)
-    return p, value - I.prefix_moduli[p - 1]
+    moduli = I.prefix_moduli
+    if value < 1 or value > moduli[-1]:
+        raise ValueError(f"equation value {value} outside [1, {moduli[-1]}] for {I}")
+    p = bisect.bisect_left(moduli, value)
+    return p, value - moduli[p - 1]
 
 
 def _solve_cyclic(I: Composition, value: int) -> Tuple[int, int]:
     # unique (q, t): value = |i_2 ... i_q| + t with 1 <= t <= i_{q+1},
     # reading i_{z+1} as i_1
-    if value < 1 or value > I.modulus:
-        raise ValueError(
-            f"equation value {value} outside [1, {I.modulus}] for {I}"
-        )
+    moduli = I.prefix_moduli
+    if value < 1 or value > moduli[-1]:
+        raise ValueError(f"equation value {value} outside [1, {moduli[-1]}] for {I}")
     # |i_2 ... i_k| = |i_1 ... i_k| - i_1, so bisect the prefix moduli for value + i_1
     i1 = I.parts[0]
-    q = bisect.bisect_left(I.prefix_moduli, value + i1, 1) - 1
-    return q, value + i1 - I.prefix_moduli[q]
+    q = bisect.bisect_left(moduli, value + i1, 1) - 1
+    return q, value + i1 - moduli[q]
 
 
 def solve_ps(I: Composition, b: int) -> Tuple[int, int]:
@@ -142,15 +140,18 @@ def phi(I: Composition, a: int) -> Composition:
     """Reverse the interior of the prefix before the shortest suffix of
     modulus >= a.
 
-    Writing I = PQ with Q that shortest suffix, the image is I itself when
-    Q = I and otherwise i_1 followed by the reversal of P minus its first
-    part, followed by Q.  The map is an involution, fixes the first part,
-    and preserves both the partition image and the weight.
+    Writing I = PQ with Q that shortest suffix, the image is i_1 followed by
+    the reversal of P minus its first part, followed by Q; it is I itself
+    (the same object) when P has at most two parts.  The map is an
+    involution, fixes the first part, and preserves both the partition
+    image and the weight.
     """
-    if not I.parts or a < 1 or a > I.modulus:
-        raise ValueError(f"threshold {a} outside [1, {I.modulus}] for {I}")
-    cut = bisect.bisect_right(I.prefix_moduli, I.modulus - a) - 1
-    if cut == 0:
+    moduli = I.prefix_moduli
+    n = moduli[-1]
+    if not I.parts or a < 1 or a > n:
+        raise ValueError(f"threshold {a} outside [1, {n}] for {I}")
+    cut = bisect.bisect_right(moduli, n - a) - 1
+    if cut <= 2:
         return I
     parts = I.parts
     return Composition._from_valid((parts[0],) + parts[1:cut][::-1] + parts[cut:])
@@ -189,13 +190,15 @@ def classify(I: Composition, a: int) -> Classification:
     W_LE otherwise.  ``in_A`` flags positive-weight compositions having a
     suffix of modulus exactly a.
     """
-    if not I.parts or a < 1 or a > I.modulus:
-        raise ValueError(f"threshold {a} outside [1, {I.modulus}] for {I}")
-    n = I.modulus
-    in_A = I.weight > 0 and I.theta_minus(n - a) == 0
-    if min(I.parts) < 2:
+    parts = I.parts
+    n = I.prefix_moduli[-1]
+    if not parts or a < 1 or a > n:
+        raise ValueError(f"threshold {a} outside [1, {n}] for {I}")
+    # positive weight: no part after the first equals 1
+    in_A = 1 not in parts[1:] and I.theta_minus(n - a) == 0
+    if 1 in parts:
         return Classification(WClass.NOT_W, in_A)
-    if I.parts[0] > I.theta_plus(n - a):
+    if parts[0] > I.theta_plus(n - a):
         return Classification(WClass.W_GT, in_A)
     return Classification(WClass.W_LE, in_A)
 

@@ -13,6 +13,11 @@ parts: the enumerators :func:`compositions_of` and
 :func:`weight_positive_compositions`, ``Composition.reversed`` and the
 rearrangement maps of :mod:`csfkit.coefficients` (``phi``, ``split_LR``,
 ``psi``, ``fiber``).
+
+The enumerators yield lexicographic order by the successor rule (Stanley,
+EC1 1.2; Knuth, TAOCP 4A 7.2.1) on one list: pop the last part t, add 1 to
+the part before it, refill t - 1 with the smallest run of parts >= min_part,
+or merge the two parts when 0 < t - 1 < min_part.
 """
 
 from __future__ import annotations
@@ -30,7 +35,11 @@ class Partition(tuple):
     """Weakly decreasing positive parts; the index of an e- or p-basis term."""
 
     def __new__(cls, parts=()) -> "Partition":
-        ordered = sorted((int(p) for p in parts), reverse=True)
+        parts = tuple(parts)
+        for p in parts:
+            if type(p) is not int:
+                raise ValueError(f"partition parts must be integers, got {p!r}")
+        ordered = sorted(parts, reverse=True)
         if ordered and ordered[-1] < 1:
             raise ValueError("partition parts must be positive integers")
         return super().__new__(cls, ordered)
@@ -58,9 +67,11 @@ class Composition:
     __slots__ = ("parts", "prefix_moduli")
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
         moduli = [0] * (len(parts) + 1)
         for k, p in enumerate(parts):
+            if type(p) is not int:
+                raise ValueError(f"composition parts must be integers, got {p!r}")
             if p < 1:
                 raise ValueError(f"composition parts must be positive, got {p}")
             moduli[k + 1] = moduli[k] + p
@@ -148,23 +159,25 @@ class Composition:
 
     def sigma_plus(self, a: int) -> int:
         """Smallest prefix modulus that is >= a (the empty prefix counts)."""
-        if not (type(a) is int and 0 <= a <= self.prefix_moduli[-1]):
-            self._check_threshold(a)
-        return self.prefix_moduli[bisect.bisect_left(self.prefix_moduli, a)]
+        return a + self.theta_plus(a)
 
     def theta_plus(self, a: int) -> int:
         """Overshoot sigma_plus(a) - a; how far prefixes jump past a."""
-        return self.sigma_plus(a) - a
+        moduli = self.prefix_moduli
+        if not (type(a) is int and 0 <= a <= moduli[-1]):
+            self._check_threshold(a)
+        return moduli[bisect.bisect_left(moduli, a)] - a
 
     def sigma_minus(self, a: int) -> int:
         """Largest prefix modulus that is <= a."""
-        if not (type(a) is int and 0 <= a <= self.prefix_moduli[-1]):
-            self._check_threshold(a)
-        return self.prefix_moduli[bisect.bisect_right(self.prefix_moduli, a) - 1]
+        return a - self.theta_minus(a)
 
     def theta_minus(self, a: int) -> int:
         """Undershoot a - sigma_minus(a)."""
-        return a - self.sigma_minus(a)
+        moduli = self.prefix_moduli
+        if not (type(a) is int and 0 <= a <= moduli[-1]):
+            self._check_threshold(a)
+        return a - moduli[bisect.bisect_right(moduli, a) - 1]
 
 
 def format_parts(parts) -> str:
@@ -187,20 +200,22 @@ def parse_composition(text: str) -> Composition:
 
 
 def _composition_tuples(n: int, min_part: int) -> Iterator[tuple]:
-    # Depth-first with the smallest head first yields lexicographic order.
-    stack = [(n, ())]
-    while stack:
-        remaining, head = stack.pop()
-        pending = []
-        for first in range(min_part, remaining + 1):
-            rest = remaining - first
-            if rest == 0:
-                pending.append((0, head + (first,)))
-            elif rest >= min_part:
-                pending.append((rest, head + (first,)))
-        stack.extend(reversed(pending))
-        while stack and stack[-1][0] == 0:
-            yield stack.pop()[1]
+    # the lexicographic successor rule of the module docstring, on one list
+    if n < min_part:
+        return
+    parts = [min_part] * (n // min_part)
+    parts[-1] += n % min_part
+    while True:
+        yield tuple(parts)
+        if len(parts) == 1:
+            return
+        t = parts.pop()
+        if 0 < t - 1 < min_part:
+            parts[-1] += t
+            continue
+        parts[-1] += 1
+        parts += [min_part] * ((t - 1) // min_part)
+        parts[-1] += (t - 1) % min_part
 
 
 def compositions_of(n: int, min_part: int = 1) -> Iterator[Composition]:
@@ -230,10 +245,7 @@ def weight_positive_compositions(n: int) -> Iterator[Composition]:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_MODULUS:
         raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
-    for first in range(1, n + 1):
-        rest = n - first
-        if rest == 0:
-            yield Composition._from_valid((first,))
-        elif rest >= 2:
-            for tail in _composition_tuples(rest, 2):
-                yield Composition._from_valid((first,) + tail)
+    for first in range(1, n):
+        for tail in _composition_tuples(n - first, 2):
+            yield Composition._from_valid((first,) + tail)
+    yield Composition._from_valid((n,))

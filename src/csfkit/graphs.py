@@ -513,8 +513,10 @@ def verify_triple_deletion(graph: Graph, triple: Tuple[int, int, int]) -> bool:
     def X(*labels: int) -> BasisVector:
         return csf_pbasis(graph.with_edges([optional[j] for j in labels]))
 
-    first = X(1, 2).equals(X(1).add(X(2, 3)).subtract(X(3)))
-    second = X(1, 2, 3).equals(X(1, 3).add(X(2, 3)).subtract(X(3)))
+    # six distinct graphs; X(2,3) and X(3) appear in both identities
+    x23_minus_x3 = X(2, 3).subtract(X(3))
+    first = X(1, 2).equals(X(1).add(x23_minus_x3))
+    second = X(1, 2, 3).equals(X(1, 3).add(x23_minus_x3))
     return first and second
 
 

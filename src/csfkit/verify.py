@@ -7,6 +7,11 @@ fiber structure of the partial reversal, nonnegativity of the grouped
 expansions, and the deletion identities.  Suites report a checked count and
 a list of counterexample descriptions (empty means the sweep passed).
 
+Each composition suite enumerates the compositions of n once per n: it
+streams ``compositions_of(n)`` and holds, for all parameters of that n, only
+Fibonacci-sized lists: parts >= 2 (lemma-bounds, fiber, c-doubleprime),
+positive weight (lemma-bounds) and first part 1 (c-doubleprime, one task per n).
+
 Sweeps over (a, b) parameter pairs are pure and independent, so the heavy
 suites optionally fan out over a process pool; results are merged in sorted
 task order, making output independent of the worker count.
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,14 +129,19 @@ def run_phi_involution(ns: Sequence[int]) -> SuiteResult:
         for I in compositions_of(n):
             rho = I.rho()
             weight = I.weight
+            kept = {}  # J.parts -> (partition kept, weight and first part kept)
             for a in range(1, n + 1):
                 J = phi(I, a)
                 result.checked += 1
                 if phi(J, a) != I:
                     result.fail(f"phi not an involution at I={I}, a={a}")
-                if J.rho() != rho:
+                facts = kept.get(J.parts)
+                if facts is None:
+                    same_first = J.parts[0] == I.parts[0]
+                    facts = kept[J.parts] = (J.rho() == rho, J.weight == weight and same_first)
+                if not facts[0]:
                     result.fail(f"phi changed the partition at I={I}, a={a}")
-                if J.weight != weight or J.parts[0] != I.parts[0]:
+                if not facts[1]:
                     result.fail(f"phi changed the weight at I={I}, a={a}")
                 if classify(I, a).in_A and not classify(J, a).in_A:
                     result.fail(
@@ -161,14 +170,17 @@ def run_theta_duality(ns: Sequence[int]) -> SuiteResult:
 # lemma-bounds
 
 
-def _check_solver_identities(result: SuiteResult, I: Composition, a: int, b: int) -> None:
+def _check_solver_identities(
+    result: SuiteResult, I: Composition, rev: Composition, a: int, b: int
+) -> None:
+    # rev is the real I.reversed(), so this check stays independent of theta-duality
     n = I.modulus
     sol = solve_psqt(I, b)
     parts = I.parts
     i1 = parts[0]
     ip_minus_s = parts[sol.p - 1] - sol.s
     result.checked += 1
-    if ip_minus_s != I.reversed().theta_minus(a):
+    if ip_minus_s != rev.theta_minus(a):
         result.fail(f"i_p - s mismatch with reversed undershoot at I={I}, a={a}")
     if sol.q < sol.p - 1:
         result.fail(f"q < p - 1 at I={I}, b={b}")
@@ -247,17 +259,19 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
     for n in ns:
         # solver identities hold for every split n = a + b + 1, not only the
         # clock-parameter range
-        for b in range(1, n - 1):
-            a = n - 1 - b
-            for I in compositions_of(n):
-                _check_solver_identities(result, I, a, b)
+        for I in compositions_of(n):
+            rev = I.reversed()
+            for b in range(1, n - 1):
+                _check_solver_identities(result, I, rev, n - 1 - b, b)
+        all_ge_2 = list(compositions_of(n, 2))
+        positive = list(weight_positive_compositions(n))
+        first_part_1 = [I for I in positive if I.parts[0] == 1]
         for a, b in clock_pairs(n):
-            for I in weight_positive_compositions(n):
-                if I.parts[0] == 1:
-                    result.checked += 1
-                    if coeff_D(I, a, b) < 0:
-                        result.fail(f"first-part-1 coefficient negative at I={I}")
-            for I in compositions_of(n, 2):
+            for I in first_part_1:
+                result.checked += 1
+                if coeff_D(I, a, b) < 0:
+                    result.fail(f"first-part-1 coefficient negative at I={I}")
+            for I in all_ge_2:
                 kind = classify(I, a)
                 sol = solve_psqt(I, b)
                 D = coeff_D(I, a, b)
@@ -268,7 +282,7 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
         # lower bound of the phi-twisted coefficient by its delta term on the
         # exact-suffix family, for every three-path parameter choice
         for a, b, c in theta_triples(n, min_c=2):
-            for I in weight_positive_compositions(n):
+            for I in positive:
                 # exact-suffix family: theta_plus(reversed I, a) = 0
                 if I.theta_minus(n - a) != 0:
                     continue
@@ -295,28 +309,29 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
     result = SuiteResult("fiber")
     for n in ns:
         pairs = [(a, b)] if a is not None and b is not None else clock_pairs(n)
+        all_ge_2 = list(compositions_of(n, 2)) if pairs else []
         for pa, pb in pairs:
             if pa + pb + 1 != n or not (pa >= pb >= 2):
                 raise ValueError(f"invalid pair (a,b)=({pa},{pb}) for n={n}")
             greater: List[Composition] = []
             lesser: List[Composition] = []
-            for I in compositions_of(n, 2):
+            for I in all_ge_2:
                 kind = classify(I, pa).wclass
                 (greater if kind is WClass.W_GT else lesser).append(I)
             seen: Dict[Composition, Composition] = {}
             for I in greater:
                 sol = solve_psqt(I, pb)
                 preimages = fiber(I, pa, pb)
+                rho = I.rho()
                 for r, H in enumerate(preimages, start=1):
                     result.checked += 1
                     if psi(H, pa) != I:
                         result.fail(f"fiber element {H} does not map back to {I}")
                     if classify(H, pa).wclass is not WClass.W_LE:
                         result.fail(f"fiber element {H} of {I} is not in W_<=")
-                    if H.rho() != I.rho():
+                    if H.rho() != rho:
                         result.fail(f"fiber element {H} changes the partition of {I}")
-                    expected_suffix = Composition(I.parts[sol.p + r :])
-                    if split_LR(H, pa)[1] != expected_suffix:
+                    if split_LR(H, pa)[1].parts != I.parts[sol.p + r :]:
                         result.fail(f"fiber element {H} has the wrong suffix split")
                     if H in seen:
                         result.fail(f"{H} appears in two fibers: {seen[H]} and {I}")
@@ -345,37 +360,38 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
 # c-doubleprime
 
 
-def _cdp_task(task: Tuple[int, int]) -> Tuple[int, List[str]]:
-    a, b = task
-    n = a + b + 1
+def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[str]]:
+    n, pairs = task
     checked = 0
     violations: List[str] = []
-    grouped: Dict = {}
-    for I in compositions_of(n, 2):
-        if classify(I, a).wclass is not WClass.W_GT:
-            continue
-        value = coeff_c_doubleprime(I, a, b)
-        checked += 1
-        if value < 0:
-            violations.append(
-                f"fiber-grouped coefficient {value} < 0 at I={I}, (a,b)=({a},{b})"
-            )
-        lam = I.rho()
-        grouped[lam] = grouped.get(lam, 0) + value
-    # the first-part-1 block plus the fiber-grouped block must reassemble the
-    # full clock expansion
-    for I in weight_positive_compositions(n):
-        if I.parts[0] == 1:
+    all_ge_2 = list(compositions_of(n, 2))
+    first_part_1 = [I for I in weight_positive_compositions(n) if I.parts[0] == 1]
+    for a, b in pairs:
+        grouped: Dict = {}
+        for I in all_ge_2:
+            if classify(I, a).wclass is not WClass.W_GT:
+                continue
+            value = coeff_c_doubleprime(I, a, b)
+            checked += 1
+            if value < 0:
+                violations.append(
+                    f"fiber-grouped coefficient {value} < 0 at I={I}, (a,b)=({a},{b})"
+                )
+            lam = I.rho()
+            grouped[lam] = grouped.get(lam, 0) + value
+        # the first-part-1 block plus the fiber-grouped block must reassemble
+        # the full clock expansion
+        for I in first_part_1:
             lam = I.rho()
             grouped[lam] = grouped.get(lam, 0) + coeff_D(I, a, b) * I.weight
-    checked += 1
-    regrouped = BasisVector(Basis.E, n, grouped)
-    direct = closed_form_clock(a, b).grouped_by_rho()
-    if not regrouped.equals(direct):
-        diff = first_difference(regrouped, direct)
-        violations.append(
-            f"fiber regrouping disagrees with the clock expansion at (a,b)=({a},{b}): {diff}"
-        )
+        checked += 1
+        regrouped = BasisVector(Basis.E, n, grouped)
+        direct = closed_form_clock(a, b).grouped_by_rho()
+        if not regrouped.equals(direct):
+            diff = first_difference(regrouped, direct)
+            violations.append(
+                f"fiber regrouping disagrees with the clock expansion at (a,b)=({a},{b}): {diff}"
+            )
     return checked, violations
 
 
@@ -383,17 +399,20 @@ def run_c_doubleprime(
     a_max: int, b_max: int, n_cap: int, workers: int = 1
 ) -> SuiteResult:
     result = SuiteResult("c-doubleprime")
-    tasks = sorted(
+    pairs = sorted(
         (a, b)
         for a in range(2, a_max + 1)
         for b in range(2, min(a, b_max) + 1)
         if a + b + 1 <= n_cap
     )
+    # one task per n, so that each task enumerates the compositions of n once
+    tasks = [(n, tuple(p for p in pairs if sum(p) + 1 == n))
+             for n in sorted({sum(p) + 1 for p in pairs})]
     for checked, violations in _run_tasks(_cdp_task, tasks, workers):
         result.checked += checked
         for message in violations:
             result.fail(message)
-    result.notes.append(f"pairs swept: {len(tasks)}")
+    result.notes.append(f"pairs swept: {len(pairs)}")
     return result
 
 
@@ -457,7 +476,7 @@ def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
 def _random_stable_triple_instance(
     rng: random.Random, max_vertices: int
 ) -> Tuple[Graph, Tuple[int, int, int]]:
-    # each identity costs six oracle calls at base_edges + up to 3 edges,
+    # each instance costs six oracle calls at base_edges + up to 3 edges,
     # so keep instances comfortably inside the 2^m wall
     while True:
         n = rng.randint(5, max_vertices)
@@ -536,6 +555,9 @@ def _run_tasks(fn, tasks, workers: int):
     # processes beyond the CPU count only add start-up cost and memory
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
+        # imported here: multiprocessing costs every CLI process start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, tasks)
     else:

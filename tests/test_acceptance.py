@@ -219,6 +219,21 @@ def test_acceptance_structural_suites_n13_to_16():
     _passed("structural sweeps at n=13..16 with exact checked counts")
 
 
+def test_acceptance_structural_suites_n14():
+    phi_result = run_phi_involution([14])
+    bounds = run_lemma_bounds([14])
+    for result, checked in ((phi_result, 114688), (bounds, 101671)):
+        assert result.ok, f"{result.name}: {result.violations[:5]}"
+        assert result.checked == checked, result.name
+    assert bounds.notes == [
+        "W<=: 300",
+        "W> q=p: 597",
+        "W> q>p exact-suffix: 114",
+        "W> q>p no-exact-suffix: 154",
+    ]
+    _passed("phi-involution and lemma-bounds at n=14 with exact counts")
+
+
 def test_acceptance_triple_deletion():
     result = run_triple_deletion(count=25, seed=2024, max_vertices=10)
     assert result.checked >= 27

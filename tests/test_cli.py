@@ -234,6 +234,28 @@ def test_fibers_wrong_modulus_is_usage_error(capsys):
     assert "modulus" in err
 
 
+def test_fibers_non_integer_part_is_usage_error(capsys):
+    code, out, err = run(capsys, "fibers", "--I", "7.5,2,2", "--a", "6", "--b", "4")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, csfkit.cli; print(sorted(m for m in "
+             "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_bad_clock_pair_is_usage_error_before_any_output(capsys):
     for argv in (("fibers", "--I", "7,2,2", "--a", "4", "--b", "6"),
                  ("verify", "--suite", "fiber", "--a", "4", "--b", "6")):
@@ -257,9 +279,8 @@ def test_verify_bounds_workers_and_count(capsys):
 
 
 def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
+    import concurrent.futures
     import os
-
-    import csfkit.verify as verify
 
     pools = []
 
@@ -276,7 +297,7 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ("verify", "--suite", "c-doubleprime", "--a-max", "4", "--b-max", "4")
     code, out, _ = run(capsys, *argv, "--workers", "64")

@@ -76,6 +76,26 @@ def test_composition_rejects_bad_parts():
         Composition([1] * 65)
 
 
+def test_composition_and_partition_reject_non_integer_parts():
+    for parts in ((2.7, True, 3), (2, 3.0), (True,), ("2", 3), (2, None)):
+        with pytest.raises(ValueError, match="must be integers") as info:
+            Composition(parts)
+        assert "\n" not in str(info.value)
+    for parts in ((2.9, 1.5), (3, False), ("3",)):
+        with pytest.raises(ValueError, match="must be integers") as info:
+            Partition(parts)
+        assert "\n" not in str(info.value)
+    # the messages for non-positive parts and the modulus bound are kept
+    with pytest.raises(ValueError, match="must be positive, got 0"):
+        Composition((2, 0))
+    with pytest.raises(ValueError, match="partition parts must be positive"):
+        Partition((2, 0))
+    with pytest.raises(ValueError, match="exceeds the supported bound 64"):
+        Composition([1] * 65)
+    assert Composition([2, 3]).parts == (2, 3)
+    assert Partition([1, 3]) == (3, 1)
+
+
 def test_empty_composition_is_internal_only():
     empty = Composition(())
     assert empty.modulus == 0 and len(empty) == 0 and not empty

@@ -44,12 +44,36 @@ def reversal(I):
 
 def ref_classify(I, a):
     rev = reversal(I)
-    in_A = I.weight > 0 and rev.theta_plus(a) == 0
+    weight = I.parts[0]
+    for part in I.parts[1:]:
+        weight *= part - 1
+    in_A = weight > 0 and rev.theta_plus(a) == 0
     if min(I.parts) < 2:
         return Classification(WClass.NOT_W, in_A)
     if I.parts[0] > rev.theta_minus(a):
         return Classification(WClass.W_GT, in_A)
     return Classification(WClass.W_LE, in_A)
+
+
+def ref_phi(I, a):
+    # I = PQ with Q the shortest suffix of modulus >= a; the image keeps i_1
+    # and Q and reverses the rest of P.  Returns the parts and |P|.
+    parts = I.parts
+    cut = len(parts)
+    while sum(parts[cut:]) < a:
+        cut -= 1
+    P, Q = parts[:cut], parts[cut:]
+    return P[:1] + P[1:][::-1] + Q, len(P)
+
+
+def ref_compositions(n):
+    # a composition of n is the set of its partial sums, a subset of {1..n-1}
+    found = []
+    for mask in range(2 ** (n - 1)):
+        cuts = [k for k in range(1, n) if mask >> (k - 1) & 1]
+        bounds = [0, *cuts, n]
+        found.append(tuple(hi - lo for lo, hi in zip(bounds, bounds[1:])))
+    return found
 
 
 def ref_coeff(I, a, b, c, twisted):
@@ -117,6 +141,25 @@ def test_enumerators_and_maps_match_the_validated_constructor_to_n12():
             assert_validated(I)
         for I in weight_positive_compositions(n):
             assert_validated(I)
+
+
+def test_enumerator_matches_the_subsets_of_partial_sums_to_n18():
+    for n in range(1, 19):
+        every = ref_compositions(n)
+        for min_part in range(1, 5):
+            expected = sorted(c for c in every if min(c) >= min_part)
+            assert [I.parts for I in compositions_of(n, min_part)] == expected, (n, min_part)
+
+
+def test_phi_matches_the_written_out_rearrangement_to_n12():
+    for n in range(1, 13):
+        for I in compositions_of(n):
+            for a in range(1, n + 1):
+                J = phi(I, a)
+                parts, prefix_length = ref_phi(I, a)
+                assert J.parts == parts, (I, a)
+                # an interior of at most one part: phi returns I itself
+                assert (J is I) == (prefix_length <= 2), (I, a)
 
 
 def test_coefficients_match_reversal_based_references_to_n12():

@@ -336,6 +336,22 @@ def test_triple_deletion_on_theta_base():
     assert verify_triple_deletion(base, triple)
 
 
+def test_triple_deletion_makes_six_oracle_calls(monkeypatch):
+    import csfkit.graphs as graphs
+
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return csf_pbasis(graph)
+
+    monkeypatch.setattr(graphs, "csf_pbasis", counting)
+    base, triple = theta_deletion_instance(3, 3, 3)
+    assert verify_triple_deletion(base, triple)
+    assert len(calls) == 6
+    assert len({frozenset(g.edges) for g in calls}) == 6
+
+
 def test_triple_deletion_on_a_small_handmade_graph():
     # a 6-cycle with one chord; vertices 0, 2, 4 are pairwise non-adjacent
     graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
