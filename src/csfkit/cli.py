@@ -3,10 +3,14 @@ and fiber inspection.
 
 Exit codes: 0 success/verified, 1 mathematical violation found, 2 usage or
 parameter error, 3 resource budget exceeded.  The degree budget defaults to
-20 and can be overridden through the environment variable ``CSFKIT_MAX_N``;
-the oracle keeps its library cap of 30 edges and the worker count is capped
-at the CPU count.  All output ordering is deterministic regardless of the
-worker count.
+20 and can be overridden through the environment variable ``CSFKIT_MAX_N``
+(1 to 64); the oracle keeps its library cap of 30 edges and the worker count
+is capped at the CPU count.  All output ordering is deterministic regardless
+of the worker count.
+
+``verify`` rejects any flag its suite does not read (``verify.SUITE_TABLE``);
+``expand`` and ``oracle-check`` ignore flags a family does not take.  A closed
+output pipe (``csfkit expand ... | head -1``) exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import os
 import sys
 
-from .compositions import format_parts, parse_composition
+from .compositions import MAX_MODULUS, format_parts, parse_composition
 from .coefficients import (
     WClass,
     classify,
@@ -37,11 +41,13 @@ from .graphs import (
     csf_pbasis,
 )
 from .symfunc import first_difference, pvector_to_e
-from .verify import SUITES, SweepConfig, run_suite
+from .verify import SUITES, run_suite
 
 DEFAULT_MAX_N = 20
 # triple-deletion instances; each costs six oracle calls on up to 14 edges
 MAX_INSTANCE_COUNT = 1000
+# the integer flags of verify, in --help order; None means not given
+VERIFY_FLAGS = ("n", "n_max", "a", "b", "a_max", "b_max", "count", "seed", "workers")
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -54,14 +60,12 @@ def _n_budget() -> int:
     if not raw:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"CSFKIT_MAX_N must be an integer, got {raw!r}") from None
-
-
-def _check_clock_pair(a: int, b: int) -> None:
-    if not (a >= b >= 2):
-        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+    if not 1 <= budget <= MAX_MODULUS:
+        raise ValueError(f"CSFKIT_MAX_N must be between 1 and {MAX_MODULUS}, got {budget}")
+    return budget
 
 
 def _family_instance(args: argparse.Namespace) -> tuple:
@@ -127,48 +131,20 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    if args.count < 0:
+    if args.count is not None and args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    if args.count > MAX_INSTANCE_COUNT:
+    if args.count is not None and args.count > MAX_INSTANCE_COUNT:
         raise ResourceLimitError(
             f"--count {args.count} exceeds the limit {MAX_INSTANCE_COUNT}"
         )
-    budget = _n_budget()
-    requested = [x for x in (args.n, args.n_max) if x is not None]
-    if args.a is not None and args.b is not None:
-        _check_clock_pair(args.a, args.b)
-        requested.append(args.a + args.b + 1)
-    if requested and max(requested) > budget:
-        raise ResourceLimitError(
-            f"requested n {max(requested)} exceeds the budget {budget}"
-        )
-    config = SweepConfig(
-        suite=args.suite,
-        n=args.n,
-        n_max=args.n_max,
-        a=args.a,
-        b=args.b,
-        a_max=args.a_max,
-        b_max=args.b_max,
-        count=args.count,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    result = run_suite(config, n_budget=budget)
+    flags = {key: getattr(args, key) for key in VERIFY_FLAGS}
+    result = run_suite(args.suite, _n_budget(), **flags)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": result.name,
-                    "checked": result.checked,
-                    "violations": result.violations,
-                    "notes": result.notes,
-                },
-                indent=2,
-            )
-        )
+        payload = {"suite": result.name, "checked": result.checked,
+                   "violations": result.violations, "notes": result.notes}
+        print(json.dumps(payload, indent=2))
     else:
         for note in result.notes:
             print(f"note: {note}")
@@ -181,7 +157,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_fibers(args: argparse.Namespace) -> int:
     I = parse_composition(args.I)
     a, b = args.a, args.b
-    _check_clock_pair(a, b)
+    if not (a >= b >= 2):
+        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
     if I.modulus != a + b + 1:
         raise ValueError(
             f"composition {I} has modulus {I.modulus}, expected a+b+1 = {a + b + 1}"
@@ -233,17 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument("--suite", required=True, choices=SUITES)
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--n-max", dest="n_max", type=int)
-    verify.add_argument("--a", type=int)
-    verify.add_argument("--b", type=int)
-    verify.add_argument("--a-max", dest="a_max", type=int)
-    verify.add_argument("--b-max", dest="b_max", type=int)
-    verify.add_argument("--count", type=int, default=25,
-                        help=f"random instances for triple-deletion, at most {MAX_INSTANCE_COUNT}")
-    verify.add_argument("--seed", type=int, default=2024)
-    verify.add_argument("--workers", type=int, default=1,
-                        help="processes for parameter sweeps, at most the CPU count")
+    # each suite's defaults live in its runner in verify.SUITE_TABLE
+    help_text = {
+        "count": f"random instances for triple-deletion, at most {MAX_INSTANCE_COUNT}",
+        "workers": "processes for parameter sweeps, at most the CPU count",
+    }
+    for key in VERIFY_FLAGS:
+        verify.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int,
+                            help=help_text.get(key))
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(handler=cmd_verify)
 
@@ -262,7 +236,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to devnull,
+        # so the interpreter's exit flush stays quiet, and exit 1 as Python does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -219,7 +219,11 @@ def fiber(I: Composition, a: int, b: int) -> List[Composition]:
         )
     if classify(I, a).wclass is not WClass.W_GT:
         raise ValueError(f"fiber requires a composition in W_>, got {I}")
-    sol = solve_psqt(I, b)
+    return _fiber_from(I, solve_psqt(I, b))
+
+
+def _fiber_from(I: Composition, sol: PSQTSolution) -> List[Composition]:
+    # fiber's body, for callers that already hold I in W_> and sol = solve_psqt(I, b)
     parts = I.parts
     return [
         Composition._from_valid(parts[: sol.p + r][::-1] + parts[sol.p + r :])

@@ -15,6 +15,10 @@ positive weight (lemma-bounds) and first part 1 (c-doubleprime, one task per n).
 Sweeps over (a, b) parameter pairs are pure and independent, so the heavy
 suites optionally fan out over a process pool; results are merged in sorted
 task order, making output independent of the worker count.
+
+``SUITE_TABLE`` maps each suite to the ``verify`` flags it reads and to a
+runner holding its defaults and parameter checks; ``run_suite`` rejects any
+other flag, so a sweep never silently runs a range other than the one asked.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
     PSQTSolution,
@@ -32,35 +36,27 @@ from .coefficients import (
     coeff_c_prime,
     coeff_D,
     delta,
-    fiber,
     phi,
     psi,
     solve_psqt,
     split_LR,
+    _fiber_from,
 )
 from .compositions import Composition, compositions_of, format_parts, weight_positive_compositions
+from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     build_tadpole,
     build_theta,
     closed_form_clock,
     csf_pbasis,
+    e_positivity_report,
     expansion_closed_form,
     verify_triple_deletion,
 )
 from .symfunc import Basis, BasisVector, first_difference
 
 MAX_REPORTED_VIOLATIONS = 50
-
-SUITES = (
-    "phi-involution",
-    "theta-duality",
-    "lemma-bounds",
-    "fiber",
-    "c-doubleprime",
-    "positivity",
-    "triple-deletion",
-)
 
 
 @dataclass
@@ -81,22 +77,6 @@ class SuiteResult:
             self.violations.append("... further violations suppressed")
 
 
-@dataclass
-class SweepConfig:
-    """Bundle of the CLI verification options."""
-
-    suite: str
-    n: Optional[int] = None
-    n_max: Optional[int] = None
-    a: Optional[int] = None
-    b: Optional[int] = None
-    a_max: Optional[int] = None
-    b_max: Optional[int] = None
-    count: int = 25
-    seed: int = 2024
-    workers: int = 1
-
-
 def clock_pairs(n: int) -> List[Tuple[int, int]]:
     """All (a, b) with a >= b >= 2 and a + b + 1 = n."""
     return [(n - 1 - b, b) for b in range(2, (n - 1) // 2 + 1)]
@@ -111,12 +91,6 @@ def theta_triples(n: int, min_c: int = 1) -> List[Tuple[int, int, int]]:
             if a >= b:
                 triples.append((a, b, c))
     return sorted(triples)
-
-
-def _n_range(config: SweepConfig, default_max: int, lo: int = 1) -> List[int]:
-    if config.n is not None:
-        return [config.n]
-    return list(range(lo, (config.n_max or default_max) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +198,7 @@ def _check_gt_bounds(
         if i1 < 4 or D < i1 + 2:
             result.fail(f"no-exact-suffix W_> bound fails at I={I}, (a,b)=({a},{b})")
     if sol.q - sol.p >= 1:
-        preimages = fiber(I, a, b)
+        preimages = _fiber_from(I, sol)
         for r, H in enumerate(preimages, start=1):
             if coeff_D(H, a, b) < 0:
                 result.checked += 1
@@ -321,7 +295,7 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
             seen: Dict[Composition, Composition] = {}
             for I in greater:
                 sol = solve_psqt(I, pb)
-                preimages = fiber(I, pa, pb)
+                preimages = _fiber_from(I, sol)
                 rho = I.rho()
                 for r, H in enumerate(preimages, start=1):
                     result.checked += 1
@@ -432,17 +406,14 @@ def _positivity_task(task: Tuple[str, int, int, bool]):
                 violations.append(
                     f"negative {family} term at I={I}, (a,b)=({a},{b})"
                 )
-    grouped = expansion.grouped_by_rho()
-    minimum = min(grouped.terms.values(), default=0)
-    checked += len(grouped.terms)
-    if minimum < 0:
-        negatives = [
-            format_parts(lam) for lam, c in grouped.items_sorted() if c < 0
-        ]
+    report = e_positivity_report(expansion)
+    checked += len(report.coefficients)
+    if report.negative_partitions:
+        negatives = [format_parts(lam) for lam in report.negative_partitions]
         violations.append(
             f"negative grouped coefficient for {family} (a,b)=({a},{b}): {negatives}"
         )
-    return checked, violations, minimum
+    return checked, violations, report.minimum
 
 
 def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
@@ -457,15 +428,14 @@ def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
             ("cycle-chord", a, n - a, True) for a in range(2, n - 1) if n - a >= 2
         )
     tasks.sort()
-    overall_min = None
+    minima = []
     for checked, violations, minimum in _run_tasks(_positivity_task, tasks, workers):
         result.checked += checked
         for message in violations:
             result.fail(message)
-        if overall_min is None or minimum < overall_min:
-            overall_min = minimum
+        minima.append(minimum)
     result.notes.append(f"expansions swept: {len(tasks)}")
-    result.notes.append(f"smallest grouped coefficient: {overall_min}")
+    result.notes.append(f"smallest grouped coefficient: {min(minima, default=None)}")
     return result
 
 
@@ -564,36 +534,78 @@ def _run_tasks(fn, tasks, workers: int):
         yield from map(fn, tasks)
 
 
-def run_suite(config: SweepConfig, n_budget: int = 20) -> SuiteResult:
-    """Run one named suite over the configured ranges."""
-    name = config.suite
-    if name == "phi-involution":
-        return run_phi_involution(_n_range(config, default_max=10))
-    if name == "theta-duality":
-        return run_theta_duality(_n_range(config, default_max=10))
-    if name == "lemma-bounds":
-        return run_lemma_bounds(_n_range(config, default_max=10, lo=5))
-    if name == "fiber":
-        if config.a is not None and config.b is not None:
-            ns = [config.a + config.b + 1]
-            if config.n is not None and config.n != ns[0]:
-                raise ValueError(
-                    f"--n {config.n} disagrees with a+b+1 = {ns[0]} for (a,b)=({config.a},{config.b})"
-                )
-            if config.n_max is not None and config.n_max < ns[0]:
-                raise ValueError(
-                    f"--n-max {config.n_max} is below a+b+1 = {ns[0]} for (a,b)=({config.a},{config.b})"
-                )
-        else:
-            ns = _n_range(config, default_max=10, lo=5)
-        return run_fiber(ns, config.a, config.b)
-    if name == "c-doubleprime":
-        a_max = config.a_max if config.a_max is not None else 8
-        b_max = config.b_max if config.b_max is not None else 8
-        return run_c_doubleprime(a_max, b_max, n_budget, workers=config.workers)
-    if name == "positivity":
-        n_max = config.n_max if config.n_max is not None else 14
-        return run_positivity(n_max, workers=config.workers)
-    if name == "triple-deletion":
-        return run_triple_deletion(config.count, config.seed)
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
+def _check_budget(budget: int, *requested: Optional[int]) -> None:
+    top = max((n for n in requested if n is not None), default=0)
+    if top > budget:
+        raise ResourceLimitError(f"requested n {top} exceeds the budget {budget}")
+
+
+def _degrees(budget: int, n, n_max, default_max: int, lo: int = 1) -> List[int]:
+    _check_budget(budget, n, n_max)
+    return [n] if n is not None else list(range(lo, (n_max or default_max) + 1))
+
+
+def _fiber_suite(budget: int, n=None, n_max=None, a=None, b=None) -> SuiteResult:
+    if a is None and b is None:
+        return run_fiber(_degrees(budget, n, n_max, 10, lo=5))
+    if a is None or b is None:
+        raise ValueError("suite fiber reads --a and --b only together")
+    if not (a >= b >= 2):
+        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+    size = a + b + 1
+    if n is not None and n != size:
+        raise ValueError(f"--n {n} disagrees with a+b+1 = {size} for (a,b)=({a},{b})")
+    if n_max is not None and n_max < size:
+        raise ValueError(f"--n-max {n_max} is below a+b+1 = {size} for (a,b)=({a},{b})")
+    _check_budget(budget, n, n_max, size)
+    return run_fiber([size], a, b)
+
+
+def _positivity_suite(budget: int, n_max=None, workers=1) -> SuiteResult:
+    _check_budget(budget, n_max)
+    return run_positivity(14 if n_max is None else n_max, workers)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """The ``verify`` flags a suite reads (argparse names) and its runner,
+    called as ``run(budget, **given_flags)``, which holds its defaults and checks."""
+
+    flags: Tuple[str, ...]
+    run: Callable[..., SuiteResult]
+
+
+# runners look the suite functions up as module globals when called, so a
+# wrapper bound in this module (a tracer, a test double) sees every call
+SUITE_TABLE: Dict[str, Suite] = {
+    "phi-involution": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
+                            run_phi_involution(_degrees(budget, n, n_max, 10))),
+    "theta-duality": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
+                           run_theta_duality(_degrees(budget, n, n_max, 10))),
+    "lemma-bounds": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
+                          run_lemma_bounds(_degrees(budget, n, n_max, 10, lo=5))),
+    "fiber": Suite(("n", "n_max", "a", "b"), _fiber_suite),
+    # pairs with a + b + 1 above the budget are dropped, not refused
+    "c-doubleprime": Suite(("a_max", "b_max", "workers"),
+                           lambda budget, a_max=8, b_max=8, workers=1:
+                           run_c_doubleprime(a_max, b_max, budget, workers)),
+    "positivity": Suite(("n_max", "workers"), _positivity_suite),
+    "triple-deletion": Suite(("count", "seed"), lambda budget, count=25, seed=2024:
+                             run_triple_deletion(count, seed)),
+}
+
+SUITES = tuple(SUITE_TABLE)
+
+
+def run_suite(name: str, budget: int, **flags: Optional[int]) -> SuiteResult:
+    """Run the named suite under the degree budget with the given ``verify``
+    flags (argparse names, None for not given); a given flag that the suite
+    does not read is a ValueError."""
+    if name not in SUITE_TABLE:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
+    suite = SUITE_TABLE[name]
+    given = {key: value for key, value in flags.items() if value is not None}
+    unread = [f"--{key.replace('_', '-')}" for key in given if key not in suite.flags]
+    if unread:
+        raise ValueError(f"suite {name} does not read {', '.join(unread)}")
+    return suite.run(budget, **given)

@@ -314,3 +314,98 @@ def test_output_independent_of_worker_count(capsys):
         pooled = run(capsys, *argv, "--workers", "2")
         assert serial[0] == 0
         assert pooled == serial
+
+
+def test_suites_are_the_suite_table():
+    from csfkit.verify import SUITE_TABLE, SUITES
+
+    assert SUITES == tuple(SUITE_TABLE)
+
+
+def test_every_verify_flag_is_read_by_a_suite_and_every_runner_takes_its_flags():
+    import inspect
+
+    from csfkit.verify import SUITE_TABLE
+
+    read = {key for suite in SUITE_TABLE.values() for key in suite.flags}
+    assert read == set(cli.VERIFY_FLAGS)
+    for name, suite in SUITE_TABLE.items():
+        params = tuple(inspect.signature(suite.run).parameters)
+        assert params == ("budget",) + suite.flags, name
+
+
+def test_verify_rejects_every_flag_a_suite_does_not_read(capsys):
+    from csfkit.verify import SUITE_TABLE
+
+    for name, suite in SUITE_TABLE.items():
+        for key in cli.VERIFY_FLAGS:
+            if key in suite.flags:
+                continue
+            flag = f"--{key.replace('_', '-')}"
+            code, out, err = run(capsys, "verify", "--suite", name, flag, "3")
+            assert code == 2, (name, flag)
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert f"suite {name} does not read {flag}" in err
+
+
+def test_verify_refuses_flags_it_would_have_ignored(capsys):
+    for argv, flags in ((("--suite", "positivity", "--n", "18"), "--n"),
+                        (("--suite", "positivity", "--a", "3", "--b", "7"), "--a, --b")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: suite positivity does not read {flags}\n"
+    for flag in ("--a", "--b"):
+        code, out, err = run(capsys, "verify", "--suite", "fiber", flag, "6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: suite fiber reads --a and --b only together\n"
+
+
+def test_verify_defaults_equal_the_documented_values(capsys):
+    for suite, defaults in (("phi-involution", ("--n-max", "10")),
+                            ("triple-deletion", ("--count", "25", "--seed", "2024"))):
+        implicit = run(capsys, "verify", "--suite", suite)
+        assert implicit[0] == 0
+        assert implicit == run(capsys, "verify", "--suite", suite, *defaults)
+
+
+def test_budget_env_is_bounded_by_the_largest_modulus(capsys, monkeypatch):
+    from csfkit.compositions import MAX_MODULUS
+
+    for raw in ("0", "-3", str(MAX_MODULUS + 1)):
+        monkeypatch.setenv("CSFKIT_MAX_N", raw)
+        for argv in (("expand", "--family", "path", "--n", "3"),
+                     ("verify", "--suite", "fiber", "--a", "6", "--b", "4")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (raw, argv)
+            assert out == ""
+            assert err == f"error: CSFKIT_MAX_N must be between 1 and 64, got {raw}\n"
+    monkeypatch.setenv("CSFKIT_MAX_N", str(MAX_MODULUS))
+    code, out, _ = run(capsys, "verify", "--suite", "fiber", "--a", "6", "--b", "4")
+    assert code == 0 and out.endswith("VIOLATIONS 0\n")
+    assert run(capsys, "expand", "--family", "path", "--n", "3")[0] == 0
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("CSFKIT_MAX_N", None)
+    # a long output breaks inside the handler, a short one at the final flush
+    for argv in (("expand", "--family", "path", "--n", "20"),
+                 ("expand", "--family", "path", "--n", "3")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "csfkit", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, argv
+        assert proc.stderr == b"", proc.stderr.decode()

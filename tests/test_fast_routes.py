@@ -17,8 +17,10 @@ from csfkit.coefficients import (
     fiber,
     phi,
     psi,
+    solve_psqt,
     solve_qt,
     split_LR,
+    _fiber_from,
 )
 from csfkit.compositions import (
     Composition,
@@ -27,7 +29,7 @@ from csfkit.compositions import (
     weight_positive_compositions,
 )
 from csfkit.graphs import closed_form_cycle_chord
-from csfkit.verify import theta_triples
+from csfkit.verify import clock_pairs, theta_triples
 
 
 def assert_validated(J):
@@ -177,6 +179,24 @@ def test_theta_sum_cycle_chord_matches_reversal_based_reference_to_n12():
                 expected = ref_theta_sum(I, b)
                 got = entries[I][0] if I in entries else 0
                 assert got == expected, (I, a, b)
+
+
+def test_fiber_body_from_the_solution_matches_fiber_to_n12():
+    for n in range(5, 13):
+        all_ge_2 = list(compositions_of(n, 2))
+        for a, b in clock_pairs(n):
+            # the W_<= compositions psi sends to each image, by sorted parts
+            preimages = {}
+            for H in all_ge_2:
+                if classify(H, a).wclass is WClass.W_LE:
+                    preimages.setdefault(psi(H, a), []).append(H.parts)
+            for I in all_ge_2:
+                if classify(I, a).wclass is not WClass.W_GT:
+                    continue
+                body = _fiber_from(I, solve_psqt(I, b))
+                assert body == fiber(I, a, b), (I, a, b)
+                expected = sorted(preimages.get(I, []))
+                assert sorted(H.parts for H in body) == expected, (I, a, b)
 
 
 @st.composite
