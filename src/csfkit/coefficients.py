@@ -14,6 +14,14 @@ n = a + b + c - 1.  This module implements the pieces of those coefficients:
 
 All functions are pure; every value is an exact Python integer.
 
+Two layers: each public function checks its parameters and wraps one private
+kernel function (``_solve_psqt_parts``, ``_delta_parts``, ``_phi_parts``,
+``_psi_parts``, ``_classify_parts``, ``_fiber_parts``, ``_c_parts``,
+``_c_doubleprime_parts``) on the parts and prefix-moduli tuples, which checks
+nothing and returns tuples.  The sweeps of :mod:`csfkit.verify` and the closed
+forms of :mod:`csfkit.graphs` call the kernel directly, so each formula has one
+implementation.
+
 Statistics of a reversal are read from the composition itself through
 theta-duality, theta_minus(reversed I, k) = theta_plus(I, n - k) and
 theta_plus(reversed I, k) = theta_minus(I, n - k), so no reversal is built.
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple
 
-from .compositions import Composition
+from .compositions import Composition, _moduli, _theta_minus, _theta_plus, _weight
 
 
 class WClass(Enum):
@@ -69,42 +77,18 @@ class PSQTSolution:
     t: int
 
 
-def _solve_prefix(I: Composition, value: int) -> Tuple[int, int]:
-    # unique (p, s): value = |i_1 ... i_{p-1}| + s with 1 <= s <= i_p
-    moduli = I.prefix_moduli
-    if value < 1 or value > moduli[-1]:
-        raise ValueError(f"equation value {value} outside [1, {moduli[-1]}] for {I}")
-    p = bisect.bisect_left(moduli, value)
-    return p, value - moduli[p - 1]
+# ---------------------------------------------------------------------------
+# kernel: parts and prefix moduli of valid compositions, nothing checked
 
 
-def _solve_cyclic(I: Composition, value: int) -> Tuple[int, int]:
-    # unique (q, t): value = |i_2 ... i_q| + t with 1 <= t <= i_{q+1},
-    # reading i_{z+1} as i_1
-    moduli = I.prefix_moduli
-    if value < 1 or value > moduli[-1]:
-        raise ValueError(f"equation value {value} outside [1, {moduli[-1]}] for {I}")
-    # |i_2 ... i_k| = |i_1 ... i_k| - i_1, so bisect the prefix moduli for value + i_1
-    i1 = I.parts[0]
-    q = bisect.bisect_left(moduli, value + i1, 1) - 1
-    return q, value + i1 - moduli[q]
-
-
-def solve_ps(I: Composition, b: int) -> Tuple[int, int]:
-    """Solve b + 1 = |i_1 ... i_{p-1}| + s with 1 <= s <= i_p."""
-    return _solve_prefix(I, b + 1)
-
-
-def solve_qt(I: Composition, b: int) -> Tuple[int, int]:
-    """Solve b + 1 = |i_2 ... i_q| + t with 1 <= t <= i_{q+1} (cyclically)."""
-    return _solve_cyclic(I, b + 1)
-
-
-def solve_psqt(I: Composition, b: int) -> PSQTSolution:
-    """Both solutions at the common equation value b + 1."""
-    p, s = solve_ps(I, b)
-    q, t = solve_qt(I, b)
-    return PSQTSolution(p, s, q, t)
+def _solve_psqt_parts(parts, moduli, b: int) -> tuple:
+    # (p, s, q, t) at v = b + 1 in [1, n]; (q, t) bisects for v + i_1, since
+    # |i_2 ... i_k| = |i_1 ... i_k| - i_1
+    v = b + 1
+    p = bisect.bisect_left(moduli, v)
+    w = v + parts[0]
+    q = bisect.bisect_left(moduli, w, 1) - 1
+    return p, v - moduli[p - 1], q, w - moduli[q]
 
 
 def _e2(values) -> int:
@@ -115,6 +99,107 @@ def _e2(values) -> int:
         total += v
         square += v * v
     return (total * total - square) // 2
+
+
+def _delta_parts(parts, sol) -> int:
+    # delta at the equation value that sol = (p, s, q, t) solves
+    p, s, q, t = sol
+    leftover = parts[p - 1] - s
+    if parts[0] <= leftover:
+        return s * (leftover - parts[0])
+    return _e2((leftover, *parts[p:q], t))
+
+
+def _phi_parts(parts, moduli, a: int) -> tuple:
+    # phi(I, a), 1 <= a <= n; Q = parts[cut:]; ``parts`` itself when |P| <= 2
+    cut = bisect.bisect_right(moduli, moduli[-1] - a) - 1
+    if cut <= 2:
+        return parts
+    return parts[:1] + parts[cut - 1:0:-1] + parts[cut:]
+
+
+def _split_cut(moduli, a: int) -> int:
+    # R = parts[cut:] in I = LR, 1 <= a < n
+    return bisect.bisect_left(moduli, moduli[-1] - a)
+
+
+def _psi_parts(parts, moduli, a: int) -> tuple:
+    cut = _split_cut(moduli, a)
+    return parts[:cut][::-1] + parts[cut:]
+
+
+def _classify_parts(parts, moduli, a: int) -> tuple:
+    # (wclass, in_A), 1 <= a <= n; the reversal's statistics at a read at n - a
+    m = moduli[-1] - a
+    # positive weight: no part after the first equals 1
+    in_A = 1 not in parts[1:] and _theta_minus(moduli, m) == 0
+    if 1 in parts:
+        return WClass.NOT_W, in_A
+    if parts[0] > _theta_plus(moduli, m):
+        return WClass.W_GT, in_A
+    return WClass.W_LE, in_A
+
+
+def _fiber_parts(parts, p: int, q: int) -> List[tuple]:
+    # H_1 ... H_{q-p} of I in W_> with indices (p, q)
+    return [parts[: p + r][::-1] + parts[p + r :] for r in range(1, q - p + 1)]
+
+
+def _c_parts(parts, moduli, a: int, c: int, sol, twisted: bool) -> int:
+    # c_I, or c'_I when twisted (the reversal of J = phi(I, a) for that of I);
+    # sol solves at b + c - 1
+    total = _delta_parts(parts, sol)
+    for k in range(2, c + 1):
+        total += _theta_plus(moduli, k)
+    j_moduli = moduli
+    if twisted:
+        J = _phi_parts(parts, moduli, a)
+        if J is not parts:
+            j_moduli = _moduli(J)
+    n = moduli[-1]
+    for k in range(a, a + c - 1):
+        total -= _theta_plus(j_moduli, n - k)
+    return total
+
+
+def _D_parts(parts, moduli, a: int, b: int) -> int:
+    return _c_parts(parts, moduli, a, 2, _solve_psqt_parts(parts, moduli, b), True)
+
+
+def _c_doubleprime_parts(parts, moduli, a: int, b: int, sol) -> int:
+    # I in W_> at a; sol solves at b + 1
+    total = _c_parts(parts, moduli, a, 2, sol, True) * _weight(parts)
+    for H in _fiber_parts(parts, sol[0], sol[2]):
+        total += _D_parts(H, _moduli(H), a, b) * _weight(H)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# public API: checked wrappers over the kernel
+
+
+def _check_value(I: Composition, value: int) -> None:
+    n = I.prefix_moduli[-1]
+    if value < 1 or value > n:
+        raise ValueError(f"equation value {value} outside [1, {n}] for {I}")
+
+
+def solve_ps(I: Composition, b: int) -> Tuple[int, int]:
+    """Solve b + 1 = |i_1 ... i_{p-1}| + s with 1 <= s <= i_p."""
+    _check_value(I, b + 1)
+    return _solve_psqt_parts(I.parts, I.prefix_moduli, b)[:2]
+
+
+def solve_qt(I: Composition, b: int) -> Tuple[int, int]:
+    """Solve b + 1 = |i_2 ... i_q| + t with 1 <= t <= i_{q+1} (cyclically)."""
+    _check_value(I, b + 1)
+    return _solve_psqt_parts(I.parts, I.prefix_moduli, b)[2:]
+
+
+def solve_psqt(I: Composition, b: int) -> PSQTSolution:
+    """Both solutions at the common equation value b + 1."""
+    _check_value(I, b + 1)
+    return PSQTSolution(*_solve_psqt_parts(I.parts, I.prefix_moduli, b))
 
 
 def delta(I: Composition, b: int) -> int:
@@ -128,12 +213,14 @@ def delta(I: Composition, b: int) -> int:
     c = 2 case; the cycle-chord expansion itself passes its own b.  The
     result is always nonnegative.
     """
-    p, s = _solve_prefix(I, b)
-    leftover = I.parts[p - 1] - s
-    if I.parts[0] <= leftover:
-        return s * (leftover - I.parts[0])
-    q, t = _solve_cyclic(I, b)
-    return _e2((leftover, *I.parts[p:q], t))
+    _check_value(I, b)
+    return _delta_parts(I.parts, _solve_psqt_parts(I.parts, I.prefix_moduli, b - 1))
+
+
+def _check_threshold(I: Composition, a: int) -> None:
+    n = I.prefix_moduli[-1]
+    if not I.parts or a < 1 or a > n:
+        raise ValueError(f"threshold {a} outside [1, {n}] for {I}")
 
 
 def phi(I: Composition, a: int) -> Composition:
@@ -146,15 +233,14 @@ def phi(I: Composition, a: int) -> Composition:
     involution, fixes the first part, and preserves both the partition
     image and the weight.
     """
-    moduli = I.prefix_moduli
-    n = moduli[-1]
-    if not I.parts or a < 1 or a > n:
-        raise ValueError(f"threshold {a} outside [1, {n}] for {I}")
-    cut = bisect.bisect_right(moduli, n - a) - 1
-    if cut <= 2:
-        return I
-    parts = I.parts
-    return Composition._from_valid((parts[0],) + parts[1:cut][::-1] + parts[cut:])
+    _check_threshold(I, a)
+    J = _phi_parts(I.parts, I.prefix_moduli, a)
+    return I if J is I.parts else Composition._from_valid(J)
+
+
+def _check_split(I: Composition, a: int) -> None:
+    if not I.parts or a < 1 or a >= I.modulus:
+        raise ValueError(f"threshold {a} outside [1, {I.modulus}) for {I}")
 
 
 def split_LR(I: Composition, a: int) -> Tuple[Composition, Composition]:
@@ -163,9 +249,8 @@ def split_LR(I: Composition, a: int) -> Tuple[Composition, Composition]:
     L is always non-empty; R may be empty.  The undershoot of the reversed
     composition at a equals a - |R|.
     """
-    if not I.parts or a < 1 or a >= I.modulus:
-        raise ValueError(f"threshold {a} outside [1, {I.modulus}) for {I}")
-    cut = bisect.bisect_left(I.prefix_moduli, I.modulus - a)
+    _check_split(I, a)
+    cut = _split_cut(I.prefix_moduli, a)
     return Composition._from_valid(I.parts[:cut]), Composition._from_valid(I.parts[cut:])
 
 
@@ -177,8 +262,8 @@ def psi(I: Composition, a: int) -> Composition:
     """
     if not I.parts or min(I.parts) < 2:
         raise ValueError(f"psi requires all parts >= 2, got {I}")
-    L, R = split_LR(I, a)
-    return Composition._from_valid(L.parts[::-1] + R.parts)
+    _check_split(I, a)
+    return Composition._from_valid(_psi_parts(I.parts, I.prefix_moduli, a))
 
 
 def classify(I: Composition, a: int) -> Classification:
@@ -190,17 +275,19 @@ def classify(I: Composition, a: int) -> Classification:
     W_LE otherwise.  ``in_A`` flags positive-weight compositions having a
     suffix of modulus exactly a.
     """
-    parts = I.parts
-    n = I.prefix_moduli[-1]
-    if not parts or a < 1 or a > n:
-        raise ValueError(f"threshold {a} outside [1, {n}] for {I}")
-    # positive weight: no part after the first equals 1
-    in_A = 1 not in parts[1:] and I.theta_minus(n - a) == 0
-    if 1 in parts:
-        return Classification(WClass.NOT_W, in_A)
-    if parts[0] > I.theta_plus(n - a):
-        return Classification(WClass.W_GT, in_A)
-    return Classification(WClass.W_LE, in_A)
+    _check_threshold(I, a)
+    return Classification(*_classify_parts(I.parts, I.prefix_moduli, a))
+
+
+def _check_fiber_params(I: Composition, a: int, b: int) -> None:
+    if a < 1 or b < 1:
+        raise ValueError(f"thresholds must be positive, got a={a}, b={b}")
+    if I.modulus != a + b + 1:
+        raise ValueError(
+            f"composition {I} has modulus {I.modulus}, expected a+b+1 = {a + b + 1}"
+        )
+    if _classify_parts(I.parts, I.prefix_moduli, a)[0] is not WClass.W_GT:
+        raise ValueError(f"fiber requires a composition in W_>, got {I}")
 
 
 def fiber(I: Composition, a: int, b: int) -> List[Composition]:
@@ -211,24 +298,13 @@ def fiber(I: Composition, a: int, b: int) -> List[Composition]:
     r = 1 ... q - p, in that order; the list is empty when q = p.  Requires
     |I| = a + b + 1.
     """
-    if a < 1 or b < 1:
-        raise ValueError(f"thresholds must be positive, got a={a}, b={b}")
-    if I.modulus != a + b + 1:
-        raise ValueError(
-            f"composition {I} has modulus {I.modulus}, expected a+b+1 = {a + b + 1}"
-        )
-    if classify(I, a).wclass is not WClass.W_GT:
-        raise ValueError(f"fiber requires a composition in W_>, got {I}")
+    _check_fiber_params(I, a, b)
     return _fiber_from(I, solve_psqt(I, b))
 
 
 def _fiber_from(I: Composition, sol: PSQTSolution) -> List[Composition]:
     # fiber's body, for callers that already hold I in W_> and sol = solve_psqt(I, b)
-    parts = I.parts
-    return [
-        Composition._from_valid(parts[: sol.p + r][::-1] + parts[sol.p + r :])
-        for r in range(1, sol.q - sol.p + 1)
-    ]
+    return [Composition._from_valid(H) for H in _fiber_parts(I.parts, sol.p, sol.q)]
 
 
 def _check_three_path_params(I: Composition, a: int, b: int, c: int) -> None:
@@ -243,6 +319,12 @@ def _check_three_path_params(I: Composition, a: int, b: int, c: int) -> None:
         )
 
 
+def _coeff(I: Composition, a: int, b: int, c: int, twisted: bool) -> int:
+    _check_three_path_params(I, a, b, c)
+    parts, moduli = I.parts, I.prefix_moduli
+    return _c_parts(parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted)
+
+
 def coeff_c(I: Composition, a: int, b: int, c: int) -> int:
     """Coefficient of I in the three-path expansion via the reversal of I.
 
@@ -250,14 +332,7 @@ def coeff_c(I: Composition, a: int, b: int, c: int) -> int:
     the reversal, plus delta(I, b+c-1).  May be negative for individual
     compositions; only the partition-grouped sums are nonnegative.
     """
-    _check_three_path_params(I, a, b, c)
-    total = delta(I, b + c - 1)
-    for k in range(2, c + 1):
-        total += I.theta_plus(k)
-    n = I.modulus
-    for k in range(a, a + c - 1):
-        total -= I.theta_plus(n - k)
-    return total
+    return _coeff(I, a, b, c, False)
 
 
 def coeff_c_prime(I: Composition, a: int, b: int, c: int) -> int:
@@ -266,15 +341,7 @@ def coeff_c_prime(I: Composition, a: int, b: int, c: int) -> int:
 
     Grouping by partition yields the same vector as :func:`coeff_c`.
     """
-    _check_three_path_params(I, a, b, c)
-    total = delta(I, b + c - 1)
-    for k in range(2, c + 1):
-        total += I.theta_plus(k)
-    J = phi(I, a)
-    n = I.modulus
-    for k in range(a, a + c - 1):
-        total -= J.theta_plus(n - k)
-    return total
+    return _coeff(I, a, b, c, True)
 
 
 def coeff_D(I: Composition, a: int, b: int) -> int:
@@ -285,7 +352,7 @@ def coeff_D(I: Composition, a: int, b: int) -> int:
     """
     if not (a >= b >= 2):
         raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
-    return coeff_c_prime(I, a, b, 2)
+    return _coeff(I, a, b, 2, True)
 
 
 def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:
@@ -293,8 +360,8 @@ def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:
 
     Defined for I in W_GT; nonnegative for every such I.
     """
-    preimages = fiber(I, a, b)
-    total = coeff_D(I, a, b) * I.weight
-    for H in preimages:
-        total += coeff_D(H, a, b) * H.weight
-    return total
+    _check_fiber_params(I, a, b)
+    if not (a >= b >= 2):
+        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+    parts, moduli = I.parts, I.prefix_moduli
+    return _c_doubleprime_parts(parts, moduli, a, b, _solve_psqt_parts(parts, moduli, b))

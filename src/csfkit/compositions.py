@@ -6,13 +6,14 @@ and the overshoot/undershoot of prefix sums around a threshold.  All values
 are immutable and all functions are pure, so sweeps may share them freely
 across workers.
 
-Two constructors validate, because outside input enters through them:
-``Composition(parts)`` and :func:`parse_composition`.  Everything else
-derives its compositions from ones already checked, without re-checking the
-parts: the enumerators :func:`compositions_of` and
-:func:`weight_positive_compositions`, ``Composition.reversed`` and the
-rearrangement maps of :mod:`csfkit.coefficients` (``phi``, ``split_LR``,
-``psi``, ``fiber``).
+Two layers: the public API validates (``Composition(parts)`` and
+:func:`parse_composition` check every part, the statistics their thresholds)
+and wraps a private kernel on the parts and prefix-moduli tuples
+(``_moduli``, ``_theta_plus``, ``_theta_minus``, ``_weight``, ``_rho``,
+``_composition_tuples``) that checks nothing.  The sweeps of
+:mod:`csfkit.verify` and the closed forms of :mod:`csfkit.graphs` call the
+kernel directly.  Derived compositions (the enumerators, ``reversed`` and the
+maps of :mod:`csfkit.coefficients`) skip re-checking parts already known valid.
 
 The enumerators yield lexicographic order by the successor rule (Stanley,
 EC1 1.2; Knuth, TAOCP 4A 7.2.1) on one list: pop the last part t, add 1 to
@@ -29,6 +30,33 @@ from typing import Iterator
 # Parts and moduli stay machine-word sized; coefficients elsewhere are
 # arbitrary precision.  Enforced at this boundary so bad input fails fast.
 MAX_MODULUS = 64
+
+
+def _moduli(parts: tuple) -> tuple:
+    # (0, i1, i1+i2, ..., n)
+    return (0, *accumulate(parts))
+
+
+def _theta_plus(moduli: tuple, a: int) -> int:
+    # overshoot: the smallest prefix modulus >= a, minus a
+    return moduli[bisect.bisect_left(moduli, a)] - a
+
+
+def _theta_minus(moduli: tuple, a: int) -> int:
+    # undershoot: a minus the largest prefix modulus <= a
+    return a - moduli[bisect.bisect_right(moduli, a) - 1]
+
+
+def _weight(parts: tuple) -> int:
+    w = parts[0]
+    for p in parts[1:]:
+        w *= p - 1
+    return w
+
+
+def _rho(parts: tuple) -> Partition:
+    # sorted without Partition's checks
+    return tuple.__new__(Partition, sorted(parts, reverse=True))
 
 
 class Partition(tuple):
@@ -68,19 +96,18 @@ class Composition:
 
     def __init__(self, parts=()):
         parts = tuple(parts)
-        moduli = [0] * (len(parts) + 1)
-        for k, p in enumerate(parts):
+        for p in parts:
             if type(p) is not int:
                 raise ValueError(f"composition parts must be integers, got {p!r}")
             if p < 1:
                 raise ValueError(f"composition parts must be positive, got {p}")
-            moduli[k + 1] = moduli[k] + p
+        moduli = _moduli(parts)
         if moduli[-1] > MAX_MODULUS:
             raise ValueError(
                 f"modulus {moduli[-1]} exceeds the supported bound {MAX_MODULUS}"
             )
         self.parts = parts
-        self.prefix_moduli = tuple(moduli)
+        self.prefix_moduli = moduli
 
     @classmethod
     def _from_valid(cls, parts: tuple) -> "Composition":
@@ -88,7 +115,7 @@ class Composition:
         # composition, or an enumerator's output.  Skips the per-part checks.
         self = object.__new__(cls)
         self.parts = parts
-        self.prefix_moduli = (0, *accumulate(parts))
+        self.prefix_moduli = _moduli(parts)
         return self
 
     @property
@@ -133,8 +160,7 @@ class Composition:
         """The partition obtained by sorting the parts decreasingly."""
         if not self.parts:
             raise ValueError("the empty composition has no partition image")
-        # parts are checked positive ints; sort without Partition's checks
-        return tuple.__new__(Partition, sorted(self.parts, reverse=True))
+        return _rho(self.parts)
 
     @property
     def weight(self) -> int:
@@ -144,10 +170,7 @@ class Composition:
         """
         if not self.parts:
             raise ValueError("weight of the empty composition is undefined")
-        w = self.parts[0]
-        for p in self.parts[1:]:
-            w *= p - 1
-        return w
+        return _weight(self.parts)
 
     def _check_threshold(self, a: int) -> None:
         if not isinstance(a, int):
@@ -163,10 +186,8 @@ class Composition:
 
     def theta_plus(self, a: int) -> int:
         """Overshoot sigma_plus(a) - a; how far prefixes jump past a."""
-        moduli = self.prefix_moduli
-        if not (type(a) is int and 0 <= a <= moduli[-1]):
-            self._check_threshold(a)
-        return moduli[bisect.bisect_left(moduli, a)] - a
+        self._check_threshold(a)
+        return _theta_plus(self.prefix_moduli, a)
 
     def sigma_minus(self, a: int) -> int:
         """Largest prefix modulus that is <= a."""
@@ -174,10 +195,8 @@ class Composition:
 
     def theta_minus(self, a: int) -> int:
         """Undershoot a - sigma_minus(a)."""
-        moduli = self.prefix_moduli
-        if not (type(a) is int and 0 <= a <= moduli[-1]):
-            self._check_threshold(a)
-        return a - moduli[bisect.bisect_right(moduli, a) - 1]
+        self._check_threshold(a)
+        return _theta_minus(self.prefix_moduli, a)
 
 
 def format_parts(parts) -> str:
@@ -199,8 +218,14 @@ def parse_composition(text: str) -> Composition:
     return Composition(parts)
 
 
-def _composition_tuples(n: int, min_part: int) -> Iterator[tuple]:
+def _composition_tuples(n: int, min_part: int = 1) -> Iterator[tuple]:
     # the lexicographic successor rule of the module docstring, on one list
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if min_part < 1:
+        raise ValueError(f"min_part must be >= 1, got {min_part}")
+    if n > MAX_MODULUS:
+        raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
     if n < min_part:
         return
     parts = [min_part] * (n // min_part)
@@ -218,18 +243,20 @@ def _composition_tuples(n: int, min_part: int) -> Iterator[tuple]:
         parts[-1] += (t - 1) % min_part
 
 
+def _weight_positive_tuples(n: int) -> Iterator[tuple]:
+    # any first part, every later part >= 2, in lexicographic order; n >= 1
+    for first in range(1, n):
+        for tail in _composition_tuples(n - first, 2):
+            yield (first,) + tail
+    yield (n,)
+
+
 def compositions_of(n: int, min_part: int = 1) -> Iterator[Composition]:
     """Yield every composition of n with all parts >= min_part, each exactly
     once, in lexicographic order of the part lists.
 
     The stream is generated lazily so full sweeps stay memory-flat.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if min_part < 1:
-        raise ValueError(f"min_part must be >= 1, got {min_part}")
-    if n > MAX_MODULUS:
-        raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
     for parts in _composition_tuples(n, min_part):
         yield Composition._from_valid(parts)
 
@@ -245,7 +272,5 @@ def weight_positive_compositions(n: int) -> Iterator[Composition]:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_MODULUS:
         raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
-    for first in range(1, n):
-        for tail in _composition_tuples(n - first, 2):
-            yield Composition._from_valid((first,) + tail)
-    yield Composition._from_valid((n,))
+    for parts in _weight_positive_tuples(n):
+        yield Composition._from_valid(parts)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .compositions import Composition, Partition, weight_positive_compositions
-from .coefficients import coeff_c, coeff_c_prime, delta
+from .compositions import Composition, Partition, _theta_plus, weight_positive_compositions
+from .coefficients import _c_parts, _delta_parts, _solve_psqt_parts
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector
 
@@ -329,9 +329,10 @@ class EExpansion:
 
 
 def _assemble(n: int, coeff_fn) -> EExpansion:
+    # coeff_fn(parts, moduli) evaluates the coefficient on the kernel tuples
     expansion = EExpansion(n)
     for I in weight_positive_compositions(n):
-        expansion.add_term(I, coeff_fn(I))
+        expansion.add_term(I, coeff_fn(I.parts, I.prefix_moduli))
     return expansion
 
 
@@ -339,7 +340,7 @@ def closed_form_path(n: int) -> EExpansion:
     """Every positive-weight composition contributes with coefficient 1."""
     if n < 1:
         raise ValueError(f"path expansion needs n >= 1, got {n}")
-    return _assemble(n, lambda I: 1)
+    return _assemble(n, lambda parts, moduli: 1)
 
 
 def closed_form_cycle(n: int) -> EExpansion:
@@ -361,7 +362,7 @@ def closed_form_tadpole(a: int, l: int) -> EExpansion:
     if l < 0:
         raise ValueError(f"tail length must be >= 0, got {l}")
     n = a + l
-    return _assemble(n, lambda I: I.theta_plus(l + 1))
+    return _assemble(n, lambda parts, moduli: _theta_plus(moduli, l + 1))
 
 
 def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
@@ -374,16 +375,18 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
         raise ValueError(f"cycle-chord expansion needs a, b >= 2, got {(a, b)}")
     n = a + b
     if form == "delta":
-        return _assemble(n, lambda I: delta(I, b))
+        return _assemble(
+            n, lambda parts, moduli: _delta_parts(parts, _solve_psqt_parts(parts, moduli, b - 1))
+        )
     if form == "theta-sum":
 
-        def coeff(I: Composition) -> int:
+        def coeff(parts: tuple, moduli: tuple) -> int:
             # theta_minus(reversed I, i) read as theta_plus(I, n - i)
             total = 0
             for i in range(1, b + 1):
-                total += I.theta_plus(i)
+                total += _theta_plus(moduli, i)
             for i in range(1, b):
-                total -= I.theta_plus(n - i)
+                total -= _theta_plus(moduli, n - i)
             return total
 
         return _assemble(n, coeff)
@@ -392,17 +395,15 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
 
 def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
     """Three-path expansion with coefficients c_I or the phi-twisted c'_I."""
-    if variant == "c":
-        coeff_fn = lambda I: coeff_c(I, a, b, c)
-    elif variant == "c-prime":
-        coeff_fn = lambda I: coeff_c_prime(I, a, b, c)
-    else:
+    if variant not in ("c", "c-prime"):
         raise ValueError(f"unknown theta variant {variant!r}")
     if not (a >= b >= c >= 1) or b < 2:
         raise ValueError(
             f"theta expansion needs a >= b >= c >= 1 with b >= 2, got {(a, b, c)}"
         )
-    return _assemble(a + b + c - 1, coeff_fn)
+    twisted = variant == "c-prime"
+    return _assemble(a + b + c - 1, lambda parts, moduli: _c_parts(
+        parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted))
 
 
 def closed_form_clock(a: int, b: int) -> EExpansion:

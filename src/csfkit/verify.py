@@ -8,9 +8,12 @@ expansions, and the deletion identities.  Suites report a checked count and
 a list of counterexample descriptions (empty means the sweep passed).
 
 Each composition suite enumerates the compositions of n once per n: it
-streams ``compositions_of(n)`` and holds, for all parameters of that n, only
-Fibonacci-sized lists: parts >= 2 (lemma-bounds, fiber, c-doubleprime),
+streams their part tuples (``compositions._composition_tuples``), computes each
+tuple's prefix moduli once, evaluates the private kernel of
+:mod:`csfkit.coefficients` on them, and holds, for all parameters of that n,
+only Fibonacci-sized lists: parts >= 2 (lemma-bounds, fiber, c-doubleprime),
 positive weight (lemma-bounds) and first part 1 (c-doubleprime, one task per n).
+Messages print compositions by ``format_parts``, as ``str(Composition)`` does.
 
 Sweeps over (a, b) parameter pairs are pure and independent, so the heavy
 suites optionally fan out over a process pool; results are merged in sorted
@@ -19,6 +22,7 @@ task order, making output independent of the worker count.
 ``SUITE_TABLE`` maps each suite to the ``verify`` flags it reads and to a
 runner holding its defaults and parameter checks; ``run_suite`` rejects any
 other flag, so a sweep never silently runs a range other than the one asked.
+A runner also refuses a range that checks nothing, naming where the suite starts.
 """
 
 from __future__ import annotations
@@ -29,20 +33,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
-    PSQTSolution,
-    WClass,
-    classify,
-    coeff_c_doubleprime,
-    coeff_c_prime,
-    coeff_D,
-    delta,
-    phi,
-    psi,
-    solve_psqt,
-    split_LR,
-    _fiber_from,
+    WClass, _c_doubleprime_parts, _c_parts, _classify_parts, _D_parts, _delta_parts,
+    _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut,
 )
-from .compositions import Composition, compositions_of, format_parts, weight_positive_compositions
+from .compositions import (
+    _composition_tuples, _moduli, _rho, _theta_minus, _theta_plus, _weight,
+    _weight_positive_tuples, format_parts,
+)
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
@@ -100,26 +97,31 @@ def theta_triples(n: int, min_c: int = 1) -> List[Tuple[int, int, int]]:
 def run_phi_involution(ns: Sequence[int]) -> SuiteResult:
     result = SuiteResult("phi-involution")
     for n in ns:
-        for I in compositions_of(n):
-            rho = I.rho()
-            weight = I.weight
-            kept = {}  # J.parts -> (partition kept, weight and first part kept)
+        for parts in _composition_tuples(n):
+            moduli = _moduli(parts)
+            rho = sorted(parts)
+            weight = _weight(parts)
+            result.checked += n
+            J = None
             for a in range(1, n + 1):
-                J = phi(I, a)
-                result.checked += 1
-                if phi(J, a) != I:
-                    result.fail(f"phi not an involution at I={I}, a={a}")
-                facts = kept.get(J.parts)
-                if facts is None:
-                    same_first = J.parts[0] == I.parts[0]
-                    facts = kept[J.parts] = (J.rho() == rho, J.weight == weight and same_first)
-                if not facts[0]:
-                    result.fail(f"phi changed the partition at I={I}, a={a}")
-                if not facts[1]:
-                    result.fail(f"phi changed the weight at I={I}, a={a}")
-                if classify(I, a).in_A and not classify(J, a).in_A:
+                image = _phi_parts(parts, moduli, a)
+                # the cut moves monotonically with a, so equal images come in
+                # runs: J's moduli and its partition and weight facts are
+                # computed once per run
+                if image != J:
+                    J = image
+                    j_moduli = moduli if J is parts else _moduli(J)
+                    same_rho = sorted(J) == rho
+                    same_weight = _weight(J) == weight and J[0] == parts[0]
+                if _phi_parts(J, j_moduli, a) != parts:
+                    result.fail(f"phi not an involution at I={format_parts(parts)}, a={a}")
+                if not same_rho:
+                    result.fail(f"phi changed the partition at I={format_parts(parts)}, a={a}")
+                if not same_weight:
+                    result.fail(f"phi changed the weight at I={format_parts(parts)}, a={a}")
+                if _classify_parts(parts, moduli, a)[1] and not _classify_parts(J, j_moduli, a)[1]:
                     result.fail(
-                        f"phi left the exact-suffix family at I={I}, a={a}"
+                        f"phi left the exact-suffix family at I={format_parts(parts)}, a={a}"
                     )
     return result
 
@@ -131,12 +133,16 @@ def run_phi_involution(ns: Sequence[int]) -> SuiteResult:
 def run_theta_duality(ns: Sequence[int]) -> SuiteResult:
     result = SuiteResult("theta-duality")
     for n in ns:
-        for I in compositions_of(n):
-            rev = I.reversed()
+        for parts in _composition_tuples(n):
+            moduli = _moduli(parts)
+            # the real reversal, with its own moduli
+            rev_moduli = _moduli(parts[::-1])
             for a in range(0, n + 1):
                 result.checked += 1
-                if I.theta_minus(a) != rev.theta_plus(n - a):
-                    result.fail(f"undershoot/overshoot duality fails at I={I}, a={a}")
+                if _theta_minus(moduli, a) != _theta_plus(rev_moduli, n - a):
+                    result.fail(
+                        f"undershoot/overshoot duality fails at I={format_parts(parts)}, a={a}"
+                    )
     return result
 
 
@@ -145,49 +151,53 @@ def run_theta_duality(ns: Sequence[int]) -> SuiteResult:
 
 
 def _check_solver_identities(
-    result: SuiteResult, I: Composition, rev: Composition, a: int, b: int
+    result: SuiteResult, parts: tuple, moduli: tuple, rev_moduli: tuple
 ) -> None:
-    # rev is the real I.reversed(), so this check stays independent of theta-duality
-    n = I.modulus
-    sol = solve_psqt(I, b)
-    parts = I.parts
+    # every split n = a + b + 1; rev_moduli are those of the real reversal,
+    # so this check stays independent of theta-duality
+    n = moduli[-1]
+    z = len(parts)
     i1 = parts[0]
-    ip_minus_s = parts[sol.p - 1] - sol.s
-    result.checked += 1
-    if ip_minus_s != rev.theta_minus(a):
-        result.fail(f"i_p - s mismatch with reversed undershoot at I={I}, a={a}")
-    if sol.q < sol.p - 1:
-        result.fail(f"q < p - 1 at I={I}, b={b}")
-    if sol.q >= sol.p and sum(parts[sol.p - 1 : sol.q]) != i1 + sol.s - sol.t:
-        result.fail(f"|i_p..i_q| != i_1 + s - t at I={I}, b={b}")
-    if (sol.q == sol.p - 1) != (i1 <= ip_minus_s):
-        result.fail(f"q = p - 1 branch condition fails at I={I}, b={b}")
-    tail = n - I.prefix_moduli[sol.q]
-    if a - i1 != tail - sol.t:
-        result.fail(f"a - i_1 != |i_(q+1)..i_z| - t at I={I}, b={b}")
-    if (sol.q == I.length) != (i1 > a):
-        result.fail(f"q = z iff i_1 > a fails at I={I}, a={a}")
+    for b in range(1, n - 1):
+        a = n - 1 - b
+        p, s, q, t = _solve_psqt_parts(parts, moduli, b)
+        ip_minus_s = parts[p - 1] - s
+        result.checked += 1
+        if ip_minus_s != _theta_minus(rev_moduli, a):
+            result.fail(f"i_p - s mismatch with reversed undershoot at "
+                        f"I={format_parts(parts)}, a={a}")
+        if q < p - 1:
+            result.fail(f"q < p - 1 at I={format_parts(parts)}, b={b}")
+        if q >= p and moduli[q] - moduli[p - 1] != i1 + s - t:
+            result.fail(f"|i_p..i_q| != i_1 + s - t at I={format_parts(parts)}, b={b}")
+        if (q == p - 1) != (i1 <= ip_minus_s):
+            result.fail(f"q = p - 1 branch condition fails at I={format_parts(parts)}, b={b}")
+        if a - i1 != n - moduli[q] - t:
+            result.fail(f"a - i_1 != |i_(q+1)..i_z| - t at I={format_parts(parts)}, b={b}")
+        if (q == z) != (i1 > a):
+            result.fail(f"q = z iff i_1 > a fails at I={format_parts(parts)}, a={a}")
 
 
 def _check_gt_bounds(
-    result: SuiteResult, I: Composition, a: int, b: int,
-    sol: PSQTSolution, in_A: bool, D: int, counts: Dict[str, int],
+    result: SuiteResult, parts: tuple, moduli: tuple, a: int, b: int,
+    sol: tuple, in_A: bool, D: int, counts: Dict[str, int],
 ) -> None:
-    n = I.modulus
-    i1 = I.parts[0]
+    n = moduli[-1]
+    i1 = parts[0]
+    p, _, q, _ = sol
+    I = format_parts(parts)
     result.checked += 1
     if D < i1 - 2:
         result.fail(f"D below i_1 - 2 on W_> at I={I}, (a,b)=({a},{b})")
     # q - p equals the largest j <= z - p whose suffix after position p + j
     # still has modulus above a - i_1
     best = max(
-        (j for j in range(0, I.length - sol.p + 1)
-         if n - I.prefix_moduli[sol.p + j] > a - i1),
+        (j for j in range(0, len(parts) - p + 1) if n - moduli[p + j] > a - i1),
         default=None,
     )
-    if best != sol.q - sol.p:
+    if best != q - p:
         result.fail(f"suffix characterization of q - p fails at I={I}, a={a}")
-    if sol.q == sol.p:
+    if q == p:
         counts["W> q=p"] += 1
     elif in_A:
         counts["W> q>p exact-suffix"] += 1
@@ -197,29 +207,26 @@ def _check_gt_bounds(
         counts["W> q>p no-exact-suffix"] += 1
         if i1 < 4 or D < i1 + 2:
             result.fail(f"no-exact-suffix W_> bound fails at I={I}, (a,b)=({a},{b})")
-    if sol.q - sol.p >= 1:
-        preimages = _fiber_from(I, sol)
-        for r, H in enumerate(preimages, start=1):
-            if coeff_D(H, a, b) < 0:
-                result.checked += 1
-                if not (r == sol.q - sol.p or (in_A and r == 1)):
-                    result.fail(
-                        f"negative fiber coefficient at interior index r={r}, I={I}"
-                    )
+    for r, H in enumerate(_fiber_parts(parts, p, q), start=1):
+        if _D_parts(H, _moduli(H), a, b) < 0:
+            result.checked += 1
+            if not (r == q - p or (in_A and r == 1)):
+                result.fail(f"negative fiber coefficient at interior index r={r}, I={I}")
 
 
 def _check_le_closed_form(
-    result: SuiteResult, I: Composition, a: int, b: int,
-    sol: PSQTSolution, D: int, counts: Dict[str, int],
+    result: SuiteResult, parts: tuple, a: int, b: int,
+    sol: tuple, D: int, counts: Dict[str, int],
 ) -> None:
     counts["W<="] += 1
-    i1 = I.parts[0]
-    ip = I.parts[sol.p - 1]
+    i1 = parts[0]
+    p, s, _, _ = sol
+    ip = parts[p - 1]
     result.checked += 1
-    if D != (sol.s - 1) * (ip - sol.s - i1) - 2 or D < -2:
-        result.fail(f"W_<= closed form fails at I={I}, (a,b)=({a},{b})")
-    if D < 0 and sol.s not in (1, 2, ip - i1):
-        result.fail(f"negative W_<= coefficient with s={sol.s} at I={I}")
+    if D != (s - 1) * (ip - s - i1) - 2 or D < -2:
+        result.fail(f"W_<= closed form fails at I={format_parts(parts)}, (a,b)=({a},{b})")
+    if D < 0 and s not in (1, 2, ip - i1):
+        result.fail(f"negative W_<= coefficient with s={s} at I={format_parts(parts)}")
 
 
 def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
@@ -233,38 +240,36 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
     for n in ns:
         # solver identities hold for every split n = a + b + 1, not only the
         # clock-parameter range
-        for I in compositions_of(n):
-            rev = I.reversed()
-            for b in range(1, n - 1):
-                _check_solver_identities(result, I, rev, n - 1 - b, b)
-        all_ge_2 = list(compositions_of(n, 2))
-        positive = list(weight_positive_compositions(n))
-        first_part_1 = [I for I in positive if I.parts[0] == 1]
+        for parts in _composition_tuples(n):
+            _check_solver_identities(result, parts, _moduli(parts), _moduli(parts[::-1]))
+        all_ge_2 = [(parts, _moduli(parts)) for parts in _composition_tuples(n, 2)]
+        positive = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)]
+        first_part_1 = [(parts, moduli) for parts, moduli in positive if parts[0] == 1]
         for a, b in clock_pairs(n):
-            for I in first_part_1:
+            for parts, moduli in first_part_1:
                 result.checked += 1
-                if coeff_D(I, a, b) < 0:
-                    result.fail(f"first-part-1 coefficient negative at I={I}")
-            for I in all_ge_2:
-                kind = classify(I, a)
-                sol = solve_psqt(I, b)
-                D = coeff_D(I, a, b)
-                if kind.wclass is WClass.W_GT:
-                    _check_gt_bounds(result, I, a, b, sol, kind.in_A, D, counts)
+                if _D_parts(parts, moduli, a, b) < 0:
+                    result.fail(f"first-part-1 coefficient negative at I={format_parts(parts)}")
+            for parts, moduli in all_ge_2:
+                wclass, in_A = _classify_parts(parts, moduli, a)
+                sol = _solve_psqt_parts(parts, moduli, b)
+                D = _c_parts(parts, moduli, a, 2, sol, True)
+                if wclass is WClass.W_GT:
+                    _check_gt_bounds(result, parts, moduli, a, b, sol, in_A, D, counts)
                 else:
-                    _check_le_closed_form(result, I, a, b, sol, D, counts)
+                    _check_le_closed_form(result, parts, a, b, sol, D, counts)
         # lower bound of the phi-twisted coefficient by its delta term on the
         # exact-suffix family, for every three-path parameter choice
         for a, b, c in theta_triples(n, min_c=2):
-            for I in positive:
+            for parts, moduli in positive:
                 # exact-suffix family: theta_plus(reversed I, a) = 0
-                if I.theta_minus(n - a) != 0:
+                if _theta_minus(moduli, n - a) != 0:
                     continue
                 result.checked += 1
-                if coeff_c_prime(I, a, b, c) < delta(I, b + c - 1):
-                    result.fail(
-                        f"c' below its delta term at I={I}, (a,b,c)=({a},{b},{c})"
-                    )
+                sol = _solve_psqt_parts(parts, moduli, b + c - 2)
+                if _c_parts(parts, moduli, a, c, sol, True) < _delta_parts(parts, sol):
+                    result.fail(f"c' below its delta term at I={format_parts(parts)}, "
+                                f"(a,b,c)=({a},{b},{c})")
     result.notes.extend(f"{key}: {value}" for key, value in sorted(counts.items()))
     return result
 
@@ -283,50 +288,55 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
     result = SuiteResult("fiber")
     for n in ns:
         pairs = [(a, b)] if a is not None and b is not None else clock_pairs(n)
-        all_ge_2 = list(compositions_of(n, 2)) if pairs else []
+        all_ge_2 = ([(parts, _moduli(parts)) for parts in _composition_tuples(n, 2)]
+                    if pairs else [])
         for pa, pb in pairs:
             if pa + pb + 1 != n or not (pa >= pb >= 2):
                 raise ValueError(f"invalid pair (a,b)=({pa},{pb}) for n={n}")
-            greater: List[Composition] = []
-            lesser: List[Composition] = []
-            for I in all_ge_2:
-                kind = classify(I, pa).wclass
-                (greater if kind is WClass.W_GT else lesser).append(I)
-            seen: Dict[Composition, Composition] = {}
-            for I in greater:
-                sol = solve_psqt(I, pb)
-                preimages = _fiber_from(I, sol)
-                rho = I.rho()
+            greater: List[Tuple[tuple, tuple]] = []
+            lesser: List[Tuple[tuple, tuple]] = []
+            for entry in all_ge_2:
+                kind = _classify_parts(*entry, pa)[0]
+                (greater if kind is WClass.W_GT else lesser).append(entry)
+            seen: Dict[tuple, tuple] = {}
+            for parts, moduli in greater:
+                p, _, q, _ = _solve_psqt_parts(parts, moduli, pb)
+                preimages = _fiber_parts(parts, p, q)
+                rho = sorted(parts)
+                I = format_parts(parts)
                 for r, H in enumerate(preimages, start=1):
                     result.checked += 1
-                    if psi(H, pa) != I:
-                        result.fail(f"fiber element {H} does not map back to {I}")
-                    if classify(H, pa).wclass is not WClass.W_LE:
-                        result.fail(f"fiber element {H} of {I} is not in W_<=")
-                    if H.rho() != rho:
-                        result.fail(f"fiber element {H} changes the partition of {I}")
-                    if split_LR(H, pa)[1].parts != I.parts[sol.p + r :]:
-                        result.fail(f"fiber element {H} has the wrong suffix split")
+                    h_moduli = _moduli(H)
+                    if _psi_parts(H, h_moduli, pa) != parts:
+                        result.fail(f"fiber element {format_parts(H)} does not map back to {I}")
+                    if _classify_parts(H, h_moduli, pa)[0] is not WClass.W_LE:
+                        result.fail(f"fiber element {format_parts(H)} of {I} is not in W_<=")
+                    if sorted(H) != rho:
+                        result.fail(
+                            f"fiber element {format_parts(H)} changes the partition of {I}")
+                    if H[_split_cut(h_moduli, pa):] != parts[p + r :]:
+                        result.fail(f"fiber element {format_parts(H)} has the wrong suffix split")
                     if H in seen:
-                        result.fail(f"{H} appears in two fibers: {seen[H]} and {I}")
-                    seen[H] = I
-                if (n, pa, pb) == (11, 6, 4) and I.parts in _FIBER_FIXTURES:
-                    expected = _FIBER_FIXTURES[I.parts]
+                        result.fail(f"{format_parts(H)} appears in two fibers: "
+                                    f"{format_parts(seen[H])} and {I}")
+                    seen[H] = parts
+                if (n, pa, pb) == (11, 6, 4) and parts in _FIBER_FIXTURES:
+                    expected = _FIBER_FIXTURES[parts]
                     result.checked += 1
-                    got = tuple(
-                        (H.parts, coeff_D(H, pa, pb)) for H in preimages
-                    )
+                    got = tuple((H, _D_parts(H, _moduli(H), pa, pb)) for H in preimages)
                     if got != expected:
                         result.fail(
                             f"fixture fiber mismatch at I={I}: got {got}, want {expected}"
                         )
-            for J in lesser:
+            for J, moduli in lesser:
                 result.checked += 1
-                image = psi(J, pa)
-                if classify(image, pa).wclass is not WClass.W_GT:
-                    result.fail(f"psi image {image} of {J} is not in W_>")
+                image = _psi_parts(J, moduli, pa)
+                if _classify_parts(image, _moduli(image), pa)[0] is not WClass.W_GT:
+                    result.fail(
+                        f"psi image {format_parts(image)} of {format_parts(J)} is not in W_>")
                 if J not in seen:
-                    result.fail(f"{J} missing from the fiber of its image {image}")
+                    result.fail(f"{format_parts(J)} missing from the fiber of its image "
+                                f"{format_parts(image)}")
     return result
 
 
@@ -338,26 +348,27 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
     n, pairs = task
     checked = 0
     violations: List[str] = []
-    all_ge_2 = list(compositions_of(n, 2))
-    first_part_1 = [I for I in weight_positive_compositions(n) if I.parts[0] == 1]
+    all_ge_2 = [(parts, _moduli(parts)) for parts in _composition_tuples(n, 2)]
+    first_part_1 = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)
+                    if parts[0] == 1]
     for a, b in pairs:
         grouped: Dict = {}
-        for I in all_ge_2:
-            if classify(I, a).wclass is not WClass.W_GT:
+        for parts, moduli in all_ge_2:
+            if _classify_parts(parts, moduli, a)[0] is not WClass.W_GT:
                 continue
-            value = coeff_c_doubleprime(I, a, b)
+            sol = _solve_psqt_parts(parts, moduli, b)
+            value = _c_doubleprime_parts(parts, moduli, a, b, sol)
             checked += 1
             if value < 0:
-                violations.append(
-                    f"fiber-grouped coefficient {value} < 0 at I={I}, (a,b)=({a},{b})"
-                )
-            lam = I.rho()
+                violations.append(f"fiber-grouped coefficient {value} < 0 at "
+                                  f"I={format_parts(parts)}, (a,b)=({a},{b})")
+            lam = _rho(parts)
             grouped[lam] = grouped.get(lam, 0) + value
         # the first-part-1 block plus the fiber-grouped block must reassemble
         # the full clock expansion
-        for I in first_part_1:
-            lam = I.rho()
-            grouped[lam] = grouped.get(lam, 0) + coeff_D(I, a, b) * I.weight
+        for parts, moduli in first_part_1:
+            lam = _rho(parts)
+            grouped[lam] = grouped.get(lam, 0) + _D_parts(parts, moduli, a, b) * _weight(parts)
         checked += 1
         regrouped = BasisVector(Basis.E, n, grouped)
         direct = closed_form_clock(a, b).grouped_by_rho()
@@ -540,14 +551,26 @@ def _check_budget(budget: int, *requested: Optional[int]) -> None:
         raise ResourceLimitError(f"requested n {top} exceeds the budget {budget}")
 
 
-def _degrees(budget: int, n, n_max, default_max: int, lo: int = 1) -> List[int]:
+def _degrees(budget: int, name: str, n, n_max, default_max: int,
+             lo: int = 1, lowest: Optional[int] = None) -> List[int]:
+    # [--n], or lo .. --n-max (default_max when not given); a request that
+    # checks nothing names where the suite starts: ``lowest`` (default lo)
+    # for --n, lo for --n-max
     _check_budget(budget, n, n_max)
-    return [n] if n is not None else list(range(lo, (n_max or default_max) + 1))
+    if n is None:
+        degrees = list(range(lo, (default_max if n_max is None else n_max) + 1))
+        flag, least = f"--n-max {n_max}", lo
+    else:
+        degrees = [n]
+        flag, least = f"--n {n}", lo if lowest is None else lowest
+    if not degrees or degrees[0] < least:
+        raise ValueError(f"{flag} checks nothing: suite {name} starts at n = {least}")
+    return degrees
 
 
 def _fiber_suite(budget: int, n=None, n_max=None, a=None, b=None) -> SuiteResult:
     if a is None and b is None:
-        return run_fiber(_degrees(budget, n, n_max, 10, lo=5))
+        return run_fiber(_degrees(budget, "fiber", n, n_max, 10, lo=5))
     if a is None or b is None:
         raise ValueError("suite fiber reads --a and --b only together")
     if not (a >= b >= 2):
@@ -561,9 +584,16 @@ def _fiber_suite(budget: int, n=None, n_max=None, a=None, b=None) -> SuiteResult
     return run_fiber([size], a, b)
 
 
-def _positivity_suite(budget: int, n_max=None, workers=1) -> SuiteResult:
-    _check_budget(budget, n_max)
-    return run_positivity(14 if n_max is None else n_max, workers)
+def _c_doubleprime_suite(budget: int, a_max=8, b_max=8, workers=1) -> SuiteResult:
+    # pairs with a + b + 1 above the budget are dropped, not refused, unless
+    # that drops them all
+    if min(a_max, b_max) < 2:
+        flag = f"--a-max {a_max}" if a_max < 2 else f"--b-max {b_max}"
+        raise ValueError(f"{flag} checks nothing: suite c-doubleprime starts at (a,b) = (2,2)")
+    if budget < 5:
+        raise ResourceLimitError(
+            f"the lowest pair (a,b) = (2,2) needs n 5, above the budget {budget}")
+    return run_c_doubleprime(a_max, b_max, budget, workers)
 
 
 @dataclass(frozen=True)
@@ -579,17 +609,18 @@ class Suite:
 # wrapper bound in this module (a tracer, a test double) sees every call
 SUITE_TABLE: Dict[str, Suite] = {
     "phi-involution": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
-                            run_phi_involution(_degrees(budget, n, n_max, 10))),
+                            run_phi_involution(_degrees(budget, "phi-involution", n, n_max, 10))),
     "theta-duality": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
-                           run_theta_duality(_degrees(budget, n, n_max, 10))),
+                           run_theta_duality(_degrees(budget, "theta-duality", n, n_max, 10))),
+    # the solver identities alone are checked from n = 3, the clock pairs from 5
     "lemma-bounds": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
-                          run_lemma_bounds(_degrees(budget, n, n_max, 10, lo=5))),
+                          run_lemma_bounds(_degrees(budget, "lemma-bounds", n, n_max, 10,
+                                                    lo=5, lowest=3))),
     "fiber": Suite(("n", "n_max", "a", "b"), _fiber_suite),
-    # pairs with a + b + 1 above the budget are dropped, not refused
-    "c-doubleprime": Suite(("a_max", "b_max", "workers"),
-                           lambda budget, a_max=8, b_max=8, workers=1:
-                           run_c_doubleprime(a_max, b_max, budget, workers)),
-    "positivity": Suite(("n_max", "workers"), _positivity_suite),
+    "c-doubleprime": Suite(("a_max", "b_max", "workers"), _c_doubleprime_suite),
+    "positivity": Suite(("n_max", "workers"), lambda budget, n_max=None, workers=1:
+                        run_positivity(_degrees(budget, "positivity", None, n_max, 14,
+                                                lo=4)[-1], workers)),
     "triple-deletion": Suite(("count", "seed"), lambda budget, count=25, seed=2024:
                              run_triple_deletion(count, seed)),
 }

@@ -234,6 +234,21 @@ def test_acceptance_structural_suites_n14():
     _passed("phi-involution and lemma-bounds at n=14 with exact counts")
 
 
+def test_acceptance_structural_suites_n17():
+    phi_result = run_phi_involution([17])
+    bounds = run_lemma_bounds([17])
+    for result, checked in ((phi_result, 1114112), (bounds, 1003968)):
+        assert result.ok, f"{result.name}: {result.violations[:5]}"
+        assert result.checked == checked, result.name
+    assert bounds.notes == [
+        "W<=: 1817",
+        "W> q=p: 3538",
+        "W> q>p exact-suffix: 695",
+        "W> q>p no-exact-suffix: 859",
+    ]
+    _passed("phi-involution and lemma-bounds at n=17 with exact counts")
+
+
 def test_acceptance_triple_deletion():
     result = run_triple_deletion(count=25, seed=2024, max_vertices=10)
     assert result.checked >= 27

@@ -409,3 +409,32 @@ def test_closed_pipe_exits_1_without_a_traceback():
             os.close(write_end)
         assert proc.returncode == 1, argv
         assert proc.stderr == b"", proc.stderr.decode()
+
+
+def test_verify_refuses_a_range_that_checks_nothing(capsys, monkeypatch):
+    for argv, lowest in ((("--suite", "phi-involution", "--n-max", "0"), "n = 1"),
+                         (("--suite", "phi-involution", "--n", "0"), "n = 1"),
+                         (("--suite", "theta-duality", "--n-max", "-1"), "n = 1"),
+                         (("--suite", "lemma-bounds", "--n", "2"), "n = 3"),
+                         (("--suite", "lemma-bounds", "--n-max", "4"), "n = 5"),
+                         (("--suite", "fiber", "--n", "4"), "n = 5"),
+                         (("--suite", "positivity", "--n-max", "3"), "n = 4"),
+                         (("--suite", "c-doubleprime", "--a-max", "1"), "(a,b) = (2,2)"),
+                         (("--suite", "c-doubleprime", "--b-max", "1"), "(a,b) = (2,2)")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and f"{argv[-2]} {argv[-1]} checks nothing" in err
+        assert err.rstrip().endswith(f"starts at {lowest}"), err
+    # the lowest degree or pair itself still runs and checks something
+    for argv in (("--suite", "phi-involution", "--n-max", "1"),
+                 ("--suite", "lemma-bounds", "--n", "3"),
+                 ("--suite", "positivity", "--n-max", "4"),
+                 ("--suite", "c-doubleprime", "--a-max", "2", "--b-max", "2")):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0, argv
+        assert "CHECKED 0 " not in out
+    # a budget below the lowest pair drops every c-doubleprime pair: exit 3
+    monkeypatch.setenv("CSFKIT_MAX_N", "4")
+    code, out, err = run(capsys, "verify", "--suite", "c-doubleprime")
+    assert (code, out, len(err.splitlines())) == (3, "", 1)

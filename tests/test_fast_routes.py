@@ -5,6 +5,7 @@ reversal-based reference formulas."""
 import bisect
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from csfkit.coefficients import (
@@ -12,7 +13,9 @@ from csfkit.coefficients import (
     WClass,
     classify,
     coeff_c,
+    coeff_c_doubleprime,
     coeff_c_prime,
+    coeff_D,
     delta,
     fiber,
     phi,
@@ -20,13 +23,30 @@ from csfkit.coefficients import (
     solve_psqt,
     solve_qt,
     split_LR,
+    _c_doubleprime_parts,
+    _c_parts,
+    _classify_parts,
+    _D_parts,
+    _delta_parts,
     _fiber_from,
+    _fiber_parts,
+    _phi_parts,
+    _psi_parts,
+    _solve_psqt_parts,
+    _split_cut,
 )
 from csfkit.compositions import (
     Composition,
     Partition,
     compositions_of,
     weight_positive_compositions,
+    _composition_tuples,
+    _moduli,
+    _rho,
+    _theta_minus,
+    _theta_plus,
+    _weight,
+    _weight_positive_tuples,
 )
 from csfkit.graphs import closed_form_cycle_chord
 from csfkit.verify import clock_pairs, theta_triples
@@ -221,3 +241,165 @@ def test_fast_routes_match_references_on_random_compositions(I):
         for b in range(2, n - 1):
             entries = closed_form_cycle_chord(n - b, b, form="theta-sum").entries
             assert (entries[I][0] if I in entries else 0) == ref_theta_sum(I, b)
+
+
+# ---------------------------------------------------------------------------
+# the private parts-tuple kernel against its public wrappers and the
+# written-out references
+
+
+def ref_ps(parts, v):
+    # v = |i_1 ... i_{p-1}| + s with 1 <= s <= i_p, by a linear scan
+    for p in range(1, len(parts) + 1):
+        base = sum(parts[: p - 1])
+        if base < v <= base + parts[p - 1]:
+            return p, v - base
+    raise AssertionError((parts, v))
+
+
+def ref_qt(parts, v):
+    # v = |i_2 ... i_q| + t with 1 <= t <= i_{q+1}, reading i_{z+1} as i_1
+    z = len(parts)
+    for q in range(1, z + 1):
+        base = sum(parts[1:q])
+        if base < v <= base + (parts[q] if q < z else parts[0]):
+            return q, v - base
+    raise AssertionError((parts, v))
+
+
+def ref_delta(parts, v):
+    p, s = ref_ps(parts, v)
+    q, t = ref_qt(parts, v)
+    leftover = parts[p - 1] - s
+    if parts[0] <= leftover:
+        return s * (leftover - parts[0])
+    values = (leftover, *parts[p:q], t)
+    return sum(x * y for k, x in enumerate(values) for y in values[k + 1 :])
+
+
+def ref_psi(parts, a):
+    # R is the longest proper suffix of modulus <= a; reverse L = the rest
+    cut = next(k for k in range(1, len(parts) + 1) if sum(parts[k:]) <= a)
+    return parts[:cut][::-1] + parts[cut:]
+
+
+def ref_fiber(parts, b):
+    p, _ = ref_ps(parts, b + 1)
+    q, _ = ref_qt(parts, b + 1)
+    return [parts[: p + r][::-1] + parts[p + r :] for r in range(1, q - p + 1)]
+
+
+def ref_c_doubleprime(I, a, b):
+    total = ref_coeff(I, a, b, 2, twisted=True) * I.weight
+    for H in ref_fiber(I.parts, b):
+        H = Composition(H)
+        total += ref_coeff(H, a, b, 2, twisted=True) * H.weight
+    return total
+
+
+def check_kernel(I):
+    """Each kernel function on (I.parts, I.prefix_moduli) equals its public
+    wrapper and the written-out reference, at every valid threshold."""
+    parts, moduli = I.parts, I.prefix_moduli
+    n = I.modulus
+    assert _moduli(parts) == moduli
+    assert _weight(parts) == I.weight
+    assert _rho(parts) == I.rho() == Partition(parts) and type(_rho(parts)) is Partition
+    for a in range(0, n + 1):
+        assert _theta_plus(moduli, a) == I.theta_plus(a) == min(m for m in moduli if m >= a) - a
+        assert _theta_minus(moduli, a) == I.theta_minus(a) == a - max(m for m in moduli if m <= a)
+    for a in range(1, n + 1):
+        assert _phi_parts(parts, moduli, a) == phi(I, a).parts == ref_phi(I, a)[0], (I, a)
+        got = _classify_parts(parts, moduli, a)
+        assert Classification(*got) == classify(I, a) == ref_classify(I, a), (I, a)
+    for a in range(1, n):
+        cut = _split_cut(moduli, a)
+        assert (parts[:cut], parts[cut:]) == tuple(half.parts for half in split_LR(I, a))
+        assert _psi_parts(parts, moduli, a) == ref_psi(parts, a), (I, a)
+        if min(parts) >= 2:
+            assert _psi_parts(parts, moduli, a) == psi(I, a).parts
+    for b in range(0, n):
+        sol = _solve_psqt_parts(parts, moduli, b)
+        public = solve_psqt(I, b)
+        assert sol == (public.p, public.s, public.q, public.t) \
+            == ref_ps(parts, b + 1) + ref_qt(parts, b + 1), (I, b)
+        assert _delta_parts(parts, sol) == delta(I, b + 1) == ref_delta(parts, b + 1), (I, b)
+    for a, b, c in theta_triples(n):
+        sol = _solve_psqt_parts(parts, moduli, b + c - 2)
+        assert _c_parts(parts, moduli, a, c, sol, False) == coeff_c(I, a, b, c) \
+            == ref_coeff(I, a, b, c, twisted=False), (I, a, b, c)
+        assert _c_parts(parts, moduli, a, c, sol, True) == coeff_c_prime(I, a, b, c) \
+            == ref_coeff(I, a, b, c, twisted=True), (I, a, b, c)
+    for a, b in clock_pairs(n):
+        assert _D_parts(parts, moduli, a, b) == coeff_D(I, a, b)
+        if _classify_parts(parts, moduli, a)[0] is not WClass.W_GT:
+            continue
+        sol = _solve_psqt_parts(parts, moduli, b)
+        fiber_parts = _fiber_parts(parts, sol[0], sol[2])
+        assert fiber_parts == [H.parts for H in fiber(I, a, b)] == ref_fiber(parts, b)
+        assert _c_doubleprime_parts(parts, moduli, a, b, sol) == coeff_c_doubleprime(I, a, b) \
+            == ref_c_doubleprime(I, a, b), (I, a, b)
+
+
+def test_kernel_matches_wrappers_and_references_to_n12():
+    for n in range(1, 13):
+        assert list(_composition_tuples(n)) == [I.parts for I in compositions_of(n)]
+        assert list(_weight_positive_tuples(n)) == [
+            I.parts for I in weight_positive_compositions(n)
+        ]
+        for I in compositions_of(n):
+            check_kernel(I)
+
+
+def test_kernel_enumerators_keep_the_public_checks():
+    for bad in (0, -1, 65):
+        for stream in (_composition_tuples(bad), compositions_of(bad),
+                       weight_positive_compositions(bad)):
+            with pytest.raises(ValueError):
+                next(stream)
+
+
+# compositions of n <= 30 with every part >= 2: add 1 to each part of a
+# composition of n - (number of parts)
+compositions_parts_ge_2 = compositions(n_max=15).map(lambda I: Composition(p + 1 for p in I.parts))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(compositions(n_max=30))
+def test_phi_is_an_involution_keeping_rho_weight_and_first_part_to_n30(I):
+    n = I.modulus
+    for a in range(1, n + 1):
+        J = phi(I, a)
+        assert phi(J, a) == I
+        assert (J.rho(), J.weight, J.parts[0]) == (I.rho(), I.weight, I.parts[0])
+        assert _phi_parts(J.parts, J.prefix_moduli, a) == I.parts
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(compositions(n_max=30))
+def test_theta_duality_against_the_real_reversal_to_n30(I):
+    n = I.modulus
+    rev = reversal(I)
+    for a in range(0, n + 1):
+        assert I.theta_minus(a) == rev.theta_plus(n - a)
+        assert I.theta_plus(a) == rev.theta_minus(n - a)
+        assert _theta_minus(I.prefix_moduli, a) == _theta_plus(rev.prefix_moduli, n - a)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(compositions_parts_ge_2)
+def test_fiber_elements_lie_in_w_le_and_map_back_to_n30(I):
+    n = I.modulus
+    for a in range(1, n - 1):
+        b = n - 1 - a
+        if classify(I, a).wclass is not WClass.W_GT:
+            continue
+        for H in fiber(I, a, b):
+            assert classify(H, a).wclass is WClass.W_LE, (I, a, H)
+            assert psi(H, a) == I, (I, a, H)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(compositions(n_max=30))
+def test_kernel_matches_wrappers_and_references_to_n30(I):
+    check_kernel(I)
