@@ -46,6 +46,8 @@ from .verify import SUITES, run_suite
 DEFAULT_MAX_N = 20
 # triple-deletion instances; each costs six oracle calls on up to 14 edges
 MAX_INSTANCE_COUNT = 1000
+# the integer flags of expand and oracle-check, in --help order
+FAMILY_FLAGS = ("n", "l", "a", "b", "c")
 # the integer flags of verify, in --help order; None means not given
 VERIFY_FLAGS = ("n", "n_max", "a", "b", "a_max", "b_max", "count", "seed", "workers")
 
@@ -73,7 +75,7 @@ def _family_instance(args: argparse.Namespace) -> tuple:
     degree, checked against the degree budget; other flags are ignored."""
     # in flag order, which the oracle-check OK line prints
     own = FAMILY_TABLE[args.family].params
-    params = {key: getattr(args, key) for key in ("n", "l", "a", "b", "c") if key in own}
+    params = {key: getattr(args, key) for key in FAMILY_FLAGS if key in own}
     n = family_degree(args.family, **params)
     budget = _n_budget()
     if n > budget:
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     expand = sub.add_parser("expand", help="emit a grouped e-expansion")
     expand.add_argument("--family", required=True, choices=FAMILIES)
-    for flag in ("n", "l", "a", "b", "c"):
+    for flag in FAMILY_FLAGS:
         expand.add_argument(f"--{flag}", type=int)
     expand.add_argument("--format", choices=("text", "csv", "json"), default="text")
     expand.add_argument("--variant", choices=("c", "c-prime"), default="c",
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check", help="compare a closed form with the power-sum oracle"
     )
     oracle.add_argument("--family", required=True, choices=FAMILIES)
-    for flag in ("n", "l", "a", "b", "c"):
+    for flag in FAMILY_FLAGS:
         oracle.add_argument(f"--{flag}", type=int)
     oracle.set_defaults(handler=cmd_oracle_check)
 

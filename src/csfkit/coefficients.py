@@ -163,12 +163,14 @@ def _c_parts(parts, moduli, a: int, c: int, sol, twisted: bool) -> int:
 
 
 def _D_parts(parts, moduli, a: int, b: int) -> int:
-    return _c_parts(parts, moduli, a, 2, _solve_psqt_parts(parts, moduli, b), True)
+    # untwisted: at c = 2 the one undershoot is read at n - a, and phi keeps
+    # every prefix modulus from the largest one <= n - a on, so c' = c there
+    return _c_parts(parts, moduli, a, 2, _solve_psqt_parts(parts, moduli, b), False)
 
 
 def _c_doubleprime_parts(parts, moduli, a: int, b: int, sol) -> int:
-    # I in W_> at a; sol solves at b + 1
-    total = _c_parts(parts, moduli, a, 2, sol, True) * _weight(parts)
+    # I in W_> at a; sol solves at b + 1; D_I untwisted, as in _D_parts
+    total = _c_parts(parts, moduli, a, 2, sol, False) * _weight(parts)
     for H in _fiber_parts(parts, sol[0], sol[2]):
         total += _D_parts(H, _moduli(H), a, b) * _weight(H)
     return total
@@ -348,11 +350,12 @@ def coeff_D(I: Composition, a: int, b: int) -> int:
     """Clock coefficient: the c = 2 case of :func:`coeff_c_prime`.
 
     D_I = theta_plus(I, 2) - theta_minus(reversed(phi(I)), a) + delta(I, b+1),
-    for a >= b >= 2 and |I| = a + b + 1.
+    for a >= b >= 2 and |I| = a + b + 1.  At c = 2 the twist by phi changes
+    no term, so D_I is computed as ``coeff_c(I, a, b, 2)``.
     """
     if not (a >= b >= 2):
         raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
-    return _coeff(I, a, b, 2, True)
+    return _coeff(I, a, b, 2, False)
 
 
 def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:

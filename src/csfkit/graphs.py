@@ -408,10 +408,11 @@ def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
 
 def closed_form_clock(a: int, b: int) -> EExpansion:
     """Clock expansion with coefficients D_I: the three-path expansion at
-    c = 2 with the phi-twisted coefficients c'_I."""
+    c = 2 with the phi-twisted coefficients c'_I, which at c = 2 equal the
+    untwisted c_I term by term, so the untwisted body is run."""
     if not (a >= b >= 2):
         raise ValueError(f"clock expansion needs a >= b >= 2, got {(a, b)}")
-    return closed_form_theta(a, b, 2, variant="c-prime")
+    return closed_form_theta(a, b, 2)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
 from .compositions import Partition
@@ -31,7 +32,7 @@ class BasisVector:
 
     Invariants: every stored partition has modulus equal to the degree, no
     zero coefficients are stored, and coefficients are exact ``Fraction``
-    values.  Instances are treated as immutable.
+    values.  ``terms`` is a read-only mapping.
     """
 
     __slots__ = ("basis", "degree", "terms")
@@ -52,7 +53,7 @@ class BasisVector:
                 clean[lam] = coef
         self.basis = basis
         self.degree = degree
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     def __repr__(self) -> str:
         return f"BasisVector({self.basis.value}, degree={self.degree}, terms={len(self.terms)})"
@@ -87,7 +88,7 @@ class BasisVector:
 
     def add(self, other: "BasisVector") -> "BasisVector":
         self._check_compatible(other)
-        merged = dict(self.terms)
+        merged = self.terms.copy()
         for lam, coef in other.terms.items():
             merged[lam] = merged.get(lam, Fraction(0)) + coef
         return BasisVector(self.basis, self.degree, merged)
@@ -160,6 +161,16 @@ class BasisVector:
         return cls.from_json_dict(json.loads(text))
 
 
+def _multiply_into(acc: Dict, left: Dict, right: Dict) -> Dict:
+    # add left * right to acc, in a basis where the index partitions of a
+    # product are the multiset union of the factors' (p and e alike)
+    for mu, c1 in left.items():
+        for nu, c2 in right.items():
+            key = tuple(sorted(mu + nu, reverse=True))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _e_to_p_terms(n: int) -> Dict[tuple, Fraction]:
     """Power-sum image of a single e_n via the classical recursion
@@ -172,10 +183,7 @@ def _e_to_p_terms(n: int) -> Dict[tuple, Fraction]:
         return {(): Fraction(1)}
     acc: Dict[tuple, Fraction] = {}
     for i in range(1, n + 1):
-        factor = Fraction(1 if i % 2 else -1, n)
-        for mu, coef in _e_to_p_terms(n - i).items():
-            key = tuple(sorted(mu + (i,), reverse=True))
-            acc[key] = acc.get(key, Fraction(0)) + factor * coef
+        _multiply_into(acc, _e_to_p_terms(n - i), {(i,): Fraction(1 if i % 2 else -1, n)})
     return {key: coef for key, coef in acc.items() if coef}
 
 
@@ -190,13 +198,7 @@ def e_partition_to_p(lam) -> BasisVector:
         raise ValueError("empty partition has no basis element")
     terms: Dict[tuple, Fraction] = {(): Fraction(1)}
     for part in lam:
-        factors = _e_to_p_terms(part)
-        merged: Dict[tuple, Fraction] = {}
-        for mu, c1 in terms.items():
-            for nu, c2 in factors.items():
-                key = tuple(sorted(mu + nu, reverse=True))
-                merged[key] = merged.get(key, Fraction(0)) + c1 * c2
-        terms = merged
+        terms = _multiply_into({}, terms, _e_to_p_terms(part))
     return BasisVector(
         Basis.P, lam.modulus, {Partition(key): coef for key, coef in terms.items()}
     )
@@ -224,10 +226,7 @@ def _p_to_e_terms(k: int) -> Dict[tuple, int]:
         return {(): 1}
     acc: Dict[tuple, int] = {(k,): k if k % 2 else -k}
     for i in range(1, k):
-        sign = 1 if i % 2 else -1
-        for mu, coef in _p_to_e_terms(k - i).items():
-            key = tuple(sorted(mu + (i,), reverse=True))
-            acc[key] = acc.get(key, 0) + sign * coef
+        _multiply_into(acc, _p_to_e_terms(k - i), {(i,): 1 if i % 2 else -1})
     return {key: coef for key, coef in acc.items() if coef}
 
 
@@ -246,12 +245,7 @@ def _p_terms_to_e(terms: Dict[tuple, int]) -> Dict[tuple, int]:
         image = _p_terms_to_e(rests) if m else rests
         factor = _p_to_e_terms(k)
         for _ in range(m):
-            product: Dict[tuple, int] = {}
-            for mu, c1 in image.items():
-                for nu, c2 in factor.items():
-                    key = tuple(sorted(mu + nu, reverse=True))
-                    product[key] = product.get(key, 0) + c1 * c2
-            image = product
+            image = _multiply_into({}, image, factor)
         for key, coef in image.items():
             acc[key] = acc.get(key, 0) + coef
     return {key: coef for key, coef in acc.items() if coef}

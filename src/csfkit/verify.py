@@ -253,7 +253,7 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
             for parts, moduli in all_ge_2:
                 wclass, in_A = _classify_parts(parts, moduli, a)
                 sol = _solve_psqt_parts(parts, moduli, b)
-                D = _c_parts(parts, moduli, a, 2, sol, True)
+                D = _c_parts(parts, moduli, a, 2, sol, False)  # untwisted: see _D_parts
                 if wclass is WClass.W_GT:
                     _check_gt_bounds(result, parts, moduli, a, b, sol, in_A, D, counts)
                 else:

@@ -350,6 +350,16 @@ def test_coeff_D_is_the_two_path_case_of_c_prime():
                 )
 
 
+def test_the_phi_twist_changes_no_clock_coefficient():
+    # at c = 2 the one undershoot is read at n - a, and phi keeps every prefix
+    # modulus from the largest one <= n - a on: c'_I = c_I for every I
+    for n in range(5, 13):
+        for a, b in clock_pairs(n):
+            for comp in compositions_of(n, 1):
+                D = coeff_D(comp, a, b)
+                assert coeff_c(comp, a, b, 2) == coeff_c_prime(comp, a, b, 2) == D
+
+
 def test_coeff_D_parameter_errors():
     with pytest.raises(ValueError):
         coeff_D(C((5,)), 2, 1)

@@ -158,6 +158,18 @@ def test_json_round_trip_preserves_exact_coefficients():
     assert again.equals(vec) and again.basis is vec.basis
 
 
+def test_terms_are_read_only():
+    vec = BasisVector(Basis.E, 9, {(5, 2, 2): -3, (9,): Fraction(7, 2)})
+    with pytest.raises(TypeError):
+        vec.terms[Partition((9,))] = 1
+    with pytest.raises(TypeError):
+        del vec.terms[Partition((9,))]
+    assert vec.coefficient((9,)) == Fraction(7, 2)
+    assert vec.add(vec).equals(vec.scale(2))
+    assert BasisVector.from_json(vec.to_json()).equals(vec)
+    assert vec.to_json_dict()["terms"][1] == {"partition": [5, 2, 2], "num": "-3", "den": "1"}
+
+
 # ---------------------------------------------------------------------------
 # p -> e with integers
 
