@@ -159,19 +159,53 @@ def build_clock(a: int, b: int) -> Graph:
     return build_theta(a, b, 2)
 
 
+def _frontier_order(graph: Graph) -> List[Tuple[int, int]]:
+    # Greedy vertex order: each component starts at a vertex of largest
+    # degree; next comes the vertex with the most placed neighbours, ties to
+    # the fewest unplaced neighbours, then the smallest label.  Edges follow
+    # the position of their later endpoint, then of their earlier one, so a
+    # vertex leaves the frontier soon after its neighbours are placed.
+    neighbours: Dict[int, List[int]] = {}
+    for u, v in graph.edges:
+        neighbours.setdefault(u, []).append(v)
+        neighbours.setdefault(v, []).append(u)
+    placed = dict.fromkeys(neighbours, 0)
+
+    def rank(x: int) -> Tuple[int, int, int]:
+        degree = len(neighbours[x])
+        if placed[x]:
+            return (-placed[x], degree - placed[x], x)
+        return (0, -degree, x)
+
+    position: Dict[int, int] = {}
+    while placed:
+        w = min(placed, key=rank)
+        position[w] = len(position)
+        del placed[w]
+        for x in neighbours[w]:
+            if x in placed:
+                placed[x] += 1
+    return sorted(
+        graph.edges, key=lambda e: sorted((position[e[0]], position[e[1]]), reverse=True)
+    )
+
+
 def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
     """Chromatic symmetric function in the power-sum basis.
 
     Evaluates the sum of (-1)^|S| p_{lambda(S)} over all edge subsets S,
     where lambda(S) is the partition of connected-component sizes of
-    (V, S), as a frontier (transfer-matrix) dynamic program over the edges
-    in order.  A vertex is active from its first edge to its last.  A state
-    holds the component labels of the active vertices, relabelled in order
-    of first appearance, the sizes of the open components, and the multiset
-    of closed component sizes; it maps to a signed count.  A component
-    closes when its last active vertex has seen its last edge; isolated
-    vertices seed closed parts of size 1.  An edge inside one component
-    adds the same partition with both signs, so such states drop out.
+    (V, S), as a frontier (transfer-matrix) dynamic program over the edges.
+    The oracle picks the edge order itself from a greedy vertex order (see
+    :func:`_frontier_order`); the sum does not depend on it, but the number
+    of states does.  A vertex is active from its first edge to its last.
+    A state holds the component labels of the active vertices, relabelled
+    in order of first appearance, the sizes of the open components, and the
+    multiset of closed component sizes; it maps to a signed count.  A
+    component closes when its last active vertex has seen its last edge;
+    isolated vertices seed closed parts of size 1.  An edge inside one
+    component adds the same partition with both signs, so such states drop
+    out.
 
     The frontier never holds more states than there are subsets, so
     ``max_edges`` still bounds the cost.  :func:`csf_pbasis_subsets` keeps
@@ -183,8 +217,9 @@ def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
             f"oracle budget exceeded: {m} edges > limit {max_edges}"
         )
     n = graph.vertex_count
+    edges = _frontier_order(graph)
     last: Dict[int, int] = {}
-    for i, (u, v) in enumerate(graph.edges):
+    for i, (u, v) in enumerate(edges):
         last[u] = last[v] = i
     # the closed multiset is one int: the count of parts of size s sits in
     # the bits [width * (s - 1), width * s)
@@ -192,7 +227,7 @@ def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
     active: List[int] = []
     # (labels of the active vertices, sizes by label) -> {closed code -> count}
     states: Dict[tuple, Dict[int, int]] = {((), ()): {n - len(last): 1}}
-    for i, (u, v) in enumerate(graph.edges):
+    for i, (u, v) in enumerate(edges):
         grow = tuple(w for w in (u, v) if w not in active)
         active += grow
         pu, pv = active.index(u), active.index(v)

@@ -32,7 +32,7 @@ class BasisVector:
 
     Invariants: every stored partition has modulus equal to the degree, no
     zero coefficients are stored, and coefficients are exact ``Fraction``
-    values.  ``terms`` is a read-only mapping.
+    values.  ``terms`` is a read-only mapping and no field can be rebound.
     """
 
     __slots__ = ("basis", "degree", "terms")
@@ -51,9 +51,15 @@ class BasisVector:
             coef = Fraction(value)
             if coef:
                 clean[lam] = coef
-        self.basis = basis
-        self.degree = degree
-        self.terms = MappingProxyType(clean)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"BasisVector is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"BasisVector is immutable: cannot delete {name!r}")
 
     def __repr__(self) -> str:
         return f"BasisVector({self.basis.value}, degree={self.degree}, terms={len(self.terms)})"

@@ -256,6 +256,13 @@ def test_acceptance_triple_deletion():
     _passed("deletion identities on 25 random instances plus the (3,3,3) instance")
 
 
+def test_acceptance_triple_deletion_on_the_held_out_seed():
+    result = run_triple_deletion(count=100, seed=7919, max_vertices=10)
+    assert result.checked == 102
+    assert result.ok, result.violations[:5]
+    _passed("deletion identities on 100 random instances (seed 7919) plus the (3,3,3) instance")
+
+
 def test_acceptance_symfunc_specialization():
     def partitions_of(n, cap=None):
         cap = cap or n

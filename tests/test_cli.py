@@ -5,7 +5,14 @@ import json
 import pytest
 
 import csfkit.cli as cli
-from csfkit.verify import run_fiber
+from csfkit.verify import (
+    SuiteResult,
+    run_c_doubleprime,
+    run_fiber,
+    run_lemma_bounds,
+    run_positivity,
+    run_triple_deletion,
+)
 from csfkit.graphs import EExpansion
 from csfkit.compositions import Composition
 
@@ -438,3 +445,16 @@ def test_verify_refuses_a_range_that_checks_nothing(capsys, monkeypatch):
     monkeypatch.setenv("CSFKIT_MAX_N", "4")
     code, out, err = run(capsys, "verify", "--suite", "c-doubleprime")
     assert (code, out, len(err.splitlines())) == (3, "", 1)
+
+
+def test_library_suites_fail_a_range_that_checks_nothing():
+    # the library runners take any range; one that checks nothing is not ok
+    for result in (run_fiber([4]), run_lemma_bounds([2]), run_positivity(3),
+                   run_c_doubleprime(1, 8, 20)):
+        assert result.checked == 0 and not result.violations, result.name
+        assert not result.ok, result.name
+    assert not SuiteResult("empty").ok
+    # the smallest ranges the CLI accepts still check something and pass
+    nothing_random = run_triple_deletion(count=0, seed=1)
+    assert nothing_random.checked == 2 and nothing_random.ok
+    assert run_positivity(4).ok and run_lemma_bounds([3]).ok

@@ -25,6 +25,7 @@ from csfkit.graphs import (
     closed_form_theta,
     csf_pbasis,
     csf_pbasis_subsets,
+    _frontier_order,
     e_positivity_report,
     expansion_closed_form,
     family_degree,
@@ -221,10 +222,33 @@ def test_frontier_oracle_matches_subset_sum_on_random_graphs(graph):
     assert csf_pbasis(graph).equals(csf_pbasis_subsets(graph))
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(simple_graphs())
+def test_frontier_order_is_a_permutation_of_the_edges(graph):
+    assert sorted(_frontier_order(graph)) == sorted(graph.edges)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(simple_graphs(), st.randoms(use_true_random=False))
+def test_frontier_oracle_ignores_labels_and_edge_order(graph, rng):
+    # the oracle picks its own edge order, so relabelling the vertices and
+    # shuffling the edges leave the result alone
+    n = graph.vertex_count
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    edges = [(relabel[u], relabel[v]) for u, v in graph.edges]
+    rng.shuffle(edges)
+    moved = Graph(n, edges)
+    assert csf_pbasis(moved).equals(csf_pbasis(graph))
+    assert csf_pbasis(moved).equals(csf_pbasis_subsets(moved))
+
+
 def test_both_oracles_agree_on_paths_cycles_and_thetas():
     graphs = [build_path(n) for n in range(1, 13)]
     graphs += [build_cycle(n) for n in range(3, 13)]
     graphs += [build_theta(*t) for n in range(4, 13) for t in theta_triples(n)]
+    graphs += [build_tadpole(a, l) for a in range(3, 13) for l in range(1, 13 - a)]
+    graphs += [build_cycle_chord(a, b) for a in range(2, 11) for b in range(2, 13 - a)]
     for graph in graphs:
         assert csf_pbasis(graph).equals(csf_pbasis_subsets(graph)), graph
 

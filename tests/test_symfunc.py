@@ -170,6 +170,19 @@ def test_terms_are_read_only():
     assert vec.to_json_dict()["terms"][1] == {"partition": [5, 2, 2], "num": "-3", "den": "1"}
 
 
+def test_fields_cannot_be_rebound_or_deleted():
+    vec = BasisVector(Basis.E, 9, {(5, 2, 2): -3, (9,): Fraction(7, 2)})
+    for name, value in (("degree", 7), ("terms", {"junk": 5}), ("basis", Basis.P),
+                        ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(vec, name, value)
+    for name in ("degree", "terms", "basis"):
+        with pytest.raises(AttributeError):
+            delattr(vec, name)
+    assert repr(vec) == "BasisVector(e, degree=9, terms=2)"
+    assert vec.equals(BasisVector(Basis.E, 9, {(5, 2, 2): -3, (9,): Fraction(7, 2)}))
+
+
 # ---------------------------------------------------------------------------
 # p -> e with integers
 
