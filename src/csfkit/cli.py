@@ -24,6 +24,8 @@ import sys
 from .compositions import MAX_MODULUS, format_parts, parse_composition
 from .coefficients import (
     WClass,
+    _check_clock,
+    _check_modulus,
     classify,
     coeff_c_doubleprime,
     coeff_D,
@@ -41,11 +43,9 @@ from .graphs import (
     csf_pbasis,
 )
 from .symfunc import first_difference, pvector_to_e
-from .verify import SUITES, run_suite
+from .verify import MAX_INSTANCE_COUNT, SUITES, run_suite
 
 DEFAULT_MAX_N = 20
-# triple-deletion instances; each costs six oracle calls on up to 14 edges
-MAX_INSTANCE_COUNT = 1000
 # the integer flags of expand and oracle-check, in --help order
 FAMILY_FLAGS = ("n", "l", "a", "b", "c")
 # the integer flags of verify, in --help order; None means not given
@@ -133,16 +133,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    if args.count is not None and args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
-    if args.count is not None and args.count > MAX_INSTANCE_COUNT:
-        raise ResourceLimitError(
-            f"--count {args.count} exceeds the limit {MAX_INSTANCE_COUNT}"
-        )
     flags = {key: getattr(args, key) for key in VERIFY_FLAGS}
     result = run_suite(args.suite, _n_budget(), **flags)
+    for note in result.stderr_notes:
+        print(f"note: {note}", file=sys.stderr)
     if args.format == "json":
         payload = {"suite": result.name, "checked": result.checked,
                    "violations": result.violations, "notes": result.notes}
@@ -159,12 +153,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_fibers(args: argparse.Namespace) -> int:
     I = parse_composition(args.I)
     a, b = args.a, args.b
-    if not (a >= b >= 2):
-        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
-    if I.modulus != a + b + 1:
-        raise ValueError(
-            f"composition {I} has modulus {I.modulus}, expected a+b+1 = {a + b + 1}"
-        )
+    _check_clock(a, b)
+    _check_modulus(I, a, b)
     kind = classify(I, a)
     sol = solve_psqt(I, b)
     print(f"I = {I}   n = {I.modulus}   (a, b) = ({a}, {b})")
@@ -196,9 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in FAMILY_FLAGS:
         expand.add_argument(f"--{flag}", type=int)
     expand.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    expand.add_argument("--variant", choices=("c", "c-prime"), default="c",
+    variants = tuple(FAMILY_TABLE["theta"].forms)
+    expand.add_argument("--variant", choices=variants, default=variants[0],
                         help="theta coefficient variant")
-    expand.add_argument("--form", choices=("delta", "theta-sum"), default="delta",
+    forms = tuple(FAMILY_TABLE["cycle-chord"].forms)
+    expand.add_argument("--form", choices=forms, default=forms[0],
                         help="cycle-chord display form")
     expand.set_defaults(handler=cmd_expand)
 

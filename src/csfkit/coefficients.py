@@ -281,13 +281,22 @@ def classify(I: Composition, a: int) -> Classification:
     return Classification(*_classify_parts(I.parts, I.prefix_moduli, a))
 
 
-def _check_fiber_params(I: Composition, a: int, b: int) -> None:
-    if a < 1 or b < 1:
-        raise ValueError(f"thresholds must be positive, got a={a}, b={b}")
+def _check_clock(a: int, b: int) -> None:
+    if not (a >= b >= 2):
+        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+
+
+def _check_modulus(I: Composition, a: int, b: int) -> None:
     if I.modulus != a + b + 1:
         raise ValueError(
             f"composition {I} has modulus {I.modulus}, expected a+b+1 = {a + b + 1}"
         )
+
+
+def _check_fiber_params(I: Composition, a: int, b: int) -> None:
+    if a < 1 or b < 1:
+        raise ValueError(f"thresholds must be positive, got a={a}, b={b}")
+    _check_modulus(I, a, b)
     if _classify_parts(I.parts, I.prefix_moduli, a)[0] is not WClass.W_GT:
         raise ValueError(f"fiber requires a composition in W_>, got {I}")
 
@@ -301,11 +310,7 @@ def fiber(I: Composition, a: int, b: int) -> List[Composition]:
     |I| = a + b + 1.
     """
     _check_fiber_params(I, a, b)
-    return _fiber_from(I, solve_psqt(I, b))
-
-
-def _fiber_from(I: Composition, sol: PSQTSolution) -> List[Composition]:
-    # fiber's body, for callers that already hold I in W_> and sol = solve_psqt(I, b)
+    sol = solve_psqt(I, b)
     return [Composition._from_valid(H) for H in _fiber_parts(I.parts, sol.p, sol.q)]
 
 
@@ -353,8 +358,7 @@ def coeff_D(I: Composition, a: int, b: int) -> int:
     for a >= b >= 2 and |I| = a + b + 1.  At c = 2 the twist by phi changes
     no term, so D_I is computed as ``coeff_c(I, a, b, 2)``.
     """
-    if not (a >= b >= 2):
-        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+    _check_clock(a, b)
     return _coeff(I, a, b, 2, False)
 
 
@@ -364,7 +368,6 @@ def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:
     Defined for I in W_GT; nonnegative for every such I.
     """
     _check_fiber_params(I, a, b)
-    if not (a >= b >= 2):
-        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+    _check_clock(a, b)
     parts, moduli = I.parts, I.prefix_moduli
     return _c_doubleprime_parts(parts, moduli, a, b, _solve_psqt_parts(parts, moduli, b))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .compositions import Composition, Partition, _theta_plus, weight_positive_compositions
-from .coefficients import _c_parts, _delta_parts, _solve_psqt_parts
+from .coefficients import _c_parts, _solve_psqt_parts
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector
 
@@ -104,20 +104,19 @@ def build_tadpole(a: int, l: int) -> Graph:
     return Graph(a + l, edges)
 
 
-def _path_edges(u: int, v: int, length: int, first_interior: int) -> Tuple[list, int]:
-    # edges of a u-v path with the given number of edges, allocating interior
-    # vertices from first_interior upward; returns (edges, next free vertex)
-    if length == 1:
-        return [(u, v)], first_interior
-    edges = []
-    prev = u
-    cursor = first_interior
-    for _ in range(length - 1):
-        edges.append((prev, cursor))
-        prev = cursor
-        cursor += 1
-    edges.append((prev, v))
-    return edges, cursor
+def _two_hub_graph(lengths: Tuple[int, ...]) -> Graph:
+    # hubs 0 and 1 joined by paths with the given numbers of edges, in order;
+    # interior vertices are numbered from 2 upward along each path
+    edges: List[Tuple[int, int]] = []
+    cursor = 2
+    for length in lengths:
+        prev = 0
+        for _ in range(length - 1):
+            edges.append((prev, cursor))
+            prev = cursor
+            cursor += 1
+        edges.append((prev, 1))
+    return Graph(cursor, edges)
 
 
 def build_theta(a: int, b: int, c: int) -> Graph:
@@ -131,25 +130,15 @@ def build_theta(a: int, b: int, c: int) -> Graph:
         raise ValueError(f"theta lengths must satisfy a >= b >= c >= 1, got {(a, b, c)}")
     if b < 2:
         raise ValueError(f"at most one path may have length 1, got {(a, b, c)}")
-    edges: List[Tuple[int, int]] = []
-    cursor = 2
-    for length in (a, b, c):
-        new_edges, cursor = _path_edges(0, 1, length, cursor)
-        edges.extend(new_edges)
-    return Graph(a + b + c - 1, edges)
+    return _two_hub_graph((a, b, c))
 
 
 def build_cycle_chord(a: int, b: int) -> Graph:
     """Two cycles sharing an edge: hubs joined by a chord and by paths of
-    lengths a and b.  Same graph as a theta with one length-1 path."""
+    lengths a and b: the two-hub paths of lengths (1, a, b), for a < b too."""
     if a < 2 or b < 2:
         raise ValueError(f"cycle-chord needs a, b >= 2, got {(a, b)}")
-    edges: List[Tuple[int, int]] = [(0, 1)]
-    cursor = 2
-    for length in (a, b):
-        new_edges, cursor = _path_edges(0, 1, length, cursor)
-        edges.extend(new_edges)
-    return Graph(a + b, edges)
+    return _two_hub_graph((1, a, b))
 
 
 def build_clock(a: int, b: int) -> Graph:
@@ -190,6 +179,13 @@ def _frontier_order(graph: Graph) -> List[Tuple[int, int]]:
     )
 
 
+def _check_edges(graph: Graph, max_edges: int) -> None:
+    if graph.edge_count > max_edges:
+        raise ResourceLimitError(
+            f"oracle budget exceeded: {graph.edge_count} edges > limit {max_edges}"
+        )
+
+
 def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
     """Chromatic symmetric function in the power-sum basis.
 
@@ -211,11 +207,7 @@ def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
     ``max_edges`` still bounds the cost.  :func:`csf_pbasis_subsets` keeps
     the plain subset sum as an independent cross-check.
     """
-    m = graph.edge_count
-    if m > max_edges:
-        raise ResourceLimitError(
-            f"oracle budget exceeded: {m} edges > limit {max_edges}"
-        )
+    _check_edges(graph, max_edges)
     n = graph.vertex_count
     edges = _frontier_order(graph)
     last: Dict[int, int] = {}
@@ -292,11 +284,8 @@ def csf_pbasis_subsets(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> Basis
     on top of the leaf bookkeeping.  Cost is Theta(2^|E|): guarded by
     ``max_edges``.
     """
+    _check_edges(graph, max_edges)
     m = graph.edge_count
-    if m > max_edges:
-        raise ResourceLimitError(
-            f"oracle budget exceeded: {m} edges > limit {max_edges}"
-        )
     n = graph.vertex_count
     parent = list(range(n))
     size = [1] * n
@@ -400,19 +389,25 @@ def closed_form_tadpole(a: int, l: int) -> EExpansion:
     return _assemble(n, lambda parts, moduli: _theta_plus(moduli, l + 1))
 
 
+def _theta_coeff(a: int, b: int, c: int, twisted: bool):
+    # c_I (c'_I when twisted) on the kernel tuples; at c = 1 it is delta(I, b),
+    # which reads neither a nor the twist, so it also serves a < b
+    return lambda parts, moduli: _c_parts(
+        parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted)
+
+
 def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
     """Cycle-chord expansion, in either of its two equivalent displays.
 
-    ``form="delta"`` uses the kernel delta(I, b); ``form="theta-sum"`` uses
+    ``form="delta"`` uses the kernel delta(I, b), the theta coefficient at
+    c = 1 for every a, b >= 2; ``form="theta-sum"`` uses
     sum_{i=1..b} theta_plus(I, i) - sum_{i=1..b-1} theta_minus(reversed I, i).
     """
     if a < 2 or b < 2:
         raise ValueError(f"cycle-chord expansion needs a, b >= 2, got {(a, b)}")
     n = a + b
     if form == "delta":
-        return _assemble(
-            n, lambda parts, moduli: _delta_parts(parts, _solve_psqt_parts(parts, moduli, b - 1))
-        )
+        return _assemble(n, _theta_coeff(a, b, 1, False))
     if form == "theta-sum":
 
         def coeff(parts: tuple, moduli: tuple) -> int:
@@ -436,9 +431,7 @@ def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
         raise ValueError(
             f"theta expansion needs a >= b >= c >= 1 with b >= 2, got {(a, b, c)}"
         )
-    twisted = variant == "c-prime"
-    return _assemble(a + b + c - 1, lambda parts, moduli: _c_parts(
-        parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted))
+    return _assemble(a + b + c - 1, _theta_coeff(a, b, c, variant == "c-prime"))
 
 
 def closed_form_clock(a: int, b: int) -> EExpansion:
@@ -462,8 +455,9 @@ class Family:
     forms: Dict[str, Callable[..., EExpansion]]
 
 
-# Path and cycle-chord keep their own kernels: no tadpole has n = 1, and
-# cycle-chord(a, b) is theta(a, b, 1) only for a >= b.
+# Path keeps its own kernel, since no tadpole has n = 1.  The cycle-chord
+# ``delta`` form runs the theta coefficient body at c = 1 for every a, b,
+# a < b included.
 FAMILY_TABLE: Dict[str, Family] = {
     "path": Family(("n",), 0, build_path, {"closed-form": closed_form_path}),
     "cycle": Family(("n",), 0, build_cycle, {"closed-form": closed_form_cycle}),

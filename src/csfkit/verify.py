@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
-    WClass, _c_doubleprime_parts, _c_parts, _classify_parts, _D_parts, _delta_parts,
-    _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut,
+    WClass, _c_doubleprime_parts, _c_parts, _check_clock, _classify_parts, _D_parts,
+    _delta_parts, _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut,
 )
 from .compositions import (
     _composition_tuples, _moduli, _rho, _theta_minus, _theta_plus, _weight,
@@ -54,6 +54,8 @@ from .graphs import (
 from .symfunc import Basis, BasisVector, first_difference
 
 MAX_REPORTED_VIOLATIONS = 50
+# triple-deletion instances; each costs six oracle calls on up to 14 edges
+MAX_INSTANCE_COUNT = 1000
 
 
 @dataclass
@@ -62,6 +64,8 @@ class SuiteResult:
     checked: int = 0
     violations: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    # notes on the request, not the result: the CLI prints them on stderr
+    stderr_notes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -385,12 +389,11 @@ def run_c_doubleprime(
     a_max: int, b_max: int, n_cap: int, workers: int = 1
 ) -> SuiteResult:
     result = SuiteResult("c-doubleprime")
-    pairs = sorted(
-        (a, b)
-        for a in range(2, a_max + 1)
-        for b in range(2, min(a, b_max) + 1)
-        if a + b + 1 <= n_cap
-    )
+    requested = [(a, b) for a in range(2, a_max + 1) for b in range(2, min(a, b_max) + 1)]
+    pairs = [p for p in requested if sum(p) + 1 <= n_cap]
+    if len(pairs) < len(requested):
+        result.stderr_notes.append(f"skipped {len(requested) - len(pairs)} pair(s) "
+                                   f"with a+b+1 above the degree budget {n_cap}")
     # one task per n, so that each task enumerates the compositions of n once
     tasks = [(n, tuple(p for p in pairs if sum(p) + 1 == n))
              for n in sorted({sum(p) + 1 for p in pairs})]
@@ -436,9 +439,7 @@ def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
     for n in range(5, n_max + 1):
         tasks.extend(("clock", a, b, False) for a, b in clock_pairs(n))
     for n in range(4, n_max + 1):
-        tasks.extend(
-            ("cycle-chord", a, n - a, True) for a in range(2, n - 1) if n - a >= 2
-        )
+        tasks.extend(("cycle-chord", a, n - a, True) for a in range(2, n - 1))
     tasks.sort()
     minima = []
     for checked, violations, minimum in _run_tasks(_positivity_task, tasks, workers):
@@ -575,8 +576,7 @@ def _fiber_suite(budget: int, n=None, n_max=None, a=None, b=None) -> SuiteResult
         return run_fiber(_degrees(budget, "fiber", n, n_max, 10, lo=5))
     if a is None or b is None:
         raise ValueError("suite fiber reads --a and --b only together")
-    if not (a >= b >= 2):
-        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+    _check_clock(a, b)
     size = a + b + 1
     if n is not None and n != size:
         raise ValueError(f"--n {n} disagrees with a+b+1 = {size} for (a,b)=({a},{b})")
@@ -632,12 +632,20 @@ SUITES = tuple(SUITE_TABLE)
 
 def run_suite(name: str, budget: int, **flags: Optional[int]) -> SuiteResult:
     """Run the named suite under the degree budget with the given ``verify``
-    flags (argparse names, None for not given); a given flag that the suite
-    does not read is a ValueError."""
+    flags (argparse names, None for not given).  A given flag that the suite
+    does not read, ``workers`` < 1 or ``count`` < 0 is a ValueError, and
+    ``count`` > ``MAX_INSTANCE_COUNT`` a ResourceLimitError."""
     if name not in SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
     suite = SUITE_TABLE[name]
     given = {key: value for key, value in flags.items() if value is not None}
+    workers, count = given.get("workers", 1), given.get("count", 0)
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
+    if count < 0:
+        raise ValueError(f"--count must be >= 0, got {count}")
+    if count > MAX_INSTANCE_COUNT:
+        raise ResourceLimitError(f"--count {count} exceeds the limit {MAX_INSTANCE_COUNT}")
     unread = [f"--{key.replace('_', '-')}" for key in given if key not in suite.flags]
     if unread:
         raise ValueError(f"suite {name} does not read {', '.join(unread)}")

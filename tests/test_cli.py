@@ -5,12 +5,15 @@ import json
 import pytest
 
 import csfkit.cli as cli
+from csfkit.errors import ResourceLimitError
 from csfkit.verify import (
+    MAX_INSTANCE_COUNT,
     SuiteResult,
     run_c_doubleprime,
     run_fiber,
     run_lemma_bounds,
     run_positivity,
+    run_suite,
     run_triple_deletion,
 )
 from csfkit.graphs import EExpansion
@@ -283,6 +286,30 @@ def test_verify_bounds_workers_and_count(capsys):
         assert code == expected, (flag, value)
         assert out == ""
         assert len(err.splitlines()) == 1 and flag in err
+
+
+def test_run_suite_bounds_workers_and_count():
+    # the library entry point holds the same bounds as the CLI
+    with pytest.raises(ValueError, match="--count"):
+        run_suite("triple-deletion", 20, count=-5)
+    with pytest.raises(ResourceLimitError, match="--count"):
+        run_suite("triple-deletion", 20, count=MAX_INSTANCE_COUNT + 1)
+    with pytest.raises(ValueError, match="--workers"):
+        run_suite("c-doubleprime", 20, workers=0)
+    with pytest.raises(ValueError, match="--workers"):
+        run_suite("positivity", 20, workers=-3)
+
+
+def test_c_doubleprime_notes_dropped_pairs_on_stderr(capsys, monkeypatch):
+    monkeypatch.delenv("CSFKIT_MAX_N", raising=False)
+    # (10, 10) has n = 21, above the default budget 20: swept 44 of 45 pairs
+    code, out, err = run(capsys, "verify", "--suite", "c-doubleprime",
+                         "--a-max", "10", "--b-max", "10")
+    assert code == 0 and "pairs swept: 44" in out
+    assert err == "note: skipped 1 pair(s) with a+b+1 above the degree budget 20\n"
+    code, _, err = run(capsys, "verify", "--suite", "c-doubleprime",
+                       "--a-max", "5", "--b-max", "5")
+    assert (code, err) == (0, "")
 
 
 def test_workers_clamped_to_cpu_count(capsys, monkeypatch):

@@ -28,7 +28,6 @@ from csfkit.coefficients import (
     _classify_parts,
     _D_parts,
     _delta_parts,
-    _fiber_from,
     _fiber_parts,
     _phi_parts,
     _psi_parts,
@@ -213,7 +212,8 @@ def test_fiber_body_from_the_solution_matches_fiber_to_n12():
             for I in all_ge_2:
                 if classify(I, a).wclass is not WClass.W_GT:
                     continue
-                body = _fiber_from(I, solve_psqt(I, b))
+                sol = solve_psqt(I, b)
+                body = [Composition(H) for H in _fiber_parts(I.parts, sol.p, sol.q)]
                 assert body == fiber(I, a, b), (I, a, b)
                 expected = sorted(preimages.get(I, []))
                 assert sorted(H.parts for H in body) == expected, (I, a, b)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csfkit.compositions import Composition, Partition
+from csfkit.coefficients import delta
+from csfkit.compositions import Composition, Partition, weight_positive_compositions
 from csfkit.errors import ResourceLimitError
 from csfkit.graphs import (
     EExpansion,
@@ -104,6 +105,22 @@ def test_cycle_chord_closed_form_is_theta_at_unit_path():
             a = n - b
             chord = closed_form_cycle_chord(a, b)
             assert chord.entries == closed_form_theta(a, b, 1).entries
+
+
+def test_cycle_chord_delta_form_is_delta_for_every_pair():
+    # the form runs the theta body at c = 1, which never reads a, so a < b too
+    for a in range(2, 10):
+        for b in range(2, 10):
+            entries = closed_form_cycle_chord(a, b).entries
+            for I in weight_positive_compositions(a + b):
+                got = entries[I][0] if I in entries else 0
+                assert got == delta(I, b), (I, a, b)
+
+
+def test_two_hub_builders_pin_their_edge_order():
+    # cycle-chord is the two-hub paths (1, a, b); theta lists the paths a, b, c
+    assert build_cycle_chord(3, 2).edges == ((0, 1), (0, 2), (2, 3), (1, 3), (0, 4), (1, 4))
+    assert build_theta(3, 2, 1).edges == ((0, 2), (2, 3), (1, 3), (0, 4), (1, 4), (0, 1))
 
 
 def test_cycle_chord_matches_theta_with_unit_path():
