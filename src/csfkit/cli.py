@@ -43,7 +43,7 @@ from .graphs import (
     csf_pbasis,
 )
 from .symfunc import first_difference, pvector_to_e
-from .verify import MAX_INSTANCE_COUNT, SUITES, run_suite
+from .verify import MAX_INSTANCE_COUNT, SUITES, _check_budget, run_suite
 
 DEFAULT_MAX_N = 20
 # the integer flags of expand and oracle-check, in --help order
@@ -77,9 +77,7 @@ def _family_instance(args: argparse.Namespace) -> tuple:
     own = FAMILY_TABLE[args.family].params
     params = {key: getattr(args, key) for key in FAMILY_FLAGS if key in own}
     n = family_degree(args.family, **params)
-    budget = _n_budget()
-    if n > budget:
-        raise ResourceLimitError(f"degree {n} exceeds the budget {budget}")
+    _check_budget(_n_budget(), n)
     return params, n
 
 

@@ -283,7 +283,12 @@ def classify(I: Composition, a: int) -> Classification:
 
 def _check_clock(a: int, b: int) -> None:
     if not (a >= b >= 2):
-        raise ValueError(f"clock parameters need a >= b >= 2, got {(a, b)}")
+        raise ValueError(f"clock needs a >= b >= 2, got {(a, b)}")
+
+
+def _check_theta(a: int, b: int, c: int) -> None:
+    if not (a >= b >= c >= 1 and b >= 2):
+        raise ValueError(f"theta needs a >= b >= c >= 1 with b >= 2, got {(a, b, c)}")
 
 
 def _check_modulus(I: Composition, a: int, b: int) -> None:
@@ -315,10 +320,7 @@ def fiber(I: Composition, a: int, b: int) -> List[Composition]:
 
 
 def _check_three_path_params(I: Composition, a: int, b: int, c: int) -> None:
-    if not (a >= b >= c >= 1):
-        raise ValueError(f"path lengths must satisfy a >= b >= c >= 1, got {(a, b, c)}")
-    if b < 2:
-        raise ValueError(f"at most one path may have length 1, got {(a, b, c)}")
+    _check_theta(a, b, c)
     n = a + b + c - 1
     if I.modulus != n:
         raise ValueError(

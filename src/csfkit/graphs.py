@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .compositions import Composition, Partition, _theta_plus, weight_positive_compositions
-from .coefficients import _c_parts, _solve_psqt_parts
+from .coefficients import _c_parts, _check_clock, _check_theta, _solve_psqt_parts
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector
 
@@ -126,10 +126,7 @@ def build_theta(a: int, b: int, c: int) -> Graph:
     multigraph).  Vertices: hub 0, hub 1, then the interiors of the a-, b-
     and c-paths in order; n = a + b + c - 1 vertices and n + 1 edges.
     """
-    if not (a >= b >= c >= 1):
-        raise ValueError(f"theta lengths must satisfy a >= b >= c >= 1, got {(a, b, c)}")
-    if b < 2:
-        raise ValueError(f"at most one path may have length 1, got {(a, b, c)}")
+    _check_theta(a, b, c)
     return _two_hub_graph((a, b, c))
 
 
@@ -143,8 +140,7 @@ def build_cycle_chord(a: int, b: int) -> Graph:
 
 def build_clock(a: int, b: int) -> Graph:
     """The theta graph whose shortest path has length exactly 2."""
-    if not (a >= b >= 2):
-        raise ValueError(f"clock needs a >= b >= 2, got {(a, b)}")
+    _check_clock(a, b)
     return build_theta(a, b, 2)
 
 
@@ -427,10 +423,7 @@ def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
     """Three-path expansion with coefficients c_I or the phi-twisted c'_I."""
     if variant not in ("c", "c-prime"):
         raise ValueError(f"unknown theta variant {variant!r}")
-    if not (a >= b >= c >= 1) or b < 2:
-        raise ValueError(
-            f"theta expansion needs a >= b >= c >= 1 with b >= 2, got {(a, b, c)}"
-        )
+    _check_theta(a, b, c)
     return _assemble(a + b + c - 1, _theta_coeff(a, b, c, variant == "c-prime"))
 
 
@@ -438,8 +431,7 @@ def closed_form_clock(a: int, b: int) -> EExpansion:
     """Clock expansion with coefficients D_I: the three-path expansion at
     c = 2 with the phi-twisted coefficients c'_I, which at c = 2 equal the
     untwisted c_I term by term, so the untwisted body is run."""
-    if not (a >= b >= 2):
-        raise ValueError(f"clock expansion needs a >= b >= 2, got {(a, b)}")
+    _check_clock(a, b)
     return closed_form_theta(a, b, 2)
 
 

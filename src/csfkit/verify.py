@@ -289,15 +289,24 @@ _FIBER_FIXTURES = {
 }
 
 
+def _check_fiber_pair(a: Optional[int], b: Optional[int]) -> None:
+    if (a is None) != (b is None):
+        raise ValueError("suite fiber reads --a and --b only together")
+    if a is not None:
+        _check_clock(a, b)
+
+
 def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = None) -> SuiteResult:
+    """Every clock pair of each n in ``ns``, or only the pair (a, b) at n = a + b + 1."""
+    _check_fiber_pair(a, b)
     result = SuiteResult("fiber")
     for n in ns:
-        pairs = [(a, b)] if a is not None and b is not None else clock_pairs(n)
+        if a is not None and a + b + 1 != n:
+            raise ValueError(f"n = {n} is not a+b+1 = {a + b + 1} for (a,b)=({a},{b})")
+        pairs = clock_pairs(n) if a is None else [(a, b)]
         all_ge_2 = ([(parts, _moduli(parts)) for parts in _composition_tuples(n, 2)]
                     if pairs else [])
         for pa, pb in pairs:
-            if pa + pb + 1 != n or not (pa >= pb >= 2):
-                raise ValueError(f"invalid pair (a,b)=({pa},{pb}) for n={n}")
             greater: List[Tuple[tuple, tuple]] = []
             lesser: List[Tuple[tuple, tuple]] = []
             for entry in all_ge_2:
@@ -492,12 +501,10 @@ def theta_deletion_instance(a: int, b: int, c: int):
     if c < 2:
         raise ValueError(f"deletion instance needs c >= 2, got {(a, b, c)}")
     theta = build_theta(a, b, c)
-    b_first = 2 + (a - 1)
-    c_first = 2 + (a - 1) + (b - 1)
-    base_edges = [
-        e for e in theta.edges if e not in ((0, b_first), (0, c_first))
-    ]
-    return Graph(theta.vertex_count, base_edges), (c_first, b_first, 0)
+    # the builder lists the paths a, b, c in order, each from its hub-0 edge
+    _, b_edge, c_edge = [e for e in theta.edges if e[0] == 0]
+    base_edges = [e for e in theta.edges if e not in (b_edge, c_edge)]
+    return Graph(theta.vertex_count, base_edges), (c_edge[1], b_edge[1], 0)
 
 
 def run_triple_deletion(
@@ -572,11 +579,9 @@ def _degrees(budget: int, name: str, n, n_max, default_max: int,
 
 
 def _fiber_suite(budget: int, n=None, n_max=None, a=None, b=None) -> SuiteResult:
-    if a is None and b is None:
+    _check_fiber_pair(a, b)
+    if a is None:
         return run_fiber(_degrees(budget, "fiber", n, n_max, 10, lo=5))
-    if a is None or b is None:
-        raise ValueError("suite fiber reads --a and --b only together")
-    _check_clock(a, b)
     size = a + b + 1
     if n is not None and n != size:
         raise ValueError(f"--n {n} disagrees with a+b+1 = {size} for (a,b)=({a},{b})")

@@ -485,3 +485,60 @@ def test_library_suites_fail_a_range_that_checks_nothing():
     nothing_random = run_triple_deletion(count=0, seed=1)
     assert nothing_random.checked == 2 and nothing_random.ok
     assert run_positivity(4).ok and run_lemma_bounds([3]).ok
+
+
+def test_each_domain_rule_prints_one_line_at_every_entry_point(capsys):
+    from csfkit.coefficients import coeff_c, coeff_D
+    from csfkit.graphs import build_clock, build_theta, closed_form_clock, closed_form_theta
+
+    def message(fn, *args):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        return str(info.value)
+
+    # the composition is checked after the parameters, so any one will do
+    I = Composition([2, 2, 2])
+    for a, b, c in ((2, 1, 1), (3, 4, 2), (3, 3, 0), (1, 1, 1), (5, 3, 4)):
+        flags = ("--family", "theta", "--a", str(a), "--b", str(b), "--c", str(c))
+        lines = {run(capsys, command, *flags) for command in ("expand", "oracle-check")}
+        assert len(lines) == 1, lines
+        code, out, err = lines.pop()
+        assert (code, out) == (2, "")
+        assert err == "error: " + message(coeff_c, I, a, b, c) + "\n"
+        assert {message(fn, a, b, c) for fn in (build_theta, closed_form_theta)} == {
+            message(coeff_c, I, a, b, c)}
+        assert "a >= b >= c >= 1 with b >= 2" in err
+    for a, b in ((2, 3), (3, 1), (1, 1), (4, 6)):
+        pair = ("--a", str(a), "--b", str(b))
+        lines = {run(capsys, *argv) for argv in (
+            ("expand", "--family", "clock", *pair),
+            ("oracle-check", "--family", "clock", *pair),
+            ("fibers", "--I", "7,2,2", *pair),
+            ("verify", "--suite", "fiber", *pair),
+        )}
+        assert len(lines) == 1, lines
+        code, out, err = lines.pop()
+        assert (code, out) == (2, "")
+        assert err == "error: " + message(coeff_D, I, a, b) + "\n"
+        assert {message(fn, a, b) for fn in (build_clock, closed_form_clock)} == {
+            message(coeff_D, I, a, b)}
+        assert message(run_fiber, [a + b + 1], a, b) == message(coeff_D, I, a, b)
+        assert "a >= b >= 2" in err
+
+
+def test_run_fiber_refuses_half_a_pair():
+    # half a pair is refused, not read as no pair
+    for half in ({"a": 6}, {"b": 4}):
+        with pytest.raises(ValueError, match="only together"):
+            run_fiber([11], **half)
+    assert run_fiber([11], 6, 4).checked == 32
+    with pytest.raises(ValueError, match="a\\+b\\+1"):
+        run_fiber([12], 6, 4)
+
+
+def test_family_flags_are_the_family_parameters():
+    from csfkit.graphs import FAMILY_TABLE
+
+    assert len(set(cli.FAMILY_FLAGS)) == len(cli.FAMILY_FLAGS)
+    params = {name for family in FAMILY_TABLE.values() for name in family.params}
+    assert set(cli.FAMILY_FLAGS) == params

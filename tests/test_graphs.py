@@ -377,6 +377,22 @@ def test_triple_deletion_on_theta_base():
     assert verify_triple_deletion(base, triple)
 
 
+def test_theta_deletion_instance_removes_the_hub_edges_of_the_b_and_c_paths():
+    # every triple with c >= 2 and n <= 12
+    triples = [t for n in range(5, 13) for t in theta_triples(n, min_c=2)]
+    assert len(triples) > 20
+    for a, b, c in triples:
+        theta = build_theta(a, b, c)
+        base, (t1, t2, t3) = theta_deletion_instance(a, b, c)
+        # the removed edges join hub 0 to the other two triple vertices
+        removed = {(t3, t1), (t3, t2)}
+        assert t3 == 0 and not removed & set(base.edges)
+        assert set(base.edges) | removed == set(theta.edges), (a, b, c)
+        assert base.vertex_count == theta.vertex_count
+        for u, v in ((t1, t2), (t1, t3), (t2, t3)):
+            assert not base.has_edge(u, v), (a, b, c)
+
+
 def test_triple_deletion_makes_six_oracle_calls(monkeypatch):
     import csfkit.graphs as graphs
 

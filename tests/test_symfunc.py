@@ -158,6 +158,17 @@ def test_json_round_trip_preserves_exact_coefficients():
     assert again.equals(vec) and again.basis is vec.basis
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(tuple(Basis)), st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.sampled_from(list(partitions_of(n))),
+                                st.fractions(max_denominator=50), max_size=6))))
+def test_json_round_trip_keeps_every_vector(basis, degree_terms):
+    vec = BasisVector(basis, *degree_terms)
+    again = BasisVector.from_json(vec.to_json())
+    assert again.equals(vec) and again.basis is vec.basis and again.degree == vec.degree
+    assert again.to_json() == vec.to_json()
+
+
 def test_terms_are_read_only():
     vec = BasisVector(Basis.E, 9, {(5, 2, 2): -3, (9,): Fraction(7, 2)})
     with pytest.raises(TypeError):
