@@ -40,9 +40,9 @@ from .graphs import (
     build_family_graph,
     expansion_closed_form,
     family_degree,
-    csf_pbasis,
+    _pbasis_codes,
 )
-from .symfunc import first_difference, pvector_to_e
+from .symfunc import Basis, _convert, first_difference
 from .verify import MAX_INSTANCE_COUNT, SUITES, _check_budget, run_suite
 
 DEFAULT_MAX_N = 20
@@ -110,7 +110,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     params, n = _family_instance(args)
     # the oracle's edge guard fires before any closed form is built
-    oracle = pvector_to_e(csf_pbasis(build_family_graph(args.family, **params)))
+    graph = build_family_graph(args.family, **params)
+    oracle = _convert(_pbasis_codes(graph), graph.vertex_count, Basis.E)
     # check every displayed form of the family's closed formula, in the e-basis
     forms = FAMILY_TABLE[args.family].forms
     for label in forms:

@@ -361,6 +361,7 @@ def coeff_D(I: Composition, a: int, b: int) -> int:
     no term, so D_I is computed as ``coeff_c(I, a, b, 2)``.
     """
     _check_clock(a, b)
+    _check_modulus(I, a, b)
     return _coeff(I, a, b, 2, False)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .compositions import Composition, Partition, _theta_plus, weight_positive_compositions
 from .coefficients import _c_parts, _check_clock, _check_theta, _solve_psqt_parts
 from .errors import ResourceLimitError
-from .symfunc import Basis, BasisVector
+from .symfunc import Basis, BasisVector, _pack, _unpack, _width
 
 # Hard API bound on oracle size: each extra edge doubles the subset count,
 # which also bounds the number of frontier states.
@@ -182,69 +182,66 @@ def _check_edges(graph: Graph, max_edges: int) -> None:
         )
 
 
-def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
-    """Chromatic symmetric function in the power-sum basis.
+def _frontier_move(labels: tuple, grown: int, pu: int, pv: int, leaving: set) -> tuple:
+    # What one edge does to a frontier state, which depends only on the
+    # state's labels: () when both ends share a component (the two signs
+    # cancel), else (lu, lv, keep, join).  keep is the branch without the
+    # edge and join the branch with it, each as (the new labels, the old
+    # labels in new label order, the old labels whose components close).
+    count = max(labels, default=-1) + 1
+    labels += tuple(range(count, count + grown))
+    lu, lv = labels[pu], labels[pv]
+    if lu == lv:
+        return ()
+    move = [lu, lv]
+    for labs in (labels, tuple(lu if x == lv else x for x in labels)):
+        kept = [x for p, x in enumerate(labs) if p not in leaving]
+        closing = tuple({labs[p] for p in leaving}.difference(kept))
+        order = tuple(dict.fromkeys(kept))
+        relabel = {x: j for j, x in enumerate(order)}
+        move.append((tuple(relabel[x] for x in kept), order, closing))
+    return tuple(move)
 
-    Evaluates the sum of (-1)^|S| p_{lambda(S)} over all edge subsets S,
-    where lambda(S) is the partition of connected-component sizes of
-    (V, S), as a frontier (transfer-matrix) dynamic program over the edges.
-    The oracle picks the edge order itself from a greedy vertex order (see
-    :func:`_frontier_order`); the sum does not depend on it, but the number
-    of states does.  A vertex is active from its first edge to its last.
-    A state holds the component labels of the active vertices, relabelled
-    in order of first appearance, the sizes of the open components, and the
-    multiset of closed component sizes; it maps to a signed count.  A
-    component closes when its last active vertex has seen its last edge;
-    isolated vertices seed closed parts of size 1.  An edge inside one
-    component adds the same partition with both signs, so such states drop
-    out.
 
-    The frontier never holds more states than there are subsets, so
-    ``max_edges`` still bounds the cost.  :func:`csf_pbasis_subsets` keeps
-    the plain subset sum as an independent cross-check.
-    """
+def _pbasis_codes(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> Dict[int, int]:
+    """:func:`csf_pbasis` as {partition code: count}, in the codes of
+    :mod:`csfkit.symfunc` at width ``_width(n)``."""
     _check_edges(graph, max_edges)
     n = graph.vertex_count
     edges = _frontier_order(graph)
     last: Dict[int, int] = {}
     for i, (u, v) in enumerate(edges):
         last[u] = last[v] = i
-    # the closed multiset is one int: the count of parts of size s sits in
-    # the bits [width * (s - 1), width * s)
-    width = n.bit_length()
+    width = _width(n)
+    # unit[s] is the code of one part of size s
+    unit = [0] + [_pack((s,), width) for s in range(1, n + 1)]
     active: List[int] = []
     # (labels of the active vertices, sizes by label) -> {closed code -> count}
-    states: Dict[tuple, Dict[int, int]] = {((), ()): {n - len(last): 1}}
+    states: Dict[tuple, Dict[int, int]] = {((), ()): {_pack((1,) * (n - len(last)), width): 1}}
     for i, (u, v) in enumerate(edges):
         grow = tuple(w for w in (u, v) if w not in active)
         active += grow
         pu, pv = active.index(u), active.index(v)
         leaving = {p for p, w in enumerate(active) if last[w] == i}
+        ones = (1,) * len(grow)
+        moves: Dict[tuple, tuple] = {}
         nxt: Dict[tuple, Dict[int, int]] = {}
         for (labels, sizes), closed in states.items():
-            if grow:
-                labels += tuple(range(len(sizes), len(sizes) + len(grow)))
-                sizes += (1,) * len(grow)
-            lu, lv = labels[pu], labels[pv]
-            if lu == lv:
+            move = moves.get(labels)
+            if move is None:
+                move = moves[labels] = _frontier_move(labels, len(grow), pu, pv, leaving)
+            if not move:
                 continue
+            lu, lv, keep, join = move
+            if ones:
+                sizes += ones
             joined = list(sizes)
-            joined[lu] += joined[lv]
-            for sign, labs, sizs in (
-                (1, labels, sizes),
-                (-1, tuple(lu if x == lv else x for x in labels), joined),
-            ):
+            joined[lu] += sizes[lv]
+            for sign, src, (labs, order, closing) in ((1, sizes, keep), (-1, joined, join)):
+                key = (labs, tuple(map(src.__getitem__, order)))
                 add = 0
-                if leaving:
-                    kept = [x for p, x in enumerate(labs) if p not in leaving]
-                    for x in {labs[p] for p in leaving}.difference(kept):
-                        add += 1 << (width * (sizs[x] - 1))
-                    labs = kept
-                relabel: Dict[int, int] = {}
-                for x in labs:
-                    if x not in relabel:
-                        relabel[x] = len(relabel)
-                key = (tuple(relabel[x] for x in labs), tuple(sizs[x] for x in relabel))
+                for x in closing:
+                    add += unit[src[x]]
                 target = nxt.get(key)
                 if target is None:
                     if sign > 0 and not add:
@@ -260,15 +257,38 @@ def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
                         target[c] = target.get(c, 0) + sign * k
         states = nxt
         active = [w for p, w in enumerate(active) if p not in leaving]
-    mask = (1 << width) - 1
-    terms: Dict[tuple, int] = {}
-    for closed in states.values():
-        for code, count in closed.items():
-            parts: List[int] = []
-            for s in range(n, 0, -1):
-                parts += [s] * ((code >> (width * (s - 1))) & mask)
-            terms[tuple(parts)] = count
-    return BasisVector(Basis.P, n, terms)
+    # every vertex has left the frontier: one state remains
+    (closed,) = states.values()
+    return {code: count for code, count in closed.items() if count}
+
+
+def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
+    """Chromatic symmetric function in the power-sum basis.
+
+    Evaluates the sum of (-1)^|S| p_{lambda(S)} over all edge subsets S,
+    where lambda(S) is the partition of connected-component sizes of
+    (V, S), as a frontier (transfer-matrix) dynamic program over the edges.
+    The oracle picks the edge order itself from a greedy vertex order (see
+    :func:`_frontier_order`); the sum does not depend on it, but the number
+    of states does.  A vertex is active from its first edge to its last.
+    A state holds the component labels of the active vertices, relabelled
+    in order of first appearance, the sizes of the open components, and the
+    multiset of closed component sizes as one partition code (see
+    :mod:`csfkit.symfunc`); it maps to a signed count.  A component closes
+    when its last active vertex has seen its last edge; isolated vertices
+    seed closed parts of size 1.  An edge inside one component adds the
+    same partition with both signs, so such states drop out.  What an edge
+    does to a state depends only on its labels, so it is worked out once
+    per edge and distinct labels tuple (:func:`_frontier_move`).
+
+    The frontier never holds more states than there are subsets, so
+    ``max_edges`` still bounds the cost.  :func:`csf_pbasis_subsets` keeps
+    the plain subset sum on partition tuples as an independent cross-check.
+    """
+    width = _width(graph.vertex_count)
+    return BasisVector(Basis.P, graph.vertex_count, {
+        _unpack(code, width): count for code, count in _pbasis_codes(graph, max_edges).items()
+    })
 
 
 def csf_pbasis_subsets(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
@@ -518,7 +538,9 @@ def verify_triple_deletion(graph: Graph, triple: Tuple[int, int, int]) -> bool:
         X(G_12)  = X(G_1)  + X(G_23) - X(G_3)
         X(G_123) = X(G_13) + X(G_23) - X(G_3)
 
-    computed exactly via the oracle.  Returns True when both hold.
+    computed exactly via the oracle, as signed sums of its partition codes
+    (one width, since the six graphs share the vertex count).  Returns True
+    when both hold.
     """
     t1, t2, t3 = triple
     if len({t1, t2, t3}) != 3:
@@ -533,14 +555,24 @@ def verify_triple_deletion(graph: Graph, triple: Tuple[int, int, int]) -> bool:
             )
     optional = {1: (t2, t3), 2: (t1, t3), 3: (t1, t2)}
 
-    def X(*labels: int) -> BasisVector:
-        return csf_pbasis(graph.with_edges([optional[j] for j in labels]))
+    def X(*labels: int) -> Dict[int, int]:
+        return _pbasis_codes(graph.with_edges([optional[j] for j in labels]))
 
     # six distinct graphs; X(2,3) and X(3) appear in both identities
-    x23_minus_x3 = X(2, 3).subtract(X(3))
-    first = X(1, 2).equals(X(1).add(x23_minus_x3))
-    second = X(1, 2, 3).equals(X(1, 3).add(x23_minus_x3))
+    x23, x3 = X(2, 3), X(3)
+    first = not _signed_code_sum((1, X(1, 2)), (-1, X(1)), (-1, x23), (1, x3))
+    second = not _signed_code_sum((1, X(1, 2, 3)), (-1, X(1, 3)), (-1, x23), (1, x3))
     return first and second
+
+
+def _signed_code_sum(*terms: Tuple[int, Dict[int, int]]) -> Dict[int, int]:
+    # sum of sign * codes over (sign, codes) pairs of one width, without
+    # zero counts: empty exactly when the signed sum of the vectors is 0
+    acc: Dict[int, int] = {}
+    for sign, codes in terms:
+        for code, count in codes.items():
+            acc[code] = acc.get(code, 0) + sign * count
+    return {code: count for code, count in acc.items() if count}
 
 
 @dataclass(frozen=True)

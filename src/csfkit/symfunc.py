@@ -6,7 +6,9 @@ identities every p_lambda has integer e-coefficients, so
 :func:`pvector_to_e` maps the oracle's vector over with integers only.  The
 e -> p direction (:func:`e_partition_to_p`, :func:`evector_to_p`) stays as
 the independent route; its coefficients are exact rationals because the
-images of e_n acquire denominators up to n!.
+images of e_n acquire denominators up to n!.  Both directions share one
+grouped conversion on packed partition codes and differ only in the image
+of a one-part basis element.
 """
 
 from __future__ import annotations
@@ -167,30 +169,117 @@ class BasisVector:
         return cls.from_json_dict(json.loads(text))
 
 
+# Partition codes.  A partition of degree at most n packs into one int with
+# width = n.bit_length() bits per part size: the multiplicity of the part s
+# sits in the bits [width * (s - 1), width * s).  A multiplicity is at most
+# n < 2^width, so the product of two partitions of total degree at most n,
+# the multiset union of their parts, is the sum of their codes.
+
+
+def _width(n: int) -> int:
+    return n.bit_length()
+
+
+def _pack(parts, width: int) -> int:
+    code = 0
+    for part in parts:
+        code += 1 << (width * (part - 1))
+    return code
+
+
+def _unpack(code: int, width: int) -> tuple:
+    # the parts in decreasing order
+    mask = (1 << width) - 1
+    parts: list = []
+    part = 0
+    while code:
+        part += 1
+        parts += [part] * (code & mask)
+        code >>= width
+    return tuple(reversed(parts))
+
+
 def _multiply_into(acc: Dict, left: Dict, right: Dict) -> Dict:
-    # add left * right to acc, in a basis where the index partitions of a
-    # product are the multiset union of the factors' (p and e alike)
+    # add left * right to acc over codes of one width, in a basis where the
+    # index partition of a product is the multiset union of the factors'
+    # (p and e alike)
+    get = acc.get
     for mu, c1 in left.items():
         for nu, c2 in right.items():
-            key = tuple(sorted(mu + nu, reverse=True))
-            acc[key] = acc.get(key, 0) + c1 * c2
+            key = mu + nu
+            acc[key] = get(key, 0) + c1 * c2
     return acc
 
 
 @lru_cache(maxsize=None)
-def _e_to_p_terms(n: int) -> Dict[tuple, Fraction]:
-    """Power-sum image of a single e_n via the classical recursion
-    n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i.
+def _e_to_p_terms(n: int, width: int) -> Dict[int, Fraction]:
+    """Power-sum image of a single e_n, keyed by codes of the given width,
+    via the classical recursion n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i.
 
-    Cached per degree; recomputation is idempotent so concurrent readers
-    are safe.
+    Cached per degree and width; recomputation is idempotent so concurrent
+    readers are safe.
     """
     if n == 0:
-        return {(): Fraction(1)}
-    acc: Dict[tuple, Fraction] = {}
+        return {0: Fraction(1)}
+    acc: Dict[int, Fraction] = {}
     for i in range(1, n + 1):
-        _multiply_into(acc, _e_to_p_terms(n - i), {(i,): Fraction(1 if i % 2 else -1, n)})
+        _multiply_into(acc, _e_to_p_terms(n - i, width),
+                       {_pack((i,), width): Fraction(1 if i % 2 else -1, n)})
     return {key: coef for key, coef in acc.items() if coef}
+
+
+@lru_cache(maxsize=None)
+def _p_to_e_terms(k: int, width: int) -> Dict[int, int]:
+    """e-basis image of a single p_k, keyed by codes of the given width, by
+    Newton's identity p_k = sum_{i=1..k-1} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k.
+
+    Cached per k and width; recomputation is idempotent so concurrent
+    readers are safe.
+    """
+    acc: Dict[int, int] = {_pack((k,), width): k if k % 2 else -k}
+    for i in range(1, k):
+        _multiply_into(acc, _p_to_e_terms(k - i, width), {_pack((i,), width): 1 if i % 2 else -1})
+    return {key: coef for key, coef in acc.items() if coef}
+
+
+def _change_basis(terms: Dict[int, object], width: int, image) -> Dict[int, object]:
+    # Map terms over codes to the other multiplicative basis, where
+    # image(k, width) is the image of its single basis element of index k.
+    # b_lambda = b_k^m b_rest with k the largest part of lambda and m its
+    # multiplicity: group the terms by (k, m), convert each group's rests,
+    # then multiply by the image of b_k m times.  The recursion depth is the
+    # number of distinct parts.
+    acc: Dict[int, object] = {}
+    groups: Dict[tuple, Dict[int, object]] = {}
+    for code, coef in terms.items():
+        if not code:
+            acc[0] = coef  # the empty partition: 1 in both bases
+            continue
+        k = -(-code.bit_length() // width)
+        top = width * (k - 1)
+        m = code >> top
+        groups.setdefault((k, m), {})[code - (m << top)] = coef
+    for (k, m), rests in groups.items():
+        product = _change_basis(rests, width, image)
+        factor = image(k, width)
+        for _ in range(m - 1):
+            product = _multiply_into({}, product, factor)
+        _multiply_into(acc, product, factor)
+    return {key: coef for key, coef in acc.items() if coef}
+
+
+def _vector_codes(vector: BasisVector) -> Dict[int, Fraction]:
+    width = _width(vector.degree)
+    return {_pack(lam, width): coef for lam, coef in vector.terms.items()}
+
+
+def _convert(codes: Dict[int, object], n: int, target: Basis) -> BasisVector:
+    """The vector of degree n in the basis ``target`` whose coefficients in
+    the other basis are ``codes``, keyed by codes of width ``_width(n)``."""
+    width = _width(n)
+    image = _p_to_e_terms if target is Basis.E else _e_to_p_terms
+    terms = _change_basis(codes, width, image)
+    return BasisVector(target, n, {_unpack(code, width): coef for code, coef in terms.items()})
 
 
 def e_partition_to_p(lam) -> BasisVector:
@@ -202,76 +291,32 @@ def e_partition_to_p(lam) -> BasisVector:
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if not lam:
         raise ValueError("empty partition has no basis element")
-    terms: Dict[tuple, Fraction] = {(): Fraction(1)}
-    for part in lam:
-        terms = _multiply_into({}, terms, _e_to_p_terms(part))
-    return BasisVector(
-        Basis.P, lam.modulus, {Partition(key): coef for key, coef in terms.items()}
-    )
+    return evector_to_p(BasisVector(Basis.E, lam.modulus, {lam: 1}))
 
 
 def evector_to_p(vector: BasisVector) -> BasisVector:
     """Linear extension of :func:`e_partition_to_p` to e-basis vectors."""
     if vector.basis is not Basis.E:
         raise ValueError(f"expected an e-basis vector, got basis {vector.basis.value}")
-    result = BasisVector(Basis.P, vector.degree)
-    for lam, coef in vector.terms.items():
-        result = result.add(e_partition_to_p(lam).scale(coef))
-    return result
-
-
-@lru_cache(maxsize=None)
-def _p_to_e_terms(k: int) -> Dict[tuple, int]:
-    """e-basis image of a single p_k by Newton's identity
-    p_k = sum_{i=1..k-1} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k.
-
-    Cached per k; recomputation is idempotent so concurrent readers are
-    safe.
-    """
-    if k == 0:
-        return {(): 1}
-    acc: Dict[tuple, int] = {(k,): k if k % 2 else -k}
-    for i in range(1, k):
-        _multiply_into(acc, _p_to_e_terms(k - i), {(i,): 1 if i % 2 else -1})
-    return {key: coef for key, coef in acc.items() if coef}
-
-
-def _p_terms_to_e(terms: Dict[tuple, int]) -> Dict[tuple, int]:
-    # p_lambda = p_k^m p_rest with k the largest part of lambda and m its
-    # multiplicity: group the terms by (k, m), convert each group's rests,
-    # then multiply by the image of p_k m times.  The recursion depth is the
-    # number of distinct parts; the empty partition forms the group m = 0.
-    groups: Dict[tuple, Dict[tuple, int]] = {}
-    for lam, coef in terms.items():
-        k = lam[0] if lam else 0
-        m = lam.count(k)
-        groups.setdefault((k, m), {})[lam[m:]] = coef
-    acc: Dict[tuple, int] = {}
-    for (k, m), rests in groups.items():
-        image = _p_terms_to_e(rests) if m else rests
-        factor = _p_to_e_terms(k)
-        for _ in range(m):
-            image = _multiply_into({}, image, factor)
-        for key, coef in image.items():
-            acc[key] = acc.get(key, 0) + coef
-    return {key: coef for key, coef in acc.items() if coef}
+    return _convert(_vector_codes(vector), vector.degree, Basis.P)
 
 
 def pvector_to_e(vector: BasisVector) -> BasisVector:
     """e-basis expansion of a p-basis vector.
 
     The images of the p_k come from Newton's identities and each p_lambda
-    factors through its largest part, all in integers.  Rational
-    coefficients are scaled to integers first and the result scaled back.
+    factors through its largest part, all in integers on partition codes.
+    Rational coefficients are scaled to integers first and the result
+    scaled back.
     """
     if vector.basis is not Basis.P:
         raise ValueError(f"expected a p-basis vector, got basis {vector.basis.value}")
     scale = lcm(*(coef.denominator for coef in vector.terms.values()))
-    terms = {
-        tuple(lam): coef.numerator * (scale // coef.denominator)
-        for lam, coef in vector.terms.items()
+    codes = {
+        code: coef.numerator * (scale // coef.denominator)
+        for code, coef in _vector_codes(vector).items()
     }
-    result = BasisVector(Basis.E, vector.degree, _p_terms_to_e(terms))
+    result = _convert(codes, vector.degree, Basis.E)
     return result if scale == 1 else result.scale(Fraction(1, scale))
 
 

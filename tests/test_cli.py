@@ -119,7 +119,7 @@ def test_oracle_check_edge_guard_fires_before_the_oracle_runs(capsys, monkeypatc
 
     monkeypatch.setattr(graphs, "csf_pbasis_subsets", forbidden)
     monkeypatch.setattr(cli, "expansion_closed_form", forbidden)
-    monkeypatch.setattr(cli, "pvector_to_e", forbidden)
+    monkeypatch.setattr(cli, "_convert", forbidden)
     monkeypatch.setenv("CSFKIT_MAX_N", "30")
     # theta(11, 10, 10) has n = 30 and 31 edges, one over the oracle's cap
     code, out, err = run(capsys, "oracle-check", "--family", "theta",

@@ -367,6 +367,17 @@ def test_coeff_D_parameter_errors():
         coeff_D(C((5,)), 3, 2)
 
 
+def test_one_clock_instance_has_one_modulus_message():
+    # (7, 2, 2) has modulus 11, not a+b+1 = 12 for the clock (6, 5)
+    I = C((7, 2, 2))
+    messages = []
+    for fn in (coeff_D, coeff_c_doubleprime, fiber):
+        with pytest.raises(ValueError) as info:
+            fn(I, 6, 5)
+        messages.append(str(info.value))
+    assert messages == [f"composition {I} has modulus 11, expected a+b+1 = 12"] * 3
+
+
 def test_coeff_D_closed_form_on_low_class():
     for n in range(5, 12):
         for a, b in clock_pairs(n):

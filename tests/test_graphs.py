@@ -27,13 +27,14 @@ from csfkit.graphs import (
     csf_pbasis,
     csf_pbasis_subsets,
     _frontier_order,
+    _pbasis_codes,
     e_positivity_report,
     expansion_closed_form,
     family_degree,
     verify_triple_deletion,
 )
-from csfkit.symfunc import evector_to_p
-from csfkit.verify import theta_deletion_instance, theta_triples
+from csfkit.symfunc import Basis, BasisVector, _pack, _width, evector_to_p, pvector_to_e
+from csfkit.verify import run_triple_deletion, theta_deletion_instance, theta_triples
 
 
 def degrees(graph):
@@ -267,7 +268,21 @@ def test_both_oracles_agree_on_paths_cycles_and_thetas():
     graphs += [build_tadpole(a, l) for a in range(3, 13) for l in range(1, 13 - a)]
     graphs += [build_cycle_chord(a, b) for a in range(2, 11) for b in range(2, 13 - a)]
     for graph in graphs:
+        vector = csf_pbasis(graph)
+        assert vector.equals(csf_pbasis_subsets(graph)), graph
+        # the integer p -> e route and the rational e -> p route are inverse
+        assert evector_to_p(pvector_to_e(vector)) == vector, graph
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16])
+def test_oracle_at_the_code_width_boundary(n):
+    # the multiplicity n of p_1^n is the largest value its field holds at
+    # n = 7 and 15; n = 8 and 16 each start a wider field
+    for graph in (Graph(n, []), build_path(n)):
         assert csf_pbasis(graph).equals(csf_pbasis_subsets(graph)), graph
+    assert csf_pbasis(Graph(n, [])).terms == {Partition((1,) * n): 1}
+    p1n = BasisVector(Basis.P, n, {(1,) * n: 1})
+    assert pvector_to_e(p1n).terms == {Partition((1,) * n): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +415,34 @@ def test_triple_deletion_makes_six_oracle_calls(monkeypatch):
 
     def counting(graph):
         calls.append(graph)
-        return csf_pbasis(graph)
+        return _pbasis_codes(graph)
 
-    monkeypatch.setattr(graphs, "csf_pbasis", counting)
+    monkeypatch.setattr(graphs, "_pbasis_codes", counting)
     base, triple = theta_deletion_instance(3, 3, 3)
     assert verify_triple_deletion(base, triple)
     assert len(calls) == 6
     assert len({frozenset(g.edges) for g in calls}) == 6
+
+
+def test_triple_deletion_fails_when_one_oracle_term_is_off(monkeypatch):
+    import csfkit.graphs as graphs
+
+    # the graph with all three optional edges appears in the second identity only
+    base, (t1, t2, t3) = theta_deletion_instance(3, 3, 3)
+    tampered = frozenset(base.with_edges([(t1, t2), (t1, t3), (t2, t3)]).edges)
+
+    def off_by_one_term(graph):
+        codes = _pbasis_codes(graph)
+        if frozenset(graph.edges) == tampered:
+            n = graph.vertex_count
+            code = _pack((n,), _width(n))  # one more p_n
+            codes[code] = codes.get(code, 0) + 1
+        return codes
+
+    monkeypatch.setattr(graphs, "_pbasis_codes", off_by_one_term)
+    assert not verify_triple_deletion(base, (t1, t2, t3))
+    result = run_triple_deletion(count=0, seed=1)
+    assert result.checked == 2 and len(result.violations) == 1, result.violations
 
 
 def test_triple_deletion_on_a_small_handmade_graph():
