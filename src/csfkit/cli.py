@@ -16,8 +16,6 @@ output pipe (``csfkit expand ... | head -1``) exits 1 with nothing on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -33,7 +31,7 @@ from .coefficients import (
     psi,
     solve_psqt,
 )
-from .errors import ResourceLimitError
+from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
 from .graphs import (
     FAMILIES,
     FAMILY_TABLE,
@@ -43,13 +41,18 @@ from .graphs import (
     _pbasis_codes,
 )
 from .symfunc import Basis, _convert, first_difference
-from .verify import MAX_INSTANCE_COUNT, SUITES, _check_budget, run_suite
+
+# csv, json and .verify are imported where they are used: each costs every CLI
+# process start-up time, and only the commands that use it should pay
 
 DEFAULT_MAX_N = 20
 # the integer flags of expand and oracle-check, in --help order
 FAMILY_FLAGS = ("n", "l", "a", "b", "c")
 # the integer flags of verify, in --help order; None means not given
 VERIFY_FLAGS = ("n", "n_max", "a", "b", "a_max", "b_max", "count", "seed", "workers")
+# the suites of verify.SUITE_TABLE, in --help order; only verify loads that module
+SUITES = ("phi-involution", "theta-duality", "lemma-bounds", "fiber", "c-doubleprime",
+          "positivity", "triple-deletion")
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -87,6 +90,8 @@ def _emit_grouped(grouped, fmt: str, out) -> None:
         return
     rows = [(format_parts(lam), str(coef)) for lam, coef in grouped.items_sorted()]
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("partition", "coefficient"))
         writer.writerows(rows)
@@ -132,11 +137,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     flags = {key: getattr(args, key) for key in VERIFY_FLAGS}
     result = run_suite(args.suite, _n_budget(), **flags)
     for note in result.stderr_notes:
         print(f"note: {note}", file=sys.stderr)
     if args.format == "json":
+        import json
+
         payload = {"suite": result.name, "checked": result.checked,
                    "violations": result.violations, "notes": result.notes}
         print(json.dumps(payload, indent=2))

@@ -30,9 +30,8 @@ theta_plus(reversed I, k) = theta_minus(I, n - k), so no reversal is built.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .compositions import Composition, _moduli, _theta_minus, _theta_plus, _weight
 
@@ -50,16 +49,14 @@ class WClass(Enum):
     NOT_W = "not-W"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     wclass: WClass
     # True when the composition has positive weight and a suffix of modulus
     # exactly a (equivalently the reversal has zero overshoot at a).
     in_A: bool
 
 
-@dataclass(frozen=True)
-class PSQTSolution:
+class PSQTSolution(NamedTuple):
     """Solution of the two prefix equations at a common value v = b + 1.
 
     ``p`` and ``q`` are 1-based part indices with

@@ -12,28 +12,23 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import Composition, Partition, _theta_plus, weight_positive_compositions
 from .coefficients import _c_parts, _check_clock, _check_theta, _solve_psqt_parts
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector, _pack, _unpack, _width
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # Hard API bound on oracle size: each extra edge doubles the subset count,
 # which also bounds the number of frontier states.
 MAX_ORACLE_EDGES = 30
 
 
-@dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph on vertices 0 .. vertex_count-1."""
-
-    vertex_count: int
-    edges: Tuple[Tuple[int, int], ...]
-    # lookup index for has_edge; derived from edges, so not part of identity
-    edge_set: frozenset = field(compare=False, repr=False)
+    """An immutable simple undirected graph on vertices 0 .. vertex_count-1."""
 
     def __init__(self, vertex_count: int, edges: Iterable[Tuple[int, int]]):
         if vertex_count < 1:
@@ -53,6 +48,25 @@ class Graph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "edge_set", frozenset(seen))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
+
+    # edge_set, the lookup index of has_edge, is derived from edges, so
+    # repr, == and hash read (vertex_count, edges) only
+    def __repr__(self) -> str:
+        return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -340,7 +354,6 @@ def csf_pbasis_subsets(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> Basis
     return BasisVector(Basis.P, n, acc)
 
 
-@dataclass
 class EExpansion:
     """A composition-indexed expansion sum(coeff_I * w_I * e_I).
 
@@ -348,8 +361,9 @@ class EExpansion:
     compositions whose product contributes nothing are omitted.
     """
 
-    degree: int
-    entries: Dict[Composition, Tuple[int, int]] = field(default_factory=dict)
+    def __init__(self, degree: int, entries: Optional[dict] = None) -> None:
+        self.degree = degree
+        self.entries = {} if entries is None else entries
 
     def add_term(self, I: Composition, coeff: int) -> None:
         if I.modulus != self.degree:
@@ -455,8 +469,7 @@ def closed_form_clock(a: int, b: int) -> EExpansion:
     return closed_form_theta(a, b, 2)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A graph family: its integer parameters in CLI order, its degree
     (sum of the parameters plus ``degree_offset``), its graph builder, and
     its closed forms by display label, the first being the default."""
@@ -575,8 +588,7 @@ def _signed_code_sum(*terms: Tuple[int, Dict[int, int]]) -> Dict[int, int]:
     return {code: count for code, count in acc.items() if count}
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Partition-grouped view of an expansion with its negativity summary."""
 
     degree: int

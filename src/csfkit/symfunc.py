@@ -13,7 +13,6 @@ of a one-part basis element.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -151,6 +150,9 @@ class BasisVector:
         }
 
     def to_json(self, **kwargs) -> str:
+        # imported here: json costs every CLI process start-up time
+        import json
+
         return json.dumps(self.to_json_dict(), **kwargs)
 
     @classmethod
@@ -166,6 +168,8 @@ class BasisVector:
 
     @classmethod
     def from_json(cls, text: str) -> "BasisVector":
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
 

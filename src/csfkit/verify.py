@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coefficients import (
     WClass, _c_doubleprime_parts, _c_parts, _check_clock, _classify_parts, _D_parts,
@@ -40,7 +39,7 @@ from .compositions import (
     _composition_tuples, _moduli, _rho, _theta_minus, _theta_plus, _weight,
     _weight_positive_tuples, format_parts,
 )
-from .errors import ResourceLimitError
+from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
 from .graphs import (
     Graph,
     _pbasis_codes,
@@ -55,18 +54,16 @@ from .graphs import (
 from .symfunc import Basis, BasisVector, first_difference
 
 MAX_REPORTED_VIOLATIONS = 50
-# triple-deletion instances; each costs six oracle calls on up to 14 edges
-MAX_INSTANCE_COUNT = 1000
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checked: int = 0
-    violations: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    # notes on the request, not the result: the CLI prints them on stderr
-    stderr_notes: List[str] = field(default_factory=list)
+    def __init__(self, name: str, checked: int = 0) -> None:
+        self.name = name
+        self.checked = checked
+        self.violations: List[str] = []
+        self.notes: List[str] = []
+        # notes on the request, not the result: the CLI prints them on stderr
+        self.stderr_notes: List[str] = []
 
     @property
     def ok(self) -> bool:
@@ -557,12 +554,6 @@ def _run_tasks(fn, tasks, workers: int):
         yield from map(fn, tasks)
 
 
-def _check_budget(budget: int, *requested: Optional[int]) -> None:
-    top = max((n for n in requested if n is not None), default=0)
-    if top > budget:
-        raise ResourceLimitError(f"requested n {top} exceeds the budget {budget}")
-
-
 def _degrees(budget: int, name: str, n, n_max, default_max: int,
              lo: int = 1, lowest: Optional[int] = None) -> List[int]:
     # [--n], or lo .. --n-max (default_max when not given); a request that
@@ -581,15 +572,17 @@ def _degrees(budget: int, name: str, n, n_max, default_max: int,
 
 
 def _fiber_suite(budget: int, n=None, n_max=None, a=None, b=None) -> SuiteResult:
-    _check_fiber_pair(a, b)
-    if a is None:
+    if a is None or b is None:
+        _check_fiber_pair(a, b)  # refuses half a pair
         return run_fiber(_degrees(budget, "fiber", n, n_max, 10, lo=5))
     size = a + b + 1
+    # the budget before the clock domain, as expand and oracle-check order them
+    _check_budget(budget, n, n_max, size)
+    _check_clock(a, b)
     if n is not None and n != size:
         raise ValueError(f"--n {n} disagrees with a+b+1 = {size} for (a,b)=({a},{b})")
     if n_max is not None and n_max < size:
         raise ValueError(f"--n-max {n_max} is below a+b+1 = {size} for (a,b)=({a},{b})")
-    _check_budget(budget, n, n_max, size)
     return run_fiber([size], a, b)
 
 
@@ -605,8 +598,7 @@ def _c_doubleprime_suite(budget: int, a_max=8, b_max=8, workers=1) -> SuiteResul
     return run_c_doubleprime(a_max, b_max, budget, workers)
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """The ``verify`` flags a suite reads (argparse names) and its runner,
     called as ``run(budget, **given_flags)``, which holds its defaults and checks."""
 

@@ -210,6 +210,13 @@ def test_verify_budget_exceeded(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--suite", "positivity",
                        "--n-max", "12")
     assert code == 3
+    # a double fault, over the budget and outside the clock domain: every
+    # entry point that reads the budget checks it first
+    pair = ("--a", "2", "--b", "30")
+    lines = {run(capsys, *argv) for argv in (("verify", "--suite", "fiber", *pair),
+                                              ("expand", "--family", "clock", *pair),
+                                              ("oracle-check", "--family", "clock", *pair))}
+    assert lines == {(3, "", "resource error: requested n 33 exceeds the budget 10\n")}
 
 
 def test_fibers_known_example(capsys):
@@ -258,12 +265,20 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     from pathlib import Path
 
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = ("import sys, csfkit.cli; print(sorted(m for m in "
-             "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    # a command loads only what it runs: oracle-check needs no sweep module,
+    # no JSON or CSV, and no dataclasses
+    probe = ("import sys, csfkit.cli\n"
+             "unused = ('multiprocessing', 'concurrent.futures.process', 'csfkit.verify',\n"
+             "          'dataclasses', 'json', 'csv')\n"
+             "print(sorted(m for m in unused if m in sys.modules))\n"
+             "csfkit.cli.main(['oracle-check', '--family', 'path', '--n', '5'])\n"
+             "print(sorted(m for m in unused if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    lines = out.splitlines()
+    assert lines[0] == lines[-1] == "[]", out
+    assert lines[1].startswith("OK path (5,)")
 
 
 def test_bad_clock_pair_is_usage_error_before_any_output(capsys):
@@ -354,6 +369,8 @@ def test_suites_are_the_suite_table():
     from csfkit.verify import SUITE_TABLE, SUITES
 
     assert SUITES == tuple(SUITE_TABLE)
+    # the parser's copy, which spares every other command loading verify
+    assert cli.SUITES == SUITES
 
 
 def test_every_verify_flag_is_read_by_a_suite_and_every_runner_takes_its_flags():
@@ -481,6 +498,12 @@ def test_library_suites_fail_a_range_that_checks_nothing():
         assert result.checked == 0 and not result.violations, result.name
         assert not result.ok, result.name
     assert not SuiteResult("empty").ok
+    # each result owns its lists
+    first, second = SuiteResult("x"), SuiteResult("x")
+    first.fail("v")
+    first.notes.append("n")
+    first.stderr_notes.append("s")
+    assert (second.violations, second.notes, second.stderr_notes) == ([], [], [])
     # the smallest ranges the CLI accepts still check something and pass
     nothing_random = run_triple_deletion(count=0, seed=1)
     assert nothing_random.checked == 2 and nothing_random.ok

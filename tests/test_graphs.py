@@ -166,6 +166,20 @@ def test_has_edge_agrees_with_the_edge_tuple():
     assert graph != Graph(3, [(1, 2), (0, 1)])
 
 
+def test_graph_is_immutable_and_each_expansion_owns_its_entries():
+    graph = build_path(3)
+    for attr in ("vertex_count", "edges", "edge_set", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(graph, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(graph, attr)
+    assert graph == build_path(3) and graph.has_edge(1, 2)
+    first, second = EExpansion(3), EExpansion(3)
+    first.add_term(Composition((3,)), 2)
+    assert first.entries is not second.entries
+    assert second.entries == {}
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
