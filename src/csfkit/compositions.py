@@ -122,10 +122,6 @@ class Composition:
     def modulus(self) -> int:
         return self.prefix_moduli[-1]
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
 

@@ -12,15 +12,12 @@ package.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import Composition, Partition, _theta_plus, weight_positive_compositions
 from .coefficients import _c_parts, _check_clock, _check_theta, _solve_psqt_parts
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector, _pack, _unpack, _width
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Hard API bound on oracle size: each extra edge doubles the subset count,
 # which also bounds the number of frontier states.
@@ -90,14 +87,14 @@ class Graph:
 def build_path(n: int) -> Graph:
     """Path on n vertices."""
     if n < 1:
-        raise ValueError(f"path needs n >= 1 vertices, got {n}")
+        raise ValueError(f"path needs n >= 1, got {n}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def build_cycle(n: int) -> Graph:
     """Cycle on n vertices: the tadpole with an empty tail."""
     if n < 3:
-        raise ValueError(f"cycle needs n >= 3 vertices, got {n}")
+        raise ValueError(f"cycle needs n >= 3, got {n}")
     return build_tadpole(n, 0)
 
 
@@ -361,9 +358,9 @@ class EExpansion:
     compositions whose product contributes nothing are omitted.
     """
 
-    def __init__(self, degree: int, entries: Optional[dict] = None) -> None:
+    def __init__(self, degree: int) -> None:
         self.degree = degree
-        self.entries = {} if entries is None else entries
+        self.entries: Dict[Composition, Tuple[int, int]] = {}
 
     def add_term(self, I: Composition, coeff: int) -> None:
         if I.modulus != self.degree:
@@ -393,14 +390,14 @@ def _assemble(n: int, coeff_fn) -> EExpansion:
 def closed_form_path(n: int) -> EExpansion:
     """Every positive-weight composition contributes with coefficient 1."""
     if n < 1:
-        raise ValueError(f"path expansion needs n >= 1, got {n}")
+        raise ValueError(f"path needs n >= 1, got {n}")
     return _assemble(n, lambda parts, moduli: 1)
 
 
 def closed_form_cycle(n: int) -> EExpansion:
     """Coefficient i_1 - 1: the tadpole expansion with an empty tail."""
     if n < 3:
-        raise ValueError(f"cycle expansion needs n >= 3, got {n}")
+        raise ValueError(f"cycle needs n >= 3, got {n}")
     return closed_form_tadpole(n, 0)
 
 
@@ -434,7 +431,7 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
     sum_{i=1..b} theta_plus(I, i) - sum_{i=1..b-1} theta_minus(reversed I, i).
     """
     if a < 2 or b < 2:
-        raise ValueError(f"cycle-chord expansion needs a, b >= 2, got {(a, b)}")
+        raise ValueError(f"cycle-chord needs a, b >= 2, got {(a, b)}")
     n = a + b
     if form == "delta":
         return _assemble(n, _theta_coeff(a, b, 1, False))
@@ -592,8 +589,8 @@ class PositivityReport(NamedTuple):
     """Partition-grouped view of an expansion with its negativity summary."""
 
     degree: int
-    coefficients: Dict[Partition, Fraction]
-    minimum: Optional[Fraction]
+    coefficients: Dict[Partition, int]
+    minimum: Optional[int]
     negative_partitions: Tuple[Partition, ...]
 
     @property

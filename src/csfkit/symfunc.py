@@ -1,14 +1,15 @@
 """Exact symmetric-function vectors in the elementary and power-sum bases.
 
 Closed-form expansions arrive in the e-basis and the graph oracle produces
-the p-basis natively.  Equality is decided in the e-basis: by Newton's
-identities every p_lambda has integer e-coefficients, so
-:func:`pvector_to_e` maps the oracle's vector over with integers only.  The
-e -> p direction (:func:`e_partition_to_p`, :func:`evector_to_p`) stays as
-the independent route; its coefficients are exact rationals because the
-images of e_n acquire denominators up to n!.  Both directions share one
-grouped conversion on packed partition codes and differ only in the image
-of a one-part basis element.
+the p-basis natively.  Coefficients are ``int`` wherever they are integers.
+Equality is decided in the e-basis: by Newton's identities every p_lambda
+has integer e-coefficients, so :func:`pvector_to_e` maps the oracle's
+vector over with integers only.  The e -> p direction
+(:func:`e_partition_to_p`, :func:`evector_to_p`) stays as the independent
+route; its coefficients are exact ``Fraction`` values because the images of
+e_n acquire denominators up to n!.  Both directions share one grouped
+conversion on packed partition codes and differ only in the image of a
+one-part basis element.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -32,8 +33,9 @@ class BasisVector:
     """A homogeneous symmetric function stored as partition -> coefficient.
 
     Invariants: every stored partition has modulus equal to the degree, no
-    zero coefficients are stored, and coefficients are exact ``Fraction``
-    values.  ``terms`` is a read-only mapping and no field can be rebound.
+    zero coefficients are stored, and a coefficient is an ``int`` when it is
+    integral and a ``Fraction`` only when its denominator is not 1.
+    ``terms`` is a read-only mapping and no field can be rebound.
     """
 
     __slots__ = ("basis", "degree", "terms")
@@ -41,7 +43,7 @@ class BasisVector:
     def __init__(self, basis: Basis, degree: int, terms: Optional[Dict] = None):
         if degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
-        clean: Dict[Partition, Fraction] = {}
+        clean: Dict[Partition, object] = {}
         for key, value in (terms or {}).items():
             lam = key if isinstance(key, Partition) else Partition(key)
             if lam.modulus != degree:
@@ -49,9 +51,9 @@ class BasisVector:
                     f"partition {list(lam)} has modulus {lam.modulus}, "
                     f"expected degree {degree}"
                 )
-            coef = Fraction(value)
+            coef = value if type(value) is int else Fraction(value)
             if coef:
-                clean[lam] = coef
+                clean[lam] = coef.numerator if coef.denominator == 1 else coef
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", MappingProxyType(clean))
@@ -77,10 +79,10 @@ class BasisVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, lam) -> Fraction:
-        return self.terms.get(Partition(lam), Fraction(0))
+    def coefficient(self, lam):
+        return self.terms.get(Partition(lam), 0)
 
-    def items_sorted(self) -> Iterator[Tuple[Partition, Fraction]]:
+    def items_sorted(self) -> Iterator[Tuple[Partition, object]]:
         """Terms in reverse-lexicographic partition order (deterministic)."""
         for lam in sorted(self.terms, reverse=True):
             yield lam, self.terms[lam]
@@ -97,7 +99,7 @@ class BasisVector:
         self._check_compatible(other)
         merged = self.terms.copy()
         for lam, coef in other.terms.items():
-            merged[lam] = merged.get(lam, Fraction(0)) + coef
+            merged[lam] = merged.get(lam, 0) + coef
         return BasisVector(self.basis, self.degree, merged)
 
     def scale(self, factor) -> "BasisVector":
@@ -116,7 +118,7 @@ class BasisVector:
         self._check_compatible(other)
         return self.terms == other.terms
 
-    def evaluate_ones(self, k: int) -> Fraction:
+    def evaluate_ones(self, k: int):
         """Evaluate at x_1 = ... = x_k = 1 and all other variables 0.
 
         In the e-basis each e_m contributes C(k, m); in the p-basis each
@@ -124,7 +126,7 @@ class BasisVector:
         """
         if k < 0:
             raise ValueError(f"variable count must be nonnegative, got {k}")
-        total = Fraction(0)
+        total = 0
         for lam, coef in self.terms.items():
             if self.basis is Basis.E:
                 value = 1
@@ -272,7 +274,7 @@ def _change_basis(terms: Dict[int, object], width: int, image) -> Dict[int, obje
     return {key: coef for key, coef in acc.items() if coef}
 
 
-def _vector_codes(vector: BasisVector) -> Dict[int, Fraction]:
+def _vector_codes(vector: BasisVector) -> Dict[int, object]:
     width = _width(vector.degree)
     return {_pack(lam, width): coef for lam, coef in vector.terms.items()}
 
@@ -309,30 +311,21 @@ def pvector_to_e(vector: BasisVector) -> BasisVector:
     """e-basis expansion of a p-basis vector.
 
     The images of the p_k come from Newton's identities and each p_lambda
-    factors through its largest part, all in integers on partition codes.
-    Rational coefficients are scaled to integers first and the result
-    scaled back.
+    factors through its largest part, on partition codes: an integer
+    vector maps over in integers only.
     """
     if vector.basis is not Basis.P:
         raise ValueError(f"expected a p-basis vector, got basis {vector.basis.value}")
-    scale = lcm(*(coef.denominator for coef in vector.terms.values()))
-    codes = {
-        code: coef.numerator * (scale // coef.denominator)
-        for code, coef in _vector_codes(vector).items()
-    }
-    result = _convert(codes, vector.degree, Basis.E)
-    return result if scale == 1 else result.scale(Fraction(1, scale))
+    return _convert(_vector_codes(vector), vector.degree, Basis.E)
 
 
-def first_difference(
-    v: BasisVector, w: BasisVector
-) -> Optional[Tuple[Partition, Fraction, Fraction]]:
+def first_difference(v: BasisVector, w: BasisVector) -> Optional[Tuple[Partition, object, object]]:
     """First partition (reverse-lexicographically) where two vectors differ,
     with both coefficients; None when the vectors are equal."""
     v._check_compatible(w)
     for lam in sorted(set(v.terms) | set(w.terms), reverse=True):
-        cv = v.terms.get(lam, Fraction(0))
-        cw = w.terms.get(lam, Fraction(0))
+        cv = v.terms.get(lam, 0)
+        cw = w.terms.get(lam, 0)
         if cv != cw:
             return lam, cv, cw
     return None

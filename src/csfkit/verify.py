@@ -57,9 +57,9 @@ MAX_REPORTED_VIOLATIONS = 50
 
 
 class SuiteResult:
-    def __init__(self, name: str, checked: int = 0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.checked = checked
+        self.checked = 0
         self.violations: List[str] = []
         self.notes: List[str] = []
         # notes on the request, not the result: the CLI prints them on stderr
@@ -462,15 +462,15 @@ def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 # triple-deletion
 
+TRIPLE_MAX_VERTICES = 10
 
-def _random_stable_triple_instance(
-    rng: random.Random, max_vertices: int
-) -> Tuple[Graph, Tuple[int, int, int]]:
+
+def _random_stable_triple_instance(rng: random.Random) -> Tuple[Graph, Tuple[int, int, int]]:
     # each instance costs six oracle calls at base_edges + up to 3 edges;
     # the frontier width of those graphs sets the cost, and at most 11 base
     # edges keep it small
     while True:
-        n = rng.randint(5, max_vertices)
+        n = rng.randint(5, TRIPLE_MAX_VERTICES)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         count = rng.randint(n - 1, min(11, len(pairs)))
         edges = rng.sample(pairs, count)
@@ -505,13 +505,11 @@ def theta_deletion_instance(a: int, b: int, c: int):
     return Graph(theta.vertex_count, base_edges), (c_edge[1], b_edge[1], 0)
 
 
-def run_triple_deletion(
-    count: int, seed: int, max_vertices: int = 10
-) -> SuiteResult:
+def run_triple_deletion(count: int, seed: int) -> SuiteResult:
     result = SuiteResult("triple-deletion")
     rng = random.Random(seed)
     for index in range(count):
-        graph, triple = _random_stable_triple_instance(rng, max_vertices)
+        graph, triple = _random_stable_triple_instance(rng)
         result.checked += 1
         if not verify_triple_deletion(graph, triple):
             result.fail(

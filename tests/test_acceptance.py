@@ -250,14 +250,14 @@ def test_acceptance_structural_suites_n17():
 
 
 def test_acceptance_triple_deletion():
-    result = run_triple_deletion(count=25, seed=2024, max_vertices=10)
+    result = run_triple_deletion(count=25, seed=2024)
     assert result.checked >= 27
     assert result.ok, result.violations[:5]
     _passed("deletion identities on 25 random instances plus the (3,3,3) instance")
 
 
 def test_acceptance_triple_deletion_on_the_held_out_seed():
-    result = run_triple_deletion(count=100, seed=7919, max_vertices=10)
+    result = run_triple_deletion(count=100, seed=7919)
     assert result.checked == 102
     assert result.ok, result.violations[:5]
     _passed("deletion identities on 100 random instances (seed 7919) plus the (3,3,3) instance")

@@ -512,7 +512,9 @@ def test_library_suites_fail_a_range_that_checks_nothing():
 
 def test_each_domain_rule_prints_one_line_at_every_entry_point(capsys):
     from csfkit.coefficients import coeff_c, coeff_D
-    from csfkit.graphs import build_clock, build_theta, closed_form_clock, closed_form_theta
+    from csfkit.graphs import (build_clock, build_cycle, build_cycle_chord, build_path,
+                               build_theta, closed_form_clock, closed_form_cycle,
+                               closed_form_cycle_chord, closed_form_path, closed_form_theta)
 
     def message(fn, *args):
         with pytest.raises(ValueError) as info:
@@ -547,6 +549,21 @@ def test_each_domain_rule_prints_one_line_at_every_entry_point(capsys):
             message(coeff_D, I, a, b)}
         assert message(run_fiber, [a + b + 1], a, b) == message(coeff_D, I, a, b)
         assert "a >= b >= 2" in err
+    for family, flags, builder, closed_form, args, text in (
+        ("path", ("--n", "0"), build_path, closed_form_path, (0,), "path needs n >= 1, got 0"),
+        ("path", ("--n", "-2"), build_path, closed_form_path, (-2,),
+         "path needs n >= 1, got -2"),
+        ("cycle", ("--n", "2"), build_cycle, closed_form_cycle, (2,),
+         "cycle needs n >= 3, got 2"),
+        ("cycle-chord", ("--a", "1", "--b", "3"), build_cycle_chord, closed_form_cycle_chord,
+         (1, 3), "cycle-chord needs a, b >= 2, got (1, 3)"),
+        ("cycle-chord", ("--a", "4", "--b", "1"), build_cycle_chord, closed_form_cycle_chord,
+         (4, 1), "cycle-chord needs a, b >= 2, got (4, 1)"),
+    ):
+        lines = {run(capsys, command, "--family", family, *flags)
+                 for command in ("expand", "oracle-check")}
+        assert lines == {(2, "", f"error: {text}\n")}
+        assert {message(builder, *args), message(closed_form, *args)} == {text}
 
 
 def test_run_fiber_refuses_half_a_pair():

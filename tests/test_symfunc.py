@@ -161,12 +161,39 @@ def test_json_round_trip_preserves_exact_coefficients():
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.sampled_from(tuple(Basis)), st.integers(0, 8).flatmap(lambda n: st.tuples(
     st.just(n), st.dictionaries(st.sampled_from(list(partitions_of(n))),
-                                st.fractions(max_denominator=50), max_size=6))))
+                                st.one_of(st.integers(-10**6, 10**6),
+                                          st.fractions(max_denominator=50)),
+                                max_size=6))))
 def test_json_round_trip_keeps_every_vector(basis, degree_terms):
     vec = BasisVector(basis, *degree_terms)
     again = BasisVector.from_json(vec.to_json())
     assert again.equals(vec) and again.basis is vec.basis and again.degree == vec.degree
     assert again.to_json() == vec.to_json()
+    # a coefficient is stored as int exactly when it is integral
+    for stored in (vec, again):
+        for coef in stored.terms.values():
+            assert (type(coef) is int) == (Fraction(coef).denominator == 1)
+            assert type(coef) in (int, Fraction)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    from csfkit.graphs import build_theta, closed_form_clock, csf_pbasis
+
+    oracle = csf_pbasis(build_theta(3, 3, 3))
+    for vec in (closed_form_clock(6, 4).grouped_by_rho(), oracle, pvector_to_e(oracle)):
+        assert vec.terms and all(type(coef) is int for coef in vec.terms.values())
+    coef = BasisVector(Basis.E, 2, {(2,): Fraction(4, 2)}).coefficient((2,))
+    assert type(coef) is int and coef == 2
+    assert type(BasisVector(Basis.E, 2).coefficient((2,))) is int
+    # the rational e -> p images keep their Fractions
+    assert set(map(type, e_partition_to_p((2,)).terms.values())) == {Fraction}
+
+
+def test_p_to_e_inverts_e_to_p_with_mixed_denominators():
+    vec = BasisVector(Basis.E, 6, {(3, 2, 1): Fraction(1, 7), (6,): -3, (2, 2, 2): Fraction(5, 4)})
+    back = pvector_to_e(evector_to_p(vec))
+    assert back == vec
+    assert type(back.coefficient((6,))) is int and type(back.coefficient((3, 2, 1))) is Fraction
 
 
 def test_terms_are_read_only():
