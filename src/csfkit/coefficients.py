@@ -33,7 +33,7 @@ import bisect
 from enum import Enum
 from typing import List, NamedTuple, Tuple
 
-from .compositions import Composition, _moduli, _theta_minus, _theta_plus, _weight
+from .compositions import Composition, _check_ints, _moduli, _theta_minus, _theta_plus, _weight
 
 
 class WClass(Enum):
@@ -279,11 +279,13 @@ def classify(I: Composition, a: int) -> Classification:
 
 
 def _check_clock(a: int, b: int) -> None:
+    _check_ints("clock parameter", a, b)
     if not (a >= b >= 2):
         raise ValueError(f"clock needs a >= b >= 2, got {(a, b)}")
 
 
 def _check_theta(a: int, b: int, c: int) -> None:
+    _check_ints("theta parameter", a, b, c)
     if not (a >= b >= c >= 1 and b >= 2):
         raise ValueError(f"theta needs a >= b >= c >= 1 with b >= 2, got {(a, b, c)}")
 

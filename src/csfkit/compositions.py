@@ -32,6 +32,14 @@ from typing import Iterator
 MAX_MODULUS = 64
 
 
+def _check_ints(what: str, *values) -> None:
+    # each an int and not a bool: a bool would pass as 0 or 1, a float be
+    # truncated and a string parsed
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _moduli(parts: tuple) -> tuple:
     # (0, i1, i1+i2, ..., n)
     return (0, *accumulate(parts))
@@ -240,7 +248,11 @@ def _composition_tuples(n: int, min_part: int = 1) -> Iterator[tuple]:
 
 
 def _weight_positive_tuples(n: int) -> Iterator[tuple]:
-    # any first part, every later part >= 2, in lexicographic order; n >= 1
+    # any first part, every later part >= 2, in lexicographic order
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_MODULUS:
+        raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
     for first in range(1, n):
         for tail in _composition_tuples(n - first, 2):
             yield (first,) + tail
@@ -264,9 +276,5 @@ def weight_positive_compositions(n: int) -> Iterator[Composition]:
     the stream is Fibonacci-sized rather than 2^(n-1)-sized.  Order is
     lexicographic, matching :func:`compositions_of`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_MODULUS:
-        raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
     for parts in _weight_positive_tuples(n):
         yield Composition._from_valid(parts)

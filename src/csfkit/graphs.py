@@ -3,18 +3,21 @@
 The oracle computes the chromatic symmetric function of any small simple
 graph with exact integer power-sum coefficients, by a frontier dynamic
 program over the edges; the plain edge-subset sum is kept beside it as an
-independent cross-check.  The closed forms assemble composition-indexed
-e-expansions for paths, cycles, tadpoles, cycle-chords, three-path (theta)
-graphs and clocks; comparing a grouped closed form with the oracle mapped
-to the e-basis is the master correctness check for everything in this
-package.
+independent cross-check.  The closed forms sum composition-indexed terms
+onto their partitions in one pass, for paths, cycles, tadpoles, cycle-chords,
+three-path (theta) graphs and clocks; comparing a grouped closed form with
+the oracle mapped to the e-basis is the master correctness check for
+everything in this package.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .compositions import Composition, Partition, _theta_plus, weight_positive_compositions
+from .compositions import (
+    Composition, Partition, _check_ints, _moduli, _rho, _theta_plus, _weight,
+    _weight_positive_tuples,
+)
 from .coefficients import _c_parts, _check_clock, _check_theta, _solve_psqt_parts
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector, _pack, _unpack, _width
@@ -28,11 +31,13 @@ class Graph:
     """An immutable simple undirected graph on vertices 0 .. vertex_count-1."""
 
     def __init__(self, vertex_count: int, edges: Iterable[Tuple[int, int]]):
+        _check_ints("vertex count", vertex_count)
         if vertex_count < 1:
             raise ValueError(f"vertex count must be >= 1, got {vertex_count}")
         canon = []
         seen = set()
         for u, v in edges:
+            _check_ints("edge end", u, v)
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -86,6 +91,7 @@ class Graph:
 
 def build_path(n: int) -> Graph:
     """Path on n vertices."""
+    _check_ints("path parameter", n)
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -93,6 +99,7 @@ def build_path(n: int) -> Graph:
 
 def build_cycle(n: int) -> Graph:
     """Cycle on n vertices: the tadpole with an empty tail."""
+    _check_ints("cycle parameter", n)
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     return build_tadpole(n, 0)
@@ -103,6 +110,7 @@ def build_tadpole(a: int, l: int) -> Graph:
 
     a + l vertices and a + l edges; l = 0 degenerates to the plain cycle.
     """
+    _check_ints("tadpole parameter", a, l)
     if a < 3:
         raise ValueError(f"tadpole cycle length must be >= 3, got {a}")
     if l < 0:
@@ -144,6 +152,7 @@ def build_theta(a: int, b: int, c: int) -> Graph:
 def build_cycle_chord(a: int, b: int) -> Graph:
     """Two cycles sharing an edge: hubs joined by a chord and by paths of
     lengths a and b: the two-hub paths of lengths (1, a, b), for a < b too."""
+    _check_ints("cycle-chord parameter", a, b)
     if a < 2 or b < 2:
         raise ValueError(f"cycle-chord needs a, b >= 2, got {(a, b)}")
     return _two_hub_graph((1, a, b))
@@ -352,43 +361,42 @@ def csf_pbasis_subsets(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> Basis
 
 
 class EExpansion:
-    """A composition-indexed expansion sum(coeff_I * w_I * e_I).
-
-    ``entries`` maps each composition to its (coefficient, weight) pair;
-    compositions whose product contributes nothing are omitted.
-    """
+    """An expansion sum(coeff_I * w_I * e_I) over compositions I, kept as its
+    sums over the classes rho(I); the terms one by one are ``coeff_c``,
+    ``coeff_c_prime``, ``coeff_D`` and ``delta`` of :mod:`csfkit.coefficients`."""
 
     def __init__(self, degree: int) -> None:
         self.degree = degree
-        self.entries: Dict[Composition, Tuple[int, int]] = {}
+        self._sums: Dict[Partition, int] = {}
 
     def add_term(self, I: Composition, coeff: int) -> None:
         if I.modulus != self.degree:
             raise ValueError(
                 f"composition {I} has modulus {I.modulus}, expected {self.degree}"
             )
-        if coeff:
-            self.entries[I] = (coeff, I.weight)
+        lam = I.rho()
+        self._sums[lam] = self._sums.get(lam, 0) + coeff * I.weight
 
     def grouped_by_rho(self) -> BasisVector:
-        """Collect coeff * weight onto partitions, as an e-basis vector."""
-        acc: Dict[Partition, int] = {}
-        for I, (coeff, weight) in self.entries.items():
-            lam = I.rho()
-            acc[lam] = acc.get(lam, 0) + coeff * weight
-        return BasisVector(Basis.E, self.degree, acc)
+        """The sums by partition, as an e-basis vector (a copy)."""
+        return BasisVector(Basis.E, self.degree, self._sums)
 
 
 def _assemble(n: int, coeff_fn) -> EExpansion:
-    # coeff_fn(parts, moduli) evaluates the coefficient on the kernel tuples
+    # one pass over the kernel tuples, each term summed onto its partition
     expansion = EExpansion(n)
-    for I in weight_positive_compositions(n):
-        expansion.add_term(I, coeff_fn(I.parts, I.prefix_moduli))
+    sums = expansion._sums
+    for parts in _weight_positive_tuples(n):
+        coeff = coeff_fn(parts, _moduli(parts))
+        if coeff:
+            lam = _rho(parts)
+            sums[lam] = sums.get(lam, 0) + coeff * _weight(parts)
     return expansion
 
 
 def closed_form_path(n: int) -> EExpansion:
     """Every positive-weight composition contributes with coefficient 1."""
+    _check_ints("path parameter", n)
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
     return _assemble(n, lambda parts, moduli: 1)
@@ -396,6 +404,7 @@ def closed_form_path(n: int) -> EExpansion:
 
 def closed_form_cycle(n: int) -> EExpansion:
     """Coefficient i_1 - 1: the tadpole expansion with an empty tail."""
+    _check_ints("cycle parameter", n)
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     return closed_form_tadpole(n, 0)
@@ -408,6 +417,7 @@ def closed_form_tadpole(a: int, l: int) -> EExpansion:
     reproduces the cycle coefficients and l = n - 2 the path coefficients,
     so a = 2 is accepted here even though no simple graph exists for it.
     """
+    _check_ints("tadpole parameter", a, l)
     if a < 2:
         raise ValueError(f"tadpole expansion needs cycle length >= 2, got {a}")
     if l < 0:
@@ -430,6 +440,7 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
     c = 1 for every a, b >= 2; ``form="theta-sum"`` uses
     sum_{i=1..b} theta_plus(I, i) - sum_{i=1..b-1} theta_minus(reversed I, i).
     """
+    _check_ints("cycle-chord parameter", a, b)
     if a < 2 or b < 2:
         raise ValueError(f"cycle-chord needs a, b >= 2, got {(a, b)}")
     n = a + b
@@ -511,7 +522,8 @@ def _family_args(family: str, params: dict) -> Tuple[Family, tuple]:
     for name in record.params:
         if params.get(name) is None:
             raise ValueError(f"family {family!r} requires parameter --{name}")
-    return record, tuple(int(params[name]) for name in record.params)
+        _check_ints(f"parameter --{name}", params[name])
+    return record, tuple(params[name] for name in record.params)
 
 
 def expansion_closed_form(family: str, form: Optional[str] = None, **params) -> EExpansion:

@@ -21,7 +21,14 @@ from math import comb
 from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
-from .compositions import Partition
+from .compositions import Partition, _check_ints
+
+
+def _check_exact(what: str, value) -> None:
+    # an int (not a bool) or a Fraction: a float would bring its binary
+    # rounding into exact arithmetic, and a string would be parsed
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
 class Basis(Enum):
@@ -41,6 +48,7 @@ class BasisVector:
     __slots__ = ("basis", "degree", "terms")
 
     def __init__(self, basis: Basis, degree: int, terms: Optional[Dict] = None):
+        _check_ints("degree", degree)
         if degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
         clean: Dict[Partition, object] = {}
@@ -51,9 +59,9 @@ class BasisVector:
                     f"partition {list(lam)} has modulus {lam.modulus}, "
                     f"expected degree {degree}"
                 )
-            coef = value if type(value) is int else Fraction(value)
-            if coef:
-                clean[lam] = coef.numerator if coef.denominator == 1 else coef
+            _check_exact("coefficient", value)
+            if value:
+                clean[lam] = value.numerator if value.denominator == 1 else value
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", MappingProxyType(clean))
@@ -103,7 +111,7 @@ class BasisVector:
         return BasisVector(self.basis, self.degree, merged)
 
     def scale(self, factor) -> "BasisVector":
-        factor = Fraction(factor)
+        _check_exact("scale factor", factor)
         return BasisVector(
             self.basis,
             self.degree,

@@ -416,19 +416,19 @@ def run_c_doubleprime(
 # positivity
 
 
-def _positivity_task(task: Tuple[str, int, int, bool]):
-    family, a, b, termwise = task
+def _positivity_task(task: Tuple[str, int, int]):
+    family, a, b = task
     checked = 0
     violations: List[str] = []
-    expansion = expansion_closed_form(family, a=a, b=b)
-    if termwise:
-        for I, (coeff, weight) in expansion.entries.items():
-            checked += 1
-            if coeff * weight < 0:
-                violations.append(
-                    f"negative {family} term at I={I}, (a,b)=({a},{b})"
-                )
-    report = e_positivity_report(expansion)
+    if family == "cycle-chord":
+        # term by term as well, counting each nonzero term delta(I, b)
+        for parts in _weight_positive_tuples(a + b):
+            term = _delta_parts(parts, _solve_psqt_parts(parts, _moduli(parts), b - 1))
+            checked += bool(term)
+            if term < 0:
+                violations.append(f"negative {family} term at I={format_parts(parts)}, "
+                                  f"(a,b)=({a},{b})")
+    report = e_positivity_report(expansion_closed_form(family, a=a, b=b))
     checked += len(report.coefficients)
     if report.negative_partitions:
         negatives = [format_parts(lam) for lam in report.negative_partitions]
@@ -442,11 +442,11 @@ def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("positivity")
     # the clock is checked after grouping only; cycle-chord terms are
     # nonnegative one by one as well, since delta >= 0
-    tasks: List[Tuple[str, int, int, bool]] = []
+    tasks: List[Tuple[str, int, int]] = []
     for n in range(5, n_max + 1):
-        tasks.extend(("clock", a, b, False) for a, b in clock_pairs(n))
+        tasks.extend(("clock", a, b) for a, b in clock_pairs(n))
     for n in range(4, n_max + 1):
-        tasks.extend(("cycle-chord", a, n - a, True) for a in range(2, n - 1))
+        tasks.extend(("cycle-chord", a, n - a) for a in range(2, n - 1))
     tasks.sort()
     minima = []
     for checked, violations, minimum in _run_tasks(_positivity_task, tasks, workers):

@@ -1,0 +1,36 @@
+"""Shared fixtures."""
+
+from unittest import mock
+
+import pytest
+
+from csfkit.compositions import weight_positive_compositions
+
+
+def _closed_form_terms(build, n):
+    # The closed forms keep only partition sums, so the term of each
+    # composition I is read from a run of build() on I alone: its grouped
+    # vector is coeff_I * w_I at rho(I), or zero.
+    current = []
+
+    def tuples(degree):
+        assert degree == n, (degree, n)
+        return iter(current)
+
+    terms = {}
+    with mock.patch("csfkit.graphs._weight_positive_tuples", tuples):
+        for I in weight_positive_compositions(n):
+            current[:] = [I.parts]
+            grouped = build().grouped_by_rho()
+            assert set(grouped.terms) <= {I.rho()}, (I, grouped.terms)
+            coeff, rest = divmod(grouped.coefficient(I.rho()), I.weight)
+            assert rest == 0, I
+            terms[I] = coeff
+    return terms
+
+
+@pytest.fixture(scope="session")
+def closed_form_terms():
+    """closed_form_terms(build, n): {I: coeff_I} over the positive-weight
+    compositions of n, for the closed form that ``build()`` returns."""
+    return _closed_form_terms

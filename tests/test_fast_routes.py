@@ -189,15 +189,13 @@ def test_coefficients_match_reversal_based_references_to_n12():
             check_coefficients(I)
 
 
-def test_theta_sum_cycle_chord_matches_reversal_based_reference_to_n12():
+def test_theta_sum_cycle_chord_matches_reversal_based_reference_to_n12(closed_form_terms):
     for n in range(4, 13):
         for b in range(2, n - 1):
             a = n - b
-            entries = closed_form_cycle_chord(a, b, form="theta-sum").entries
+            terms = closed_form_terms(lambda: closed_form_cycle_chord(a, b, form="theta-sum"), n)
             for I in weight_positive_compositions(n):
-                expected = ref_theta_sum(I, b)
-                got = entries[I][0] if I in entries else 0
-                assert got == expected, (I, a, b)
+                assert terms[I] == ref_theta_sum(I, b), (I, a, b)
 
 
 def test_fiber_body_from_the_solution_matches_fiber_to_n12():
@@ -235,12 +233,14 @@ def test_fast_routes_match_references_on_random_compositions(I):
     n = I.modulus
     if I.weight == 0:
         return
-    # evaluate the closed form on I alone rather than on all of degree n
-    with mock.patch("csfkit.graphs.weight_positive_compositions",
-                    lambda degree: iter([I])):
+    # evaluate the closed form on I alone rather than on all of degree n:
+    # its grouped vector is then the one term at rho(I)
+    with mock.patch("csfkit.graphs._weight_positive_tuples",
+                    lambda degree: iter([I.parts])):
         for b in range(2, n - 1):
-            entries = closed_form_cycle_chord(n - b, b, form="theta-sum").entries
-            assert (entries[I][0] if I in entries else 0) == ref_theta_sum(I, b)
+            grouped = closed_form_cycle_chord(n - b, b, form="theta-sum").grouped_by_rho()
+            term = ref_theta_sum(I, b) * I.weight
+            assert grouped.terms == ({I.rho(): term} if term else {}), (I, b)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def test_kernel_matches_wrappers_and_references_to_n12():
 def test_kernel_enumerators_keep_the_public_checks():
     for bad in (0, -1, 65):
         for stream in (_composition_tuples(bad), compositions_of(bad),
-                       weight_positive_compositions(bad)):
+                       _weight_positive_tuples(bad), weight_positive_compositions(bad)):
             with pytest.raises(ValueError):
                 next(stream)
 

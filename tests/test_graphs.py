@@ -1,14 +1,16 @@
 """Graph builders, oracle, closed forms, deletion identities, and reports."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csfkit.coefficients import delta
+from csfkit.coefficients import coeff_c, delta
 from csfkit.compositions import Composition, Partition, weight_positive_compositions
 from csfkit.errors import ResourceLimitError
 from csfkit.graphs import (
+    FAMILY_TABLE,
     EExpansion,
     Graph,
     build_clock,
@@ -99,23 +101,24 @@ def test_theta_shapes():
             build_theta(*bad)
 
 
-def test_cycle_chord_closed_form_is_theta_at_unit_path():
+def test_cycle_chord_closed_form_is_theta_at_unit_path(closed_form_terms):
     # per composition, delta(I, b) = c_I at c = 1 whenever a >= b
     for n in range(4, 11):
         for b in range(2, n // 2 + 1):
             a = n - b
-            chord = closed_form_cycle_chord(a, b)
-            assert chord.entries == closed_form_theta(a, b, 1).entries
+            chord = closed_form_terms(lambda: closed_form_cycle_chord(a, b), n)
+            assert chord == closed_form_terms(lambda: closed_form_theta(a, b, 1), n)
+            assert closed_form_cycle_chord(a, b).grouped_by_rho() == (
+                closed_form_theta(a, b, 1).grouped_by_rho())
 
 
-def test_cycle_chord_delta_form_is_delta_for_every_pair():
+def test_cycle_chord_delta_form_is_delta_for_every_pair(closed_form_terms):
     # the form runs the theta body at c = 1, which never reads a, so a < b too
     for a in range(2, 10):
         for b in range(2, 10):
-            entries = closed_form_cycle_chord(a, b).entries
+            terms = closed_form_terms(lambda: closed_form_cycle_chord(a, b), a + b)
             for I in weight_positive_compositions(a + b):
-                got = entries[I][0] if I in entries else 0
-                assert got == delta(I, b), (I, a, b)
+                assert terms[I] == delta(I, b), (I, a, b)
 
 
 def test_two_hub_builders_pin_their_edge_order():
@@ -176,8 +179,8 @@ def test_graph_is_immutable_and_each_expansion_owns_its_entries():
     assert graph == build_path(3) and graph.has_edge(1, 2)
     first, second = EExpansion(3), EExpansion(3)
     first.add_term(Composition((3,)), 2)
-    assert first.entries is not second.entries
-    assert second.entries == {}
+    assert first.grouped_by_rho().terms == {Partition((3,)): 6}
+    assert second.grouped_by_rho().is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +306,13 @@ def test_oracle_at_the_code_width_boundary(n):
 # closed forms
 
 
-def test_path_closed_form_small():
-    expansion = closed_form_path(3)
-    assert {i.parts: cw for i, cw in expansion.entries.items()} == {
-        (3,): (1, 3),
-        (1, 2): (1, 1),
+def test_path_closed_form_small(closed_form_terms):
+    assert closed_form_terms(lambda: closed_form_path(3), 3) == {
+        Composition((3,)): 1,
+        Composition((1, 2)): 1,
     }
-    grouped = expansion.grouped_by_rho()
+    assert [I.weight for I in weight_positive_compositions(3)] == [1, 3]
+    grouped = closed_form_path(3).grouped_by_rho()
     assert grouped.terms == {
         Partition((3,)): Fraction(3),
         Partition((2, 1)): Fraction(1),
@@ -365,7 +368,7 @@ def test_expansion_rejects_wrong_modulus_terms():
         expansion.add_term(Composition((3,)), 1)
 
 
-def test_family_dispatch():
+def test_family_dispatch(closed_form_terms):
     grouped = expansion_closed_form("path", n=3).grouped_by_rho()
     assert grouped.coefficient((3,)) == 3
     assert build_family_graph("clock", a=3, b=2).vertex_count == 6
@@ -374,13 +377,105 @@ def test_family_dispatch():
         expansion_closed_form("path")  # missing n
     with pytest.raises(ValueError):
         expansion_closed_form("widget", n=3)
-    twisted = expansion_closed_form("theta", form="c-prime", a=3, b=3, c=2)
-    assert twisted.entries == closed_form_clock(3, 3).entries
-    assert expansion_closed_form("cycle-chord", a=3, b=2).entries == (
-        closed_form_cycle_chord(3, 2, form="delta").entries
+    twisted = closed_form_terms(
+        lambda: expansion_closed_form("theta", form="c-prime", a=3, b=3, c=2), 7)
+    assert twisted == closed_form_terms(lambda: closed_form_clock(3, 3), 7)
+    assert closed_form_terms(lambda: expansion_closed_form("cycle-chord", a=3, b=2), 5) == (
+        closed_form_terms(lambda: closed_form_cycle_chord(3, 2, form="delta"), 5)
     )
     with pytest.raises(ValueError):
         expansion_closed_form("theta", form="delta", a=3, b=3, c=2)
+
+
+SMALL_PARAMS = {
+    "path": {"n": 5},
+    "cycle": {"n": 5},
+    "tadpole": {"a": 4, "l": 2},
+    "cycle-chord": {"a": 3, "b": 4},
+    "theta": {"a": 4, "b": 3, "c": 2},
+    "clock": {"a": 4, "b": 3},
+}
+
+
+def test_closed_forms_construct_no_composition():
+    # every closed form runs on the kernel tuples alone
+    expected = {
+        (family, form): expansion_closed_form(family, form, **SMALL_PARAMS[family]).grouped_by_rho()
+        for family, record in FAMILY_TABLE.items() for form in record.forms
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form constructed a Composition")
+
+    with mock.patch.object(Composition, "__init__", refuse), \
+            mock.patch.object(Composition, "_from_valid", refuse):
+        for (family, form), vector in expected.items():
+            got = expansion_closed_form(family, form, **SMALL_PARAMS[family]).grouped_by_rho()
+            assert got == vector and not got.is_zero(), (family, form)
+    assert len(expected) == 8
+
+
+def test_add_term_groups_as_the_closed_forms():
+    for n in range(4, 11):
+        for a, b, c in theta_triples(n):
+            expansion = EExpansion(n)
+            for I in weight_positive_compositions(n):
+                expansion.add_term(I, coeff_c(I, a, b, c))
+            assert expansion.grouped_by_rho() == closed_form_theta(a, b, c).grouped_by_rho()
+    for n in range(1, 13):
+        expansion = EExpansion(n)
+        for I in weight_positive_compositions(n):
+            expansion.add_term(I, 1)
+        assert expansion.grouped_by_rho() == closed_form_path(n).grouped_by_rho()
+
+
+def test_grouped_vector_is_unchanged_by_a_later_term():
+    expansion = EExpansion(3)
+    expansion.add_term(Composition((3,)), 1)
+    grouped = expansion.grouped_by_rho()
+    expansion.add_term(Composition((3,)), 1)
+    expansion.add_term(Composition((1, 2)), 5)
+    assert grouped.terms == {Partition((3,)): 3}
+    assert expansion.grouped_by_rho().terms == {Partition((3,)): 6, Partition((2, 1)): 5}
+
+
+_VECTOR = BasisVector(Basis.E, 2, {(2,): 1})
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: expansion_closed_form("path", n=3.9), id="expand-path-n-float"),
+    pytest.param(lambda: expansion_closed_form("theta", a=4, b=3, c="2"), id="expand-theta-c-str"),
+    pytest.param(lambda: build_family_graph("clock", a=3, b=2.9), id="family-graph-clock-b-float"),
+    pytest.param(lambda: family_degree("tadpole", a=3, l=True), id="family-degree-tadpole-l-bool"),
+    pytest.param(lambda: closed_form_theta(3, 3, True), id="closed-form-theta-c-bool"),
+    pytest.param(lambda: closed_form_clock(3, 2.0), id="closed-form-clock-b-float"),
+    pytest.param(lambda: closed_form_path(3.0), id="closed-form-path-float"),
+    pytest.param(lambda: closed_form_cycle(4.0), id="closed-form-cycle-float"),
+    pytest.param(lambda: closed_form_tadpole(3, True), id="closed-form-tadpole-l-bool"),
+    pytest.param(lambda: closed_form_cycle_chord(3, 2.0), id="closed-form-cycle-chord-b-float"),
+    pytest.param(lambda: build_theta(3.0, 3, 2), id="build-theta-a-float"),
+    pytest.param(lambda: build_clock(3, True), id="build-clock-b-bool"),
+    pytest.param(lambda: build_path(3.9), id="build-path-float"),
+    pytest.param(lambda: build_cycle(True), id="build-cycle-bool"),
+    pytest.param(lambda: build_tadpole(3, 1.0), id="build-tadpole-l-float"),
+    pytest.param(lambda: build_cycle_chord("3", 2), id="build-cycle-chord-a-str"),
+    pytest.param(lambda: Graph(3, [(0, True)]), id="graph-edge-end-bool"),
+    pytest.param(lambda: Graph(3, [(0.0, 1)]), id="graph-edge-end-float"),
+    pytest.param(lambda: Graph(3.0, [(0, 1)]), id="graph-vertex-count-float"),
+    pytest.param(lambda: Graph(True, []), id="graph-vertex-count-bool"),
+    pytest.param(lambda: BasisVector(Basis.E, 2, {(2,): 0.1}), id="vector-coefficient-float"),
+    pytest.param(lambda: BasisVector(Basis.E, 2, {(2,): "1/3"}), id="vector-coefficient-str"),
+    pytest.param(lambda: BasisVector(Basis.E, 2, {(2,): True}), id="vector-coefficient-bool"),
+    pytest.param(lambda: BasisVector(Basis.E, 2.0, {(2,): 1}), id="vector-degree-float"),
+    pytest.param(lambda: _VECTOR.scale(0.1), id="scale-float"),
+    pytest.param(lambda: _VECTOR.scale("2"), id="scale-str"),
+    pytest.param(lambda: _VECTOR.scale(True), id="scale-bool"),
+])
+def test_library_rejects_inexact_input(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert "\n" not in message and ("integer" in message or "Fraction" in message), message
 
 
 def test_family_registry_rejects_unknown_keywords():
