@@ -19,11 +19,10 @@ import argparse
 import os
 import sys
 
-from .compositions import MAX_MODULUS, format_parts, parse_composition
+from .compositions import MAX_MODULUS, _check_modulus, format_parts, parse_composition
 from .coefficients import (
     WClass,
     _check_clock,
-    _check_modulus,
     classify,
     coeff_c_doubleprime,
     coeff_D,
@@ -162,7 +161,7 @@ def cmd_fibers(args: argparse.Namespace) -> int:
     I = parse_composition(args.I)
     a, b = args.a, args.b
     _check_clock(a, b)
-    _check_modulus(I, a, b)
+    _check_modulus(I, a + b + 1, "a+b+1")
     kind = classify(I, a)
     sol = solve_psqt(I, b)
     print(f"I = {I}   n = {I.modulus}   (a, b) = ({a}, {b})")

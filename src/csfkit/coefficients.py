@@ -33,7 +33,10 @@ import bisect
 from enum import Enum
 from typing import List, NamedTuple, Tuple
 
-from .compositions import Composition, _check_ints, _moduli, _theta_minus, _theta_plus, _weight
+from .compositions import (
+    Composition, _check_ints, _check_modulus, _check_range, _moduli, _theta_minus, _theta_plus,
+    _weight,
+)
 
 
 class WClass(Enum):
@@ -177,27 +180,19 @@ def _c_doubleprime_parts(parts, moduli, a: int, b: int, sol) -> int:
 # public API: checked wrappers over the kernel
 
 
-def _check_value(I: Composition, value: int) -> None:
-    n = I.prefix_moduli[-1]
-    if value < 1 or value > n:
-        raise ValueError(f"equation value {value} outside [1, {n}] for {I}")
-
-
 def solve_ps(I: Composition, b: int) -> Tuple[int, int]:
     """Solve b + 1 = |i_1 ... i_{p-1}| + s with 1 <= s <= i_p."""
-    _check_value(I, b + 1)
-    return _solve_psqt_parts(I.parts, I.prefix_moduli, b)[:2]
+    return solve_psqt(I, b)[:2]
 
 
 def solve_qt(I: Composition, b: int) -> Tuple[int, int]:
     """Solve b + 1 = |i_2 ... i_q| + t with 1 <= t <= i_{q+1} (cyclically)."""
-    _check_value(I, b + 1)
-    return _solve_psqt_parts(I.parts, I.prefix_moduli, b)[2:]
+    return solve_psqt(I, b)[2:]
 
 
 def solve_psqt(I: Composition, b: int) -> PSQTSolution:
-    """Both solutions at the common equation value b + 1."""
-    _check_value(I, b + 1)
+    """Both solutions at the common equation value b + 1, for b in [0, n)."""
+    _check_range("b", b, 0, I.modulus - 1, I)
     return PSQTSolution(*_solve_psqt_parts(I.parts, I.prefix_moduli, b))
 
 
@@ -212,14 +207,8 @@ def delta(I: Composition, b: int) -> int:
     c = 2 case; the cycle-chord expansion itself passes its own b.  The
     result is always nonnegative.
     """
-    _check_value(I, b)
+    _check_range("equation value", b, 1, I.modulus, I)
     return _delta_parts(I.parts, _solve_psqt_parts(I.parts, I.prefix_moduli, b - 1))
-
-
-def _check_threshold(I: Composition, a: int) -> None:
-    n = I.prefix_moduli[-1]
-    if not I.parts or a < 1 or a > n:
-        raise ValueError(f"threshold {a} outside [1, {n}] for {I}")
 
 
 def phi(I: Composition, a: int) -> Composition:
@@ -232,14 +221,9 @@ def phi(I: Composition, a: int) -> Composition:
     involution, fixes the first part, and preserves both the partition
     image and the weight.
     """
-    _check_threshold(I, a)
+    _check_range("threshold", a, 1, I.modulus, I)
     J = _phi_parts(I.parts, I.prefix_moduli, a)
     return I if J is I.parts else Composition._from_valid(J)
-
-
-def _check_split(I: Composition, a: int) -> None:
-    if not I.parts or a < 1 or a >= I.modulus:
-        raise ValueError(f"threshold {a} outside [1, {I.modulus}) for {I}")
 
 
 def split_LR(I: Composition, a: int) -> Tuple[Composition, Composition]:
@@ -248,7 +232,7 @@ def split_LR(I: Composition, a: int) -> Tuple[Composition, Composition]:
     L is always non-empty; R may be empty.  The undershoot of the reversed
     composition at a equals a - |R|.
     """
-    _check_split(I, a)
+    _check_range("threshold", a, 1, I.modulus - 1, I)
     cut = _split_cut(I.prefix_moduli, a)
     return Composition._from_valid(I.parts[:cut]), Composition._from_valid(I.parts[cut:])
 
@@ -261,7 +245,7 @@ def psi(I: Composition, a: int) -> Composition:
     """
     if not I.parts or min(I.parts) < 2:
         raise ValueError(f"psi requires all parts >= 2, got {I}")
-    _check_split(I, a)
+    _check_range("threshold", a, 1, I.modulus - 1, I)
     return Composition._from_valid(_psi_parts(I.parts, I.prefix_moduli, a))
 
 
@@ -274,7 +258,7 @@ def classify(I: Composition, a: int) -> Classification:
     W_LE otherwise.  ``in_A`` flags positive-weight compositions having a
     suffix of modulus exactly a.
     """
-    _check_threshold(I, a)
+    _check_range("threshold", a, 1, I.modulus, I)
     return Classification(*_classify_parts(I.parts, I.prefix_moduli, a))
 
 
@@ -290,17 +274,10 @@ def _check_theta(a: int, b: int, c: int) -> None:
         raise ValueError(f"theta needs a >= b >= c >= 1 with b >= 2, got {(a, b, c)}")
 
 
-def _check_modulus(I: Composition, a: int, b: int) -> None:
-    if I.modulus != a + b + 1:
-        raise ValueError(
-            f"composition {I} has modulus {I.modulus}, expected a+b+1 = {a + b + 1}"
-        )
-
-
 def _check_fiber_params(I: Composition, a: int, b: int) -> None:
-    if a < 1 or b < 1:
-        raise ValueError(f"thresholds must be positive, got a={a}, b={b}")
-    _check_modulus(I, a, b)
+    _check_range("a", a, 1, I.modulus, I)
+    _check_range("b", b, 1, I.modulus, I)
+    _check_modulus(I, a + b + 1, "a+b+1")
     if _classify_parts(I.parts, I.prefix_moduli, a)[0] is not WClass.W_GT:
         raise ValueError(f"fiber requires a composition in W_>, got {I}")
 
@@ -314,21 +291,13 @@ def fiber(I: Composition, a: int, b: int) -> List[Composition]:
     |I| = a + b + 1.
     """
     _check_fiber_params(I, a, b)
-    sol = solve_psqt(I, b)
-    return [Composition._from_valid(H) for H in _fiber_parts(I.parts, sol.p, sol.q)]
-
-
-def _check_three_path_params(I: Composition, a: int, b: int, c: int) -> None:
-    _check_theta(a, b, c)
-    n = a + b + c - 1
-    if I.modulus != n:
-        raise ValueError(
-            f"composition {I} has modulus {I.modulus}, expected a+b+c-1 = {n}"
-        )
+    p, _, q, _ = _solve_psqt_parts(I.parts, I.prefix_moduli, b)
+    return [Composition._from_valid(H) for H in _fiber_parts(I.parts, p, q)]
 
 
 def _coeff(I: Composition, a: int, b: int, c: int, twisted: bool) -> int:
-    _check_three_path_params(I, a, b, c)
+    _check_theta(a, b, c)
+    _check_modulus(I, a + b + c - 1, "a+b+c-1")
     parts, moduli = I.parts, I.prefix_moduli
     return _c_parts(parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted)
 
@@ -360,8 +329,8 @@ def coeff_D(I: Composition, a: int, b: int) -> int:
     no term, so D_I is computed as ``coeff_c(I, a, b, 2)``.
     """
     _check_clock(a, b)
-    _check_modulus(I, a, b)
-    return _coeff(I, a, b, 2, False)
+    _check_modulus(I, a + b + 1, "a+b+1")
+    return _D_parts(I.parts, I.prefix_moduli, a, b)
 
 
 def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:

@@ -6,9 +6,9 @@ and the overshoot/undershoot of prefix sums around a threshold.  All values
 are immutable and all functions are pure, so sweeps may share them freely
 across workers.
 
-Two layers: the public API validates (``Composition(parts)`` and
-:func:`parse_composition` check every part, the statistics their thresholds)
-and wraps a private kernel on the parts and prefix-moduli tuples
+Two layers: the public API validates, through the range, degree, parts and
+modulus checks that this module owns for the whole composition layer, and
+wraps a private kernel on the parts and prefix-moduli tuples
 (``_moduli``, ``_theta_plus``, ``_theta_minus``, ``_weight``, ``_rho``,
 ``_composition_tuples``) that checks nothing.  The sweeps of
 :mod:`csfkit.verify` and the closed forms of :mod:`csfkit.graphs` call the
@@ -38,6 +38,36 @@ def _check_ints(what: str, *values) -> None:
     for value in values:
         if type(value) is not int:
             raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_range(what: str, value, lo: int, hi: int, I: Composition) -> None:
+    # an int, not a bool, in [lo, hi]; I names the composition it indexes
+    _check_ints(what, value)
+    if value < lo or value > hi:
+        raise ValueError(f"{what} {value} outside [{lo}, {hi}] for {I}")
+
+
+def _check_degree(n) -> None:
+    _check_ints("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_MODULUS:
+        raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
+
+
+def _check_parts(what: str, parts: tuple) -> None:
+    for p in parts:
+        if type(p) is not int:
+            raise ValueError(f"{what} parts must be integers, got {p!r}")
+        if p < 1:
+            raise ValueError(f"{what} parts must be positive, got {p}")
+
+
+def _check_modulus(I: Composition, n: int, rule: str = "") -> None:
+    # rule names n in the message, as in "expected a+b+1 = 12"
+    if I.modulus != n:
+        expected = f"{rule} = {n}" if rule else n
+        raise ValueError(f"composition {I} has modulus {I.modulus}, expected {expected}")
 
 
 def _moduli(parts: tuple) -> tuple:
@@ -72,13 +102,8 @@ class Partition(tuple):
 
     def __new__(cls, parts=()) -> "Partition":
         parts = tuple(parts)
-        for p in parts:
-            if type(p) is not int:
-                raise ValueError(f"partition parts must be integers, got {p!r}")
-        ordered = sorted(parts, reverse=True)
-        if ordered and ordered[-1] < 1:
-            raise ValueError("partition parts must be positive integers")
-        return super().__new__(cls, ordered)
+        _check_parts("partition", parts)
+        return super().__new__(cls, sorted(parts, reverse=True))
 
     @property
     def modulus(self) -> int:
@@ -104,11 +129,7 @@ class Composition:
 
     def __init__(self, parts=()):
         parts = tuple(parts)
-        for p in parts:
-            if type(p) is not int:
-                raise ValueError(f"composition parts must be integers, got {p!r}")
-            if p < 1:
-                raise ValueError(f"composition parts must be positive, got {p}")
+        _check_parts("composition", parts)
         moduli = _moduli(parts)
         if moduli[-1] > MAX_MODULUS:
             raise ValueError(
@@ -176,21 +197,13 @@ class Composition:
             raise ValueError("weight of the empty composition is undefined")
         return _weight(self.parts)
 
-    def _check_threshold(self, a: int) -> None:
-        if not isinstance(a, int):
-            raise ValueError(f"threshold must be an integer, got {a!r}")
-        if a < 0 or a > self.modulus:
-            raise ValueError(
-                f"threshold {a} outside [0, {self.modulus}] for {self}"
-            )
-
     def sigma_plus(self, a: int) -> int:
         """Smallest prefix modulus that is >= a (the empty prefix counts)."""
         return a + self.theta_plus(a)
 
     def theta_plus(self, a: int) -> int:
         """Overshoot sigma_plus(a) - a; how far prefixes jump past a."""
-        self._check_threshold(a)
+        _check_range("threshold", a, 0, self.prefix_moduli[-1], self)
         return _theta_plus(self.prefix_moduli, a)
 
     def sigma_minus(self, a: int) -> int:
@@ -199,7 +212,7 @@ class Composition:
 
     def theta_minus(self, a: int) -> int:
         """Undershoot a - sigma_minus(a)."""
-        self._check_threshold(a)
+        _check_range("threshold", a, 0, self.prefix_moduli[-1], self)
         return _theta_minus(self.prefix_moduli, a)
 
 
@@ -224,12 +237,10 @@ def parse_composition(text: str) -> Composition:
 
 def _composition_tuples(n: int, min_part: int = 1) -> Iterator[tuple]:
     # the lexicographic successor rule of the module docstring, on one list
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_degree(n)
+    _check_ints("min_part", min_part)
     if min_part < 1:
         raise ValueError(f"min_part must be >= 1, got {min_part}")
-    if n > MAX_MODULUS:
-        raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
     if n < min_part:
         return
     parts = [min_part] * (n // min_part)
@@ -248,11 +259,9 @@ def _composition_tuples(n: int, min_part: int = 1) -> Iterator[tuple]:
 
 
 def _weight_positive_tuples(n: int) -> Iterator[tuple]:
-    # any first part, every later part >= 2, in lexicographic order
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_MODULUS:
-        raise ValueError(f"n {n} exceeds the supported bound {MAX_MODULUS}")
+    # any first part, every later part >= 2, in lexicographic order; n is
+    # checked here, since the inner enumerator only sees n - first
+    _check_degree(n)
     for first in range(1, n):
         for tail in _composition_tuples(n - first, 2):
             yield (first,) + tail

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import (
-    Composition, Partition, _check_ints, _moduli, _rho, _theta_plus, _weight,
-    _weight_positive_tuples,
+    Composition, Partition, _check_degree, _check_ints, _check_modulus, _moduli, _rho,
+    _theta_plus, _weight, _weight_positive_tuples,
 )
 from .coefficients import _c_parts, _check_clock, _check_theta, _solve_psqt_parts
 from .errors import ResourceLimitError
@@ -86,7 +86,7 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        return cls(int(data["n"]), [tuple(e) for e in data["edges"]])
+        return cls(data["n"], [tuple(e) for e in data["edges"]])
 
 
 def build_path(n: int) -> Graph:
@@ -196,6 +196,9 @@ def _frontier_order(graph: Graph) -> List[Tuple[int, int]]:
 
 
 def _check_edges(graph: Graph, max_edges: int) -> None:
+    _check_ints("max_edges", max_edges)
+    if max_edges > MAX_ORACLE_EDGES:
+        raise ValueError(f"max_edges {max_edges} exceeds the hard bound {MAX_ORACLE_EDGES}")
     if graph.edge_count > max_edges:
         raise ResourceLimitError(
             f"oracle budget exceeded: {graph.edge_count} edges > limit {max_edges}"
@@ -366,14 +369,13 @@ class EExpansion:
     ``coeff_c_prime``, ``coeff_D`` and ``delta`` of :mod:`csfkit.coefficients`."""
 
     def __init__(self, degree: int) -> None:
+        _check_degree(degree)
         self.degree = degree
         self._sums: Dict[Partition, int] = {}
 
     def add_term(self, I: Composition, coeff: int) -> None:
-        if I.modulus != self.degree:
-            raise ValueError(
-                f"composition {I} has modulus {I.modulus}, expected {self.degree}"
-            )
+        _check_modulus(I, self.degree)
+        _check_ints("coefficient", coeff)
         lam = I.rho()
         self._sums[lam] = self._sums.get(lam, 0) + coeff * I.weight
 
@@ -565,6 +567,7 @@ def verify_triple_deletion(graph: Graph, triple: Tuple[int, int, int]) -> bool:
     when both hold.
     """
     t1, t2, t3 = triple
+    _check_ints("triple vertex", t1, t2, t3)
     if len({t1, t2, t3}) != 3:
         raise ValueError(f"triple {triple} must contain three distinct vertices")
     for t in triple:

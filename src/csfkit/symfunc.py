@@ -31,6 +31,15 @@ def _check_exact(what: str, value) -> None:
         raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
+def _decimal(what: str, text) -> int:
+    # only the strings that str(int) writes, as to_json_dict does: no JSON
+    # number or bool, and no '+', space, '_', non-ASCII digit or leading zero
+    digits = text.removeprefix("-") if type(text) is str else ""
+    if digits.isdigit() and digits.isascii() and str(int(text)) == text:
+        return int(text)
+    raise ValueError(f"term {what} must be a decimal integer string, got {text!r}")
+
+
 class Basis(Enum):
     E = "e"
     P = "p"
@@ -132,6 +141,7 @@ class BasisVector:
         In the e-basis each e_m contributes C(k, m); in the p-basis each
         p_m contributes k.
         """
+        _check_ints("variable count", k)
         if k < 0:
             raise ValueError(f"variable count must be nonnegative, got {k}")
         total = 0
@@ -168,13 +178,13 @@ class BasisVector:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BasisVector":
         basis = Basis(data["basis"])
-        terms = {
-            Partition(entry["partition"]): Fraction(
-                int(entry["num"]), int(entry["den"])
-            )
-            for entry in data["terms"]
-        }
-        return cls(basis, int(data["degree"]), terms)
+        terms = {}
+        for entry in data["terms"]:
+            den = _decimal("den", entry["den"])
+            if den < 1:
+                raise ValueError(f"term den must be positive, got {den}")
+            terms[Partition(entry["partition"])] = Fraction(_decimal("num", entry["num"]), den)
+        return cls(basis, data["degree"], terms)
 
     @classmethod
     def from_json(cls, text: str) -> "BasisVector":

@@ -1,0 +1,209 @@
+"""Every integer argument of the public API takes an exact int in its range.
+
+A float, a bool or a string in any integer position raises the kit's own
+``ValueError`` (or ``ResourceLimitError``) with a one-line message and never
+returns a value; each range of the composition layer is pinned at its ends.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from csfkit.coefficients import (
+    classify, coeff_c, coeff_c_doubleprime, coeff_c_prime, coeff_D, delta, fiber, phi, psi,
+    solve_ps, solve_psqt, solve_qt, split_LR,
+)
+from csfkit.compositions import (
+    Composition, Partition, compositions_of, weight_positive_compositions,
+)
+from csfkit.errors import ResourceLimitError
+from csfkit.graphs import (
+    MAX_ORACLE_EDGES, EExpansion, Graph, build_clock, build_cycle, build_cycle_chord,
+    build_family_graph, build_path, build_tadpole, build_theta, closed_form_clock,
+    closed_form_cycle, closed_form_cycle_chord, closed_form_path, closed_form_tadpole,
+    closed_form_theta, csf_pbasis, csf_pbasis_subsets, expansion_closed_form,
+    verify_triple_deletion,
+)
+from csfkit.symfunc import Basis, BasisVector, e_partition_to_p
+
+I = Composition((7, 2, 2))  # n = 11, in W_> at a = 6
+N = I.modulus
+PATH = build_path(5)  # (0, 2, 4) is a stable triple
+VECTOR = BasisVector(Basis.E, 3, {(3,): 1})
+
+# (name, call, valid int arguments): every argument of ``call`` is one
+# integer position of the public API
+CALLS = [
+    ("Composition", lambda *parts: Composition(parts), (2, 3)),
+    ("Partition", lambda *parts: Partition(parts), (2, 3)),
+    ("compositions_of", lambda n, m: next(compositions_of(n, m)), (5, 1)),
+    ("weight_positive_compositions", lambda n: next(weight_positive_compositions(n)), (5,)),
+    ("theta_plus", I.theta_plus, (3,)),
+    ("theta_minus", I.theta_minus, (3,)),
+    ("sigma_plus", I.sigma_plus, (3,)),
+    ("sigma_minus", I.sigma_minus, (3,)),
+    ("solve_ps", lambda b: solve_ps(I, b), (4,)),
+    ("solve_qt", lambda b: solve_qt(I, b), (4,)),
+    ("solve_psqt", lambda b: solve_psqt(I, b), (4,)),
+    ("delta", lambda b: delta(I, b), (5,)),
+    ("phi", lambda a: phi(I, a), (6,)),
+    ("psi", lambda a: psi(I, a), (6,)),
+    ("split_LR", lambda a: split_LR(I, a), (6,)),
+    ("classify", lambda a: classify(I, a), (6,)),
+    ("fiber", lambda a, b: fiber(I, a, b), (6, 4)),
+    ("coeff_c", lambda a, b, c: coeff_c(I, a, b, c), (6, 4, 2)),
+    ("coeff_c_prime", lambda a, b, c: coeff_c_prime(I, a, b, c), (6, 4, 2)),
+    ("coeff_D", lambda a, b: coeff_D(I, a, b), (6, 4)),
+    ("coeff_c_doubleprime", lambda a, b: coeff_c_doubleprime(I, a, b), (6, 4)),
+    ("EExpansion", EExpansion, (11,)),
+    ("add_term", lambda coeff: EExpansion(N).add_term(I, coeff), (1,)),
+    ("Graph", lambda n, u, v: Graph(n, [(u, v)]), (3, 0, 2)),
+    ("Graph.from_json_dict", lambda n: Graph.from_json_dict({"n": n, "edges": [[0, 1]]}), (2,)),
+    ("build_path", build_path, (5,)),
+    ("build_cycle", build_cycle, (4,)),
+    ("build_tadpole", build_tadpole, (3, 1)),
+    ("build_theta", build_theta, (3, 3, 2)),
+    ("build_cycle_chord", build_cycle_chord, (2, 3)),
+    ("build_clock", build_clock, (3, 2)),
+    ("closed_form_path", closed_form_path, (5,)),
+    ("closed_form_cycle", closed_form_cycle, (4,)),
+    ("closed_form_tadpole", closed_form_tadpole, (3, 1)),
+    ("closed_form_theta", closed_form_theta, (3, 3, 2)),
+    ("closed_form_cycle_chord", closed_form_cycle_chord, (2, 3)),
+    ("closed_form_clock", closed_form_clock, (3, 2)),
+    ("build_family_graph", lambda a, b, c: build_family_graph("theta", a=a, b=b, c=c), (3, 3, 2)),
+    ("expansion_closed_form", lambda a, l: expansion_closed_form("tadpole", a=a, l=l), (3, 1)),
+    ("csf_pbasis", lambda m: csf_pbasis(PATH, max_edges=m), (4,)),
+    ("csf_pbasis_subsets", lambda m: csf_pbasis_subsets(PATH, max_edges=m), (4,)),
+    ("verify_triple_deletion", lambda *t: verify_triple_deletion(PATH, t), (0, 2, 4)),
+    ("BasisVector", lambda d, c: BasisVector(Basis.E, d, {(3,): c}), (3, 1)),
+    ("BasisVector.from_json_dict",
+     lambda d: BasisVector.from_json_dict({"basis": "e", "degree": d, "terms": []}), (3,)),
+    ("scale", VECTOR.scale, (2,)),
+    ("evaluate_ones", VECTOR.evaluate_ones, (3,)),
+    ("coefficient", lambda *lam: VECTOR.coefficient(lam), (2, 1)),
+    ("e_partition_to_p", lambda *lam: e_partition_to_p(lam), (2, 1)),
+]
+
+SLOTS = [(name, call, args, k) for name, call, args in CALLS for k in range(len(args))]
+
+
+def _refused(call, *args) -> str:
+    # the call must raise the kit's own error, with a one-line message
+    with pytest.raises((ValueError, ResourceLimitError)) as info:
+        call(*args)
+    message = str(info.value)
+    assert message and "\n" not in message, message
+    return message
+
+
+def _at(args: tuple, k: int, value) -> tuple:
+    return args[:k] + (value,) + args[k + 1:]
+
+
+@pytest.mark.parametrize("name, call, args, k",
+                         [pytest.param(*slot, id=f"{slot[0]}-{slot[3]}") for slot in SLOTS])
+def test_every_integer_position_refuses_inexact_values(name, call, args, k):
+    call(*args)
+    x = args[k]
+    for bad in (float(x), x + 0.5, True, False, str(x)):
+        message = _refused(call, *_at(args, k, bad))
+        assert "integer" in message or "an int or a Fraction" in message, (name, bad, message)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(SLOTS),
+       st.one_of(st.floats(), st.booleans(), st.text(max_size=4)))
+def test_no_integer_position_returns_on_a_float_bool_or_str(slot, bad):
+    _, call, args, k = slot
+    _refused(call, *_at(args, k, bad))
+
+
+# (name, call of one int, lo, hi): the ranges of the composition layer
+RANGES = [
+    ("theta_plus", I.theta_plus, 0, N),
+    ("theta_minus", I.theta_minus, 0, N),
+    ("sigma_plus", I.sigma_plus, 0, N),
+    ("sigma_minus", I.sigma_minus, 0, N),
+    ("solve_ps", lambda b: solve_ps(I, b), 0, N - 1),
+    ("solve_qt", lambda b: solve_qt(I, b), 0, N - 1),
+    ("solve_psqt", lambda b: solve_psqt(I, b), 0, N - 1),
+    ("delta", lambda b: delta(I, b), 1, N),
+    ("phi", lambda a: phi(I, a), 1, N),
+    ("classify", lambda a: classify(I, a), 1, N),
+    ("split_LR", lambda a: split_LR(I, a), 1, N - 1),
+    ("psi", lambda a: psi(I, a), 1, N - 1),
+    ("compositions_of", lambda n: next(compositions_of(n)), 1, 64),
+    ("compositions_of-min_part", lambda m: list(compositions_of(5, m)), 1, None),
+    ("weight_positive_compositions", lambda n: next(weight_positive_compositions(n)), 1, 64),
+    ("EExpansion", EExpansion, 1, 64),
+    ("Composition", lambda p: Composition((2, p)), 1, 62),
+    ("Partition", lambda p: Partition((2, p)), 1, None),
+    ("max_edges", lambda m: csf_pbasis(PATH, max_edges=m), PATH.edge_count, MAX_ORACLE_EDGES),
+]
+
+
+@pytest.mark.parametrize("name, call, lo, hi", RANGES, ids=[r[0] for r in RANGES])
+def test_each_range_holds_at_its_ends(name, call, lo, hi):
+    call(lo)
+    _refused(call, lo - 1)
+    if hi is not None:
+        call(hi)
+        _refused(call, hi + 1)
+
+
+def test_threshold_ranges_name_their_bounds():
+    assert _refused(phi, I, 0) == f"threshold 0 outside [1, {N}] for {I}"
+    assert _refused(split_LR, I, N) == f"threshold {N} outside [1, {N - 1}] for {I}"
+    assert _refused(solve_psqt, I, N) == f"b {N} outside [0, {N - 1}] for {I}"
+    assert _refused(delta, I, 0) == f"equation value 0 outside [1, {N}] for {I}"
+    assert I.theta_plus(N) == 0 and I.theta_minus(0) == 0
+
+
+def test_fiber_ranges_end_where_the_modulus_rule_takes_over():
+    # a and b each lie in [1, n]; inside it, a + b + 1 = n decides
+    for a, b in ((0, 4), (N + 1, 4), (6, 0), (6, N + 1)):
+        assert "outside [1, 11]" in _refused(fiber, I, a, b)
+    for a, b in ((1, 4), (N, 4), (6, 1), (6, N)):
+        assert "has modulus 11, expected a+b+1" in _refused(fiber, I, a, b)
+    assert [H.parts for H in fiber(I, 6, 4)] == [(2, 7, 2), (2, 2, 7)]
+
+
+def test_each_modulus_rule_holds_at_n_and_refuses_its_neighbours():
+    for delta_n in (-1, 1):
+        a = 6 + delta_n
+        assert _refused(coeff_D, I, a, 4) == (
+            f"composition {I} has modulus 11, expected a+b+1 = {N + delta_n}")
+        assert _refused(coeff_c, I, a, 4, 2) == (
+            f"composition {I} has modulus 11, expected a+b+c-1 = {N + delta_n}")
+        assert _refused(EExpansion(N + delta_n).add_term, I, 1) == (
+            f"composition {I} has modulus 11, expected {N + delta_n}")
+    assert coeff_D(I, 6, 4) == coeff_c(I, 6, 4, 2)
+    EExpansion(N).add_term(I, 1)
+
+
+@pytest.mark.parametrize("n, edge", [
+    (3.9, [0, 1]), (3.0, [0, 1]), (True, [0, 1]), ("3", [0, 1]), (3, [0, 1.0]), (3, [0, True]),
+], ids=repr)
+def test_graph_loader_refuses_inexact_json(n, edge):
+    _refused(Graph.from_json_dict, {"n": n, "edges": [edge]})
+
+
+def _vector_json(degree=2, num="3", den="2"):
+    return {"basis": "e", "degree": degree,
+            "terms": [{"partition": [2], "num": num, "den": den}]}
+
+
+@pytest.mark.parametrize("field, value", [
+    *(("degree", d) for d in (2.5, 2.0, True, "2")),
+    *(("num", num) for num in (2.5, 2, True, None, "2.5", " 2", "+2", "02", "2_0", "-0", "",
+                               "-", "--2", "None", "\u0662", "\u00b2")),
+    *(("den", den) for den in ("0", "-1", 2, 1.0, True, "1.0", "01")),
+], ids=repr)
+def test_vector_loader_refuses_what_to_json_does_not_write(field, value):
+    _refused(BasisVector.from_json_dict, _vector_json(**{field: value}))
+
+
+def test_vector_loader_reads_what_to_json_writes():
+    vec = BasisVector.from_json_dict(_vector_json(num="-3", den="2"))
+    assert vec.coefficient((2,)) * 2 == -3
+    assert BasisVector.from_json_dict(vec.to_json_dict()) == vec
