@@ -19,10 +19,9 @@ import argparse
 import os
 import sys
 
-from .compositions import MAX_MODULUS, _check_modulus, format_parts, parse_composition
+from .compositions import MAX_MODULUS, format_parts, parse_composition
 from .coefficients import (
     WClass,
-    _check_clock,
     classify,
     coeff_c_doubleprime,
     coeff_D,
@@ -160,14 +159,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_fibers(args: argparse.Namespace) -> int:
     I = parse_composition(args.I)
     a, b = args.a, args.b
-    _check_clock(a, b)
-    _check_modulus(I, a + b + 1, "a+b+1")
+    # coeff_D checks the clock and a+b+1 before anything is printed
+    D = coeff_D(I, a, b)
     kind = classify(I, a)
     sol = solve_psqt(I, b)
     print(f"I = {I}   n = {I.modulus}   (a, b) = ({a}, {b})")
     print(f"class = {kind.wclass.value}   in_A = {'yes' if kind.in_A else 'no'}")
     print(f"p = {sol.p}  s = {sol.s}  q = {sol.q}  t = {sol.t}   q - p = {sol.q - sol.p}")
-    print(f"w_I = {I.weight}   D_I = {coeff_D(I, a, b)}")
+    print(f"w_I = {I.weight}   D_I = {D}")
     if kind.wclass is WClass.W_GT:
         for r, H in enumerate(fiber(I, a, b), start=1):
             print(f"H_{r} = {H}   w = {H.weight}   D = {coeff_D(H, a, b)}")

@@ -338,7 +338,7 @@ def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:
 
     Defined for I in W_GT; nonnegative for every such I.
     """
-    _check_fiber_params(I, a, b)
     _check_clock(a, b)
+    _check_fiber_params(I, a, b)
     parts, moduli = I.parts, I.prefix_moduli
     return _c_doubleprime_parts(parts, moduli, a, b, _solve_psqt_parts(parts, moduli, b))

@@ -445,28 +445,26 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
     _check_ints("cycle-chord parameter", a, b)
     if a < 2 or b < 2:
         raise ValueError(f"cycle-chord needs a, b >= 2, got {(a, b)}")
+    _check_form("cycle-chord", form)
     n = a + b
     if form == "delta":
         return _assemble(n, _theta_coeff(a, b, 1, False))
-    if form == "theta-sum":
 
-        def coeff(parts: tuple, moduli: tuple) -> int:
-            # theta_minus(reversed I, i) read as theta_plus(I, n - i)
-            total = 0
-            for i in range(1, b + 1):
-                total += _theta_plus(moduli, i)
-            for i in range(1, b):
-                total -= _theta_plus(moduli, n - i)
-            return total
+    def coeff(parts: tuple, moduli: tuple) -> int:
+        # theta_minus(reversed I, i) read as theta_plus(I, n - i)
+        total = 0
+        for i in range(1, b + 1):
+            total += _theta_plus(moduli, i)
+        for i in range(1, b):
+            total -= _theta_plus(moduli, n - i)
+        return total
 
-        return _assemble(n, coeff)
-    raise ValueError(f"unknown cycle-chord form {form!r}")
+    return _assemble(n, coeff)
 
 
 def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
     """Three-path expansion with coefficients c_I or the phi-twisted c'_I."""
-    if variant not in ("c", "c-prime"):
-        raise ValueError(f"unknown theta variant {variant!r}")
+    _check_form("theta", variant)
     _check_theta(a, b, c)
     return _assemble(a + b + c - 1, _theta_coeff(a, b, c, variant == "c-prime"))
 
@@ -528,15 +526,19 @@ def _family_args(family: str, params: dict) -> Tuple[Family, tuple]:
     return record, tuple(params[name] for name in record.params)
 
 
+def _check_form(family: str, form: str) -> None:
+    # a display label of the family's closed form, by FAMILY_TABLE
+    forms = tuple(FAMILY_TABLE[family].forms)
+    if form not in forms:
+        raise ValueError(f"family {family!r} has no form {form!r}; expected one of {forms}")
+
+
 def expansion_closed_form(family: str, form: Optional[str] = None, **params) -> EExpansion:
     """The family's closed form in the given display form (default: its first)."""
     record, args = _family_args(family, params)
     if form is None:
         form = next(iter(record.forms))
-    if form not in record.forms:
-        raise ValueError(
-            f"family {family!r} has no form {form!r}; expected one of {tuple(record.forms)}"
-        )
+    _check_form(family, form)
     return record.forms[form](*args)
 
 

@@ -19,8 +19,8 @@ Sweeps over (a, b) parameter pairs are pure and independent, so the heavy
 suites optionally fan out over a process pool; results are merged in sorted
 task order, making output independent of the worker count.
 
-``SUITE_TABLE`` maps each suite to the ``verify`` flags it reads and to a
-runner holding its defaults and parameter checks; ``run_suite`` rejects any
+``SUITE_TABLE`` maps each suite to a runner whose parameters after the budget
+are the ``verify`` flags it reads (``suite_flags``); ``run_suite`` rejects any
 other flag, so a sweep never silently runs a range other than the one asked.
 A runner also refuses a range that checks nothing, naming where the suite starts.
 """
@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
     WClass, _c_doubleprime_parts, _c_parts, _check_clock, _classify_parts, _D_parts,
     _delta_parts, _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut,
 )
 from .compositions import (
-    _composition_tuples, _moduli, _rho, _theta_minus, _theta_plus, _weight,
-    _weight_positive_tuples, format_parts,
+    _check_degree, _check_ints, _composition_tuples, _moduli, _rho, _theta_minus, _theta_plus,
+    _weight, _weight_positive_tuples, format_parts,
 )
 from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
 from .graphs import (
@@ -79,11 +79,14 @@ class SuiteResult:
 
 def clock_pairs(n: int) -> List[Tuple[int, int]]:
     """All (a, b) with a >= b >= 2 and a + b + 1 = n."""
+    _check_degree(n)
     return [(n - 1 - b, b) for b in range(2, (n - 1) // 2 + 1)]
 
 
 def theta_triples(n: int, min_c: int = 1) -> List[Tuple[int, int, int]]:
     """All (a, b, c) with a >= b >= c >= min_c, b >= 2, a + b + c - 1 = n."""
+    _check_degree(n)
+    _check_ints("min_c", min_c)
     triples = []
     for c in range(min_c, n):
         for b in range(max(c, 2), n):
@@ -300,7 +303,7 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
     result = SuiteResult("fiber")
     for n in ns:
         if a is not None and a + b + 1 != n:
-            raise ValueError(f"n = {n} is not a+b+1 = {a + b + 1} for (a,b)=({a},{b})")
+            raise ValueError(f"--n {n} disagrees with a+b+1 = {a + b + 1} for (a,b)=({a},{b})")
         pairs = clock_pairs(n) if a is None else [(a, b)]
         all_ge_2 = ([(parts, _moduli(parts)) for parts in _composition_tuples(n, 2)]
                     if pairs else [])
@@ -395,6 +398,7 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
 def run_c_doubleprime(
     a_max: int, b_max: int, n_cap: int, workers: int = 1
 ) -> SuiteResult:
+    _check_ints("c-doubleprime bound", a_max, b_max, n_cap)
     result = SuiteResult("c-doubleprime")
     requested = [(a, b) for a in range(2, a_max + 1) for b in range(2, min(a, b_max) + 1)]
     pairs = [p for p in requested if sum(p) + 1 <= n_cap]
@@ -439,6 +443,7 @@ def _positivity_task(task: Tuple[str, int, int]):
 
 
 def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
+    _check_degree(n_max)
     result = SuiteResult("positivity")
     # the clock is checked after grouping only; cycle-chord terms are
     # nonnegative one by one as well, since delta >= 0
@@ -505,7 +510,17 @@ def theta_deletion_instance(a: int, b: int, c: int):
     return Graph(theta.vertex_count, base_edges), (c_edge[1], b_edge[1], 0)
 
 
+def _check_count(count: int) -> None:
+    _check_ints("--count", count)
+    if count < 0:
+        raise ValueError(f"--count must be >= 0, got {count}")
+    if count > MAX_INSTANCE_COUNT:
+        raise ResourceLimitError(f"--count {count} exceeds the limit {MAX_INSTANCE_COUNT}")
+
+
 def run_triple_deletion(count: int, seed: int) -> SuiteResult:
+    _check_count(count)
+    _check_ints("seed", seed)
     result = SuiteResult("triple-deletion")
     rng = random.Random(seed)
     for index in range(count):
@@ -539,7 +554,14 @@ def run_triple_deletion(count: int, seed: int) -> SuiteResult:
 # dispatch
 
 
+def _check_workers(workers: int) -> None:
+    _check_ints("--workers", workers)
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
+
+
 def _run_tasks(fn, tasks, workers: int):
+    _check_workers(workers)
     # processes beyond the CPU count only add start-up cost and memory
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
@@ -577,11 +599,9 @@ def _fiber_suite(budget: int, n=None, n_max=None, a=None, b=None) -> SuiteResult
     # the budget before the clock domain, as expand and oracle-check order them
     _check_budget(budget, n, n_max, size)
     _check_clock(a, b)
-    if n is not None and n != size:
-        raise ValueError(f"--n {n} disagrees with a+b+1 = {size} for (a,b)=({a},{b})")
     if n_max is not None and n_max < size:
         raise ValueError(f"--n-max {n_max} is below a+b+1 = {size} for (a,b)=({a},{b})")
-    return run_fiber([size], a, b)
+    return run_fiber([size if n is None else n], a, b)
 
 
 def _c_doubleprime_suite(budget: int, a_max=8, b_max=8, workers=1) -> SuiteResult:
@@ -596,35 +616,33 @@ def _c_doubleprime_suite(budget: int, a_max=8, b_max=8, workers=1) -> SuiteResul
     return run_c_doubleprime(a_max, b_max, budget, workers)
 
 
-class Suite(NamedTuple):
-    """The ``verify`` flags a suite reads (argparse names) and its runner,
-    called as ``run(budget, **given_flags)``, which holds its defaults and checks."""
-
-    flags: Tuple[str, ...]
-    run: Callable[..., SuiteResult]
-
-
-# runners look the suite functions up as module globals when called, so a
-# wrapper bound in this module (a tracer, a test double) sees every call
-SUITE_TABLE: Dict[str, Suite] = {
-    "phi-involution": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
-                            run_phi_involution(_degrees(budget, "phi-involution", n, n_max, 10))),
-    "theta-duality": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
-                           run_theta_duality(_degrees(budget, "theta-duality", n, n_max, 10))),
+# Each suite's runner, called as ``run(budget, **given_flags)``; the flags it
+# reads are its parameters after the budget (argparse names), and it holds
+# their defaults and checks.  Runners look the suite functions up as module
+# globals when called, so a wrapper bound in this module (a tracer, a test
+# double) sees every call.
+SUITE_TABLE: Dict[str, Callable[..., SuiteResult]] = {
+    "phi-involution": lambda budget, n=None, n_max=None:
+        run_phi_involution(_degrees(budget, "phi-involution", n, n_max, 10)),
+    "theta-duality": lambda budget, n=None, n_max=None:
+        run_theta_duality(_degrees(budget, "theta-duality", n, n_max, 10)),
     # the solver identities alone are checked from n = 3, the clock pairs from 5
-    "lemma-bounds": Suite(("n", "n_max"), lambda budget, n=None, n_max=None:
-                          run_lemma_bounds(_degrees(budget, "lemma-bounds", n, n_max, 10,
-                                                    lo=5, lowest=3))),
-    "fiber": Suite(("n", "n_max", "a", "b"), _fiber_suite),
-    "c-doubleprime": Suite(("a_max", "b_max", "workers"), _c_doubleprime_suite),
-    "positivity": Suite(("n_max", "workers"), lambda budget, n_max=None, workers=1:
-                        run_positivity(_degrees(budget, "positivity", None, n_max, 14,
-                                                lo=4)[-1], workers)),
-    "triple-deletion": Suite(("count", "seed"), lambda budget, count=25, seed=2024:
-                             run_triple_deletion(count, seed)),
+    "lemma-bounds": lambda budget, n=None, n_max=None:
+        run_lemma_bounds(_degrees(budget, "lemma-bounds", n, n_max, 10, lo=5, lowest=3)),
+    "fiber": _fiber_suite,
+    "c-doubleprime": _c_doubleprime_suite,
+    "positivity": lambda budget, n_max=None, workers=1:
+        run_positivity(_degrees(budget, "positivity", None, n_max, 14, lo=4)[-1], workers),
+    "triple-deletion": lambda budget, count=25, seed=2024: run_triple_deletion(count, seed),
 }
 
 SUITES = tuple(SUITE_TABLE)
+
+
+def suite_flags(name: str) -> Tuple[str, ...]:
+    """The ``verify`` flags (argparse names) the named suite reads."""
+    code = SUITE_TABLE[name].__code__  # no inspect: every verify process would load it
+    return code.co_varnames[1:code.co_argcount]
 
 
 def run_suite(name: str, budget: int, **flags: Optional[int]) -> SuiteResult:
@@ -634,16 +652,10 @@ def run_suite(name: str, budget: int, **flags: Optional[int]) -> SuiteResult:
     ``count`` > ``MAX_INSTANCE_COUNT`` a ResourceLimitError."""
     if name not in SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
-    suite = SUITE_TABLE[name]
     given = {key: value for key, value in flags.items() if value is not None}
-    workers, count = given.get("workers", 1), given.get("count", 0)
-    if workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
-    if count < 0:
-        raise ValueError(f"--count must be >= 0, got {count}")
-    if count > MAX_INSTANCE_COUNT:
-        raise ResourceLimitError(f"--count {count} exceeds the limit {MAX_INSTANCE_COUNT}")
-    unread = [f"--{key.replace('_', '-')}" for key in given if key not in suite.flags]
+    _check_workers(given.get("workers", 1))
+    _check_count(given.get("count", 0))
+    unread = [f"--{key.replace('_', '-')}" for key in given if key not in suite_flags(name)]
     if unread:
         raise ValueError(f"suite {name} does not read {', '.join(unread)}")
-    return suite.run(budget, **given)
+    return SUITE_TABLE[name](budget, **given)

@@ -376,21 +376,21 @@ def test_suites_are_the_suite_table():
 def test_every_verify_flag_is_read_by_a_suite_and_every_runner_takes_its_flags():
     import inspect
 
-    from csfkit.verify import SUITE_TABLE
+    from csfkit.verify import SUITE_TABLE, suite_flags
 
-    read = {key for suite in SUITE_TABLE.values() for key in suite.flags}
+    read = {key for name in SUITE_TABLE for key in suite_flags(name)}
     assert read == set(cli.VERIFY_FLAGS)
-    for name, suite in SUITE_TABLE.items():
-        params = tuple(inspect.signature(suite.run).parameters)
-        assert params == ("budget",) + suite.flags, name
+    for name, run_suite in SUITE_TABLE.items():
+        params = tuple(inspect.signature(run_suite).parameters)
+        assert params == ("budget",) + suite_flags(name), name
 
 
 def test_verify_rejects_every_flag_a_suite_does_not_read(capsys):
-    from csfkit.verify import SUITE_TABLE
+    from csfkit.verify import SUITE_TABLE, suite_flags
 
-    for name, suite in SUITE_TABLE.items():
+    for name in SUITE_TABLE:
         for key in cli.VERIFY_FLAGS:
-            if key in suite.flags:
+            if key in suite_flags(name):
                 continue
             flag = f"--{key.replace('_', '-')}"
             code, out, err = run(capsys, "verify", "--suite", name, flag, "3")
@@ -511,10 +511,11 @@ def test_library_suites_fail_a_range_that_checks_nothing():
 
 
 def test_each_domain_rule_prints_one_line_at_every_entry_point(capsys):
-    from csfkit.coefficients import coeff_c, coeff_D
+    from csfkit.coefficients import coeff_c, coeff_c_doubleprime, coeff_D
     from csfkit.graphs import (build_clock, build_cycle, build_cycle_chord, build_path,
                                build_theta, closed_form_clock, closed_form_cycle,
-                               closed_form_cycle_chord, closed_form_path, closed_form_theta)
+                               closed_form_cycle_chord, closed_form_path, closed_form_theta,
+                               expansion_closed_form)
 
     def message(fn, *args):
         with pytest.raises(ValueError) as info:
@@ -548,7 +549,20 @@ def test_each_domain_rule_prints_one_line_at_every_entry_point(capsys):
         assert {message(fn, a, b) for fn in (build_clock, closed_form_clock)} == {
             message(coeff_D, I, a, b)}
         assert message(run_fiber, [a + b + 1], a, b) == message(coeff_D, I, a, b)
+        # the clock rule before the fiber's modulus and range rules
+        assert message(coeff_c_doubleprime, I, a, b) == message(coeff_D, I, a, b)
         assert "a >= b >= 2" in err
+    # --n against a+b+1: the suite function prints the CLI's line
+    code, out, err = run(capsys, "verify", "--suite", "fiber", "--n", "12",
+                         "--a", "6", "--b", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: " + message(run_fiber, [12], 6, 4) + "\n"
+    # an unknown display label: each closed form prints expansion_closed_form's line
+    for family, closed_form, args in (("theta", closed_form_theta, (3, 3, 2)),
+                                      ("cycle-chord", closed_form_cycle_chord, (2, 3))):
+        params = dict(zip(("a", "b", "c"), args))
+        assert message(closed_form, *args, "bad") == message(
+            lambda: expansion_closed_form(family, "bad", **params))
     for family, flags, builder, closed_form, args, text in (
         ("path", ("--n", "0"), build_path, closed_form_path, (0,), "path needs n >= 1, got 0"),
         ("path", ("--n", "-2"), build_path, closed_form_path, (-2,),

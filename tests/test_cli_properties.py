@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import csfkit.cli as cli
 from csfkit.compositions import parse_composition
 from csfkit.graphs import FAMILY_TABLE
-from csfkit.verify import SUITE_TABLE
+from csfkit.verify import SUITE_TABLE, suite_flags
 
 # values around the domain edges and the degree budget of 8 set below,
 # most of them inside both
@@ -45,7 +45,8 @@ def _table_flags(flag, table, keys, wanted):
 
 
 _FAMILY = _table_flags("family", FAMILY_TABLE, cli.FAMILY_FLAGS, lambda family: family.params)
-_SUITE = _table_flags("suite", SUITE_TABLE, cli.VERIFY_FLAGS, lambda suite: suite.flags)
+_SUITE = _table_flags("suite", {name: suite_flags(name) for name in SUITE_TABLE},
+                     cli.VERIFY_FLAGS, lambda flags: flags)
 
 
 def _composition_text(n):

@@ -1,9 +1,13 @@
-"""Every integer argument of the public API takes an exact int in its range.
+"""Every integer argument of the public API and of the ``verify`` suite
+functions takes an exact int in its range.
 
 A float, a bool or a string in any integer position raises the kit's own
 ``ValueError`` (or ``ResourceLimitError``) with a one-line message and never
-returns a value; each range of the composition layer is pinned at its ends.
+returns a value; each range of the composition layer, the instance count and
+the worker count are pinned at their ends.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +28,9 @@ from csfkit.graphs import (
     verify_triple_deletion,
 )
 from csfkit.symfunc import Basis, BasisVector, e_partition_to_p
+from csfkit.verify import (
+    clock_pairs, run_c_doubleprime, run_fiber, run_positivity, run_triple_deletion, theta_triples,
+)
 
 I = Composition((7, 2, 2))  # n = 11, in W_> at a = 6
 N = I.modulus
@@ -82,6 +89,13 @@ CALLS = [
     ("evaluate_ones", VECTOR.evaluate_ones, (3,)),
     ("coefficient", lambda *lam: VECTOR.coefficient(lam), (2, 1)),
     ("e_partition_to_p", lambda *lam: e_partition_to_p(lam), (2, 1)),
+    ("clock_pairs", clock_pairs, (11,)),
+    ("theta_triples", theta_triples, (9, 1)),
+    ("run_fiber", lambda n: run_fiber([n]), (5,)),
+    ("run_fiber_pair", lambda a, b: run_fiber([11], a, b), (6, 4)),
+    ("run_c_doubleprime", run_c_doubleprime, (3, 2, 6, 1)),
+    ("run_positivity", run_positivity, (5, 1)),
+    ("run_triple_deletion", run_triple_deletion, (3, 7)),
 ]
 
 SLOTS = [(name, call, args, k) for name, call, args in CALLS for k in range(len(args))]
@@ -118,7 +132,15 @@ def test_no_integer_position_returns_on_a_float_bool_or_str(slot, bad):
     _refused(call, *_at(args, k, bad))
 
 
-# (name, call of one int, lo, hi): the ranges of the composition layer
+def _triple_deletion(count: int):
+    # the count rule alone: each random instance passes without its six oracle
+    # calls, so that the top of the range costs milliseconds
+    with mock.patch("csfkit.verify.verify_triple_deletion", return_value=True):
+        return run_triple_deletion(count, 7)
+
+
+# (name, call of one int, lo, hi): the ranges of the composition layer and
+# the resource knobs of the suites
 RANGES = [
     ("theta_plus", I.theta_plus, 0, N),
     ("theta_minus", I.theta_minus, 0, N),
@@ -139,6 +161,8 @@ RANGES = [
     ("Composition", lambda p: Composition((2, p)), 1, 62),
     ("Partition", lambda p: Partition((2, p)), 1, None),
     ("max_edges", lambda m: csf_pbasis(PATH, max_edges=m), PATH.edge_count, MAX_ORACLE_EDGES),
+    ("count", _triple_deletion, 0, 1000),
+    ("workers", lambda w: run_positivity(5, workers=w), 1, None),
 ]
 
 
