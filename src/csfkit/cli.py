@@ -19,31 +19,18 @@ import argparse
 import os
 import sys
 
-from .compositions import MAX_MODULUS, format_parts, parse_composition
-from .coefficients import (
-    WClass,
-    classify,
-    coeff_c_doubleprime,
-    coeff_D,
-    fiber,
-    psi,
-    solve_psqt,
-)
 from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
-from .graphs import (
-    FAMILIES,
-    FAMILY_TABLE,
-    build_family_graph,
-    expansion_closed_form,
-    family_degree,
-    _pbasis_codes,
-)
-from .symfunc import Basis, _convert, first_difference
 
-# csv, json and .verify are imported where they are used: each costs every CLI
-# process start-up time, and only the commands that use it should pay
+# Every other module of the kit, and csv and json, is imported by the handler
+# that runs it: each costs every CLI process start-up time, and only the
+# commands that use it should pay.  The parser needs only the names below.
 
 DEFAULT_MAX_N = 20
+# the families of graphs.FAMILY_TABLE and the display forms of theta and
+# cycle-chord, in --help order; only expand and oracle-check load graphs
+FAMILIES = ("path", "cycle", "tadpole", "cycle-chord", "theta", "clock")
+THETA_FORMS = ("c", "c-prime")
+CYCLE_CHORD_FORMS = ("delta", "theta-sum")
 # the integer flags of expand and oracle-check, in --help order
 FAMILY_FLAGS = ("n", "l", "a", "b", "c")
 # the integer flags of verify, in --help order; None means not given
@@ -59,6 +46,8 @@ EXIT_RESOURCE = 3
 
 
 def _n_budget() -> int:
+    from .compositions import MAX_MODULUS
+
     raw = os.environ.get("CSFKIT_MAX_N", "").strip()
     if not raw:
         return DEFAULT_MAX_N
@@ -72,17 +61,22 @@ def _n_budget() -> int:
 
 
 def _family_instance(args: argparse.Namespace) -> tuple:
-    """The family's own parameters as given on the command line and their
-    degree, checked against the degree budget; other flags are ignored."""
+    """The family's own parameters as given on the command line, their
+    degree, checked against the degree budget, and the family's display
+    forms; other flags are ignored."""
+    from .graphs import FAMILY_TABLE, family_degree
+
+    record = FAMILY_TABLE[args.family]
     # in flag order, which the oracle-check OK line prints
-    own = FAMILY_TABLE[args.family].params
-    params = {key: getattr(args, key) for key in FAMILY_FLAGS if key in own}
+    params = {key: getattr(args, key) for key in FAMILY_FLAGS if key in record.params}
     n = family_degree(args.family, **params)
     _check_budget(_n_budget(), n)
-    return params, n
+    return params, n, tuple(record.forms)
 
 
 def _emit_grouped(grouped, fmt: str, out) -> None:
+    from .compositions import format_parts
+
     if fmt == "json":
         print(grouped.to_json(indent=2), file=out)
         return
@@ -101,9 +95,10 @@ def _emit_grouped(grouped, fmt: str, out) -> None:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    params, _ = _family_instance(args)
+    from .graphs import expansion_closed_form
+
+    params, _, forms = _family_instance(args)
     # --variant and --form each name forms of one family; others ignore them
-    forms = FAMILY_TABLE[args.family].forms
     form = next((f for f in (args.variant, args.form) if f in forms), None)
     expansion = expansion_closed_form(args.family, form=form, **params)
     _emit_grouped(expansion.grouped_by_rho(), args.format, sys.stdout)
@@ -111,12 +106,15 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    params, n = _family_instance(args)
+    from .compositions import format_parts
+    from .graphs import _pbasis_codes, build_family_graph, expansion_closed_form
+    from .symfunc import Basis, _convert, first_difference
+
+    params, n, forms = _family_instance(args)
     # the oracle's edge guard fires before any closed form is built
     graph = build_family_graph(args.family, **params)
     oracle = _convert(_pbasis_codes(graph), graph.vertex_count, Basis.E)
     # check every displayed form of the family's closed formula, in the e-basis
-    forms = FAMILY_TABLE[args.family].forms
     for label in forms:
         expansion = expansion_closed_form(args.family, form=label, **params)
         diff = first_difference(expansion.grouped_by_rho(), oracle)
@@ -157,6 +155,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fibers(args: argparse.Namespace) -> int:
+    from .coefficients import (
+        WClass, classify, coeff_c_doubleprime, coeff_D, fiber, psi, solve_psqt,
+    )
+    from .compositions import parse_composition
+
     I = parse_composition(args.I)
     a, b = args.a, args.b
     # coeff_D checks the clock and a+b+1 before anything is printed
@@ -192,11 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in FAMILY_FLAGS:
         expand.add_argument(f"--{flag}", type=int)
     expand.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    variants = tuple(FAMILY_TABLE["theta"].forms)
-    expand.add_argument("--variant", choices=variants, default=variants[0],
+    expand.add_argument("--variant", choices=THETA_FORMS, default=THETA_FORMS[0],
                         help="theta coefficient variant")
-    forms = tuple(FAMILY_TABLE["cycle-chord"].forms)
-    expand.add_argument("--form", choices=forms, default=forms[0],
+    expand.add_argument("--form", choices=CYCLE_CHORD_FORMS, default=CYCLE_CHORD_FORMS[0],
                         help="cycle-chord display form")
     expand.set_defaults(handler=cmd_expand)
 

@@ -28,7 +28,6 @@ A runner also refuses a range that checks nothing, naming where the suite starts
 from __future__ import annotations
 
 import os
-import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
@@ -40,18 +39,10 @@ from .compositions import (
     _weight, _weight_positive_tuples, format_parts,
 )
 from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
-from .graphs import (
-    Graph,
-    _pbasis_codes,
-    _signed_code_sum,
-    build_tadpole,
-    build_theta,
-    closed_form_clock,
-    e_positivity_report,
-    expansion_closed_form,
-    verify_triple_deletion,
-)
-from .symfunc import Basis, BasisVector, first_difference
+
+# graphs, symfunc and random are imported by the c-doubleprime, positivity and
+# triple-deletion code that uses them, so the four composition suites load no
+# graph or basis code; the pooled suites load them before the pool forks
 
 MAX_REPORTED_VIOLATIONS = 50
 
@@ -302,6 +293,7 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
     _check_fiber_pair(a, b)
     result = SuiteResult("fiber")
     for n in ns:
+        _check_degree(n)  # before the a+b+1 rule, so an inexact n is named as such
         if a is not None and a + b + 1 != n:
             raise ValueError(f"--n {n} disagrees with a+b+1 = {a + b + 1} for (a,b)=({a},{b})")
         pairs = clock_pairs(n) if a is None else [(a, b)]
@@ -318,31 +310,32 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
                 p, _, q, _ = _solve_psqt_parts(parts, moduli, pb)
                 preimages = _fiber_parts(parts, p, q)
                 rho = sorted(parts)
-                I = format_parts(parts)
+                # parts are formatted in failure messages only: a passing sweep formats none
                 for r, H in enumerate(preimages, start=1):
                     result.checked += 1
                     h_moduli = _moduli(H)
                     if _psi_parts(H, h_moduli, pa) != parts:
-                        result.fail(f"fiber element {format_parts(H)} does not map back to {I}")
+                        result.fail(f"fiber element {format_parts(H)} does not map back to "
+                                    f"{format_parts(parts)}")
                     if _classify_parts(H, h_moduli, pa)[0] is not WClass.W_LE:
-                        result.fail(f"fiber element {format_parts(H)} of {I} is not in W_<=")
+                        result.fail(f"fiber element {format_parts(H)} of {format_parts(parts)} "
+                                    f"is not in W_<=")
                     if sorted(H) != rho:
-                        result.fail(
-                            f"fiber element {format_parts(H)} changes the partition of {I}")
+                        result.fail(f"fiber element {format_parts(H)} changes the partition "
+                                    f"of {format_parts(parts)}")
                     if H[_split_cut(h_moduli, pa):] != parts[p + r :]:
                         result.fail(f"fiber element {format_parts(H)} has the wrong suffix split")
                     if H in seen:
                         result.fail(f"{format_parts(H)} appears in two fibers: "
-                                    f"{format_parts(seen[H])} and {I}")
+                                    f"{format_parts(seen[H])} and {format_parts(parts)}")
                     seen[H] = parts
                 if (n, pa, pb) == (11, 6, 4) and parts in _FIBER_FIXTURES:
                     expected = _FIBER_FIXTURES[parts]
                     result.checked += 1
                     got = tuple((H, _D_parts(H, _moduli(H), pa, pb)) for H in preimages)
                     if got != expected:
-                        result.fail(
-                            f"fixture fiber mismatch at I={I}: got {got}, want {expected}"
-                        )
+                        result.fail(f"fixture fiber mismatch at I={format_parts(parts)}: "
+                                    f"got {got}, want {expected}")
             for J, moduli in lesser:
                 result.checked += 1
                 image = _psi_parts(J, moduli, pa)
@@ -360,6 +353,9 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
 
 
 def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[str]]:
+    from .graphs import closed_form_clock
+    from .symfunc import Basis, BasisVector, first_difference
+
     n, pairs = task
     checked = 0
     violations: List[str] = []
@@ -398,12 +394,19 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
 def run_c_doubleprime(
     a_max: int, b_max: int, n_cap: int, workers: int = 1
 ) -> SuiteResult:
+    # the tasks' modules, loaded here so that pool workers inherit them
+    from . import graphs  # noqa: F401
+
     _check_ints("c-doubleprime bound", a_max, b_max, n_cap)
     result = SuiteResult("c-doubleprime")
-    requested = [(a, b) for a in range(2, a_max + 1) for b in range(2, min(a, b_max) + 1)]
-    pairs = [p for p in requested if sum(p) + 1 <= n_cap]
-    if len(pairs) < len(requested):
-        result.stderr_notes.append(f"skipped {len(requested) - len(pairs)} pair(s) "
+    # the pairs a >= b >= 2 with a <= a_max, b <= b_max and a + b + 1 <= n_cap;
+    # those above the budget are counted, not listed, so no bound costs memory
+    pairs = [(a, b) for a in range(2, min(a_max, n_cap - 3) + 1)
+             for b in range(2, min(a, b_max, n_cap - 1 - a) + 1)]
+    top = min(a_max, b_max)
+    requested = (top - 1) * (2 * a_max - top) // 2 if top >= 2 else 0
+    if len(pairs) < requested:
+        result.stderr_notes.append(f"skipped {requested - len(pairs)} pair(s) "
                                    f"with a+b+1 above the degree budget {n_cap}")
     # one task per n, so that each task enumerates the compositions of n once
     tasks = [(n, tuple(p for p in pairs if sum(p) + 1 == n))
@@ -421,6 +424,8 @@ def run_c_doubleprime(
 
 
 def _positivity_task(task: Tuple[str, int, int]):
+    from .graphs import e_positivity_report, expansion_closed_form
+
     family, a, b = task
     checked = 0
     violations: List[str] = []
@@ -443,6 +448,9 @@ def _positivity_task(task: Tuple[str, int, int]):
 
 
 def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
+    # the tasks' modules, loaded here so that pool workers inherit them
+    from . import graphs  # noqa: F401
+
     _check_degree(n_max)
     result = SuiteResult("positivity")
     # the clock is checked after grouping only; cycle-chord terms are
@@ -471,6 +479,8 @@ TRIPLE_MAX_VERTICES = 10
 
 
 def _random_stable_triple_instance(rng: random.Random) -> Tuple[Graph, Tuple[int, int, int]]:
+    from .graphs import Graph
+
     # each instance costs six oracle calls at base_edges + up to 3 edges;
     # the frontier width of those graphs sets the cost, and at most 11 base
     # edges keep it small
@@ -501,6 +511,8 @@ def theta_deletion_instance(a: int, b: int, c: int):
     two edges restores the original graph, and the two single-edge variants
     are a tadpole and a rebalanced three-path graph.
     """
+    from .graphs import Graph, build_theta
+
     if c < 2:
         raise ValueError(f"deletion instance needs c >= 2, got {(a, b, c)}")
     theta = build_theta(a, b, c)
@@ -519,6 +531,12 @@ def _check_count(count: int) -> None:
 
 
 def run_triple_deletion(count: int, seed: int) -> SuiteResult:
+    import random
+
+    from .graphs import (
+        _pbasis_codes, _signed_code_sum, build_tadpole, build_theta, verify_triple_deletion,
+    )
+
     _check_count(count)
     _check_ints("seed", seed)
     result = SuiteResult("triple-deletion")

@@ -98,13 +98,15 @@ def test_oracle_check_passes_for_known_families(capsys):
 
 
 def test_oracle_check_reports_first_differing_partition(capsys, monkeypatch):
+    import csfkit.graphs as graphs
+
     def corrupted(family, **params):
         expansion = EExpansion(3)
         expansion.add_term(Composition((3,)), 1)  # should be 1 per unit weight
         expansion.add_term(Composition((1, 2)), 5)  # corrupted coefficient
         return expansion
 
-    monkeypatch.setattr(cli, "expansion_closed_form", corrupted)
+    monkeypatch.setattr(graphs, "expansion_closed_form", corrupted)
     code, out, _ = run(capsys, "oracle-check", "--family", "path", "--n", "3")
     assert code == 1
     assert out.startswith("MISMATCH")
@@ -113,13 +115,14 @@ def test_oracle_check_reports_first_differing_partition(capsys, monkeypatch):
 
 def test_oracle_check_edge_guard_fires_before_the_oracle_runs(capsys, monkeypatch):
     import csfkit.graphs as graphs
+    import csfkit.symfunc as symfunc
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle ran past its edge guard")
 
     monkeypatch.setattr(graphs, "csf_pbasis_subsets", forbidden)
-    monkeypatch.setattr(cli, "expansion_closed_form", forbidden)
-    monkeypatch.setattr(cli, "_convert", forbidden)
+    monkeypatch.setattr(graphs, "expansion_closed_form", forbidden)
+    monkeypatch.setattr(symfunc, "_convert", forbidden)
     monkeypatch.setenv("CSFKIT_MAX_N", "30")
     # theta(11, 10, 10) has n = 30 and 31 edges, one over the oracle's cap
     code, out, err = run(capsys, "oracle-check", "--family", "theta",
@@ -265,20 +268,33 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     from pathlib import Path
 
     src = str(Path(cli.__file__).resolve().parents[1])
-    # a command loads only what it runs: oracle-check needs no sweep module,
-    # no JSON or CSV, and no dataclasses
+    # a command loads only what it runs: no command here needs the process
+    # pool, JSON, CSV or dataclasses, and each loads only its own modules
     probe = ("import sys, csfkit.cli\n"
-             "unused = ('multiprocessing', 'concurrent.futures.process', 'csfkit.verify',\n"
+             "unused = ('multiprocessing', 'concurrent.futures.process',\n"
              "          'dataclasses', 'json', 'csv')\n"
              "print(sorted(m for m in unused if m in sys.modules))\n"
-             "csfkit.cli.main(['oracle-check', '--family', 'path', '--n', '5'])\n"
-             "print(sorted(m for m in unused if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    lines = out.splitlines()
-    assert lines[0] == lines[-1] == "[]", out
-    assert lines[1].startswith("OK path (5,)")
+             "try:\n"
+             "    csfkit.cli.main(sys.argv[1:])\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "print(sorted(m for m in unused if m in sys.modules))\n"
+             "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('csfkit.'))))")
+    composition = "cli coefficients compositions errors"
+    for argv, loaded in (
+        (("--help",), "cli errors"),
+        (("fibers", "--I", "7,2,2", "--a", "6", "--b", "4"), composition),
+        (("verify", "--suite", "phi-involution", "--n", "5"), f"{composition} verify"),
+        (("oracle-check", "--family", "path", "--n", "5"), f"{composition} graphs symfunc"),
+    ):
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        lines = out.splitlines()
+        assert lines[0] == lines[-2] == "[]", (argv, out)
+        assert lines[-1] == loaded, (argv, out)
+        if argv[0] == "oracle-check":
+            assert lines[1].startswith("OK path (5,)")
 
 
 def test_bad_clock_pair_is_usage_error_before_any_output(capsys):
@@ -327,6 +343,22 @@ def test_c_doubleprime_notes_dropped_pairs_on_stderr(capsys, monkeypatch):
     assert (code, err) == (0, "")
 
 
+def test_c_doubleprime_counts_the_pairs_above_the_budget_without_listing_them():
+    # a million-wide request at budget 5 sweeps (2, 2) alone, at once
+    result = run_c_doubleprime(10**6, 10**6, 5)
+    assert result.notes == ["pairs swept: 1"] and result.ok
+    assert result.stderr_notes == [
+        "skipped 499999499999 pair(s) with a+b+1 above the degree budget 5"]
+    # the count is that of the listed pairs a >= b >= 2 above the budget
+    for a_max in range(-1, 10):
+        for b_max in range(-1, 10):
+            requested = [(a, b) for a in range(2, a_max + 1) for b in range(2, min(a, b_max) + 1)]
+            skipped = sum(a + b + 1 > 7 for a, b in requested)
+            notes = run_c_doubleprime(a_max, b_max, 7).stderr_notes
+            assert notes == ([f"skipped {skipped} pair(s) with a+b+1 above the degree budget 7"]
+                             if skipped else []), (a_max, b_max)
+
+
 def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
     import concurrent.futures
     import os
@@ -371,6 +403,15 @@ def test_suites_are_the_suite_table():
     assert SUITES == tuple(SUITE_TABLE)
     # the parser's copy, which spares every other command loading verify
     assert cli.SUITES == SUITES
+
+
+def test_parser_names_are_the_family_table():
+    from csfkit.graphs import FAMILIES, FAMILY_TABLE
+
+    # the parser's copies, which spare --help and the other commands loading graphs
+    assert cli.FAMILIES == FAMILIES == tuple(FAMILY_TABLE)
+    assert cli.THETA_FORMS == tuple(FAMILY_TABLE["theta"].forms)
+    assert cli.CYCLE_CHORD_FORMS == tuple(FAMILY_TABLE["cycle-chord"].forms)
 
 
 def test_every_verify_flag_is_read_by_a_suite_and_every_runner_takes_its_flags():
@@ -596,3 +637,4 @@ def test_family_flags_are_the_family_parameters():
     assert len(set(cli.FAMILY_FLAGS)) == len(cli.FAMILY_FLAGS)
     params = {name for family in FAMILY_TABLE.values() for name in family.params}
     assert set(cli.FAMILY_FLAGS) == params
+

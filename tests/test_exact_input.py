@@ -93,6 +93,7 @@ CALLS = [
     ("theta_triples", theta_triples, (9, 1)),
     ("run_fiber", lambda n: run_fiber([n]), (5,)),
     ("run_fiber_pair", lambda a, b: run_fiber([11], a, b), (6, 4)),
+    ("run_fiber_n_of_pair", lambda n: run_fiber([n], 6, 4), (11,)),
     ("run_c_doubleprime", run_c_doubleprime, (3, 2, 6, 1)),
     ("run_positivity", run_positivity, (5, 1)),
     ("run_triple_deletion", run_triple_deletion, (3, 7)),
@@ -135,7 +136,7 @@ def test_no_integer_position_returns_on_a_float_bool_or_str(slot, bad):
 def _triple_deletion(count: int):
     # the count rule alone: each random instance passes without its six oracle
     # calls, so that the top of the range costs milliseconds
-    with mock.patch("csfkit.verify.verify_triple_deletion", return_value=True):
+    with mock.patch("csfkit.graphs.verify_triple_deletion", return_value=True):
         return run_triple_deletion(count, 7)
 
 
