@@ -97,6 +97,18 @@ def _rho(parts: tuple) -> Partition:
     return tuple.__new__(Partition, sorted(parts, reverse=True))
 
 
+class _Frozen:
+    # the base of the kit's immutable classes: __init__ writes each field
+    # with object.__setattr__, and nothing can set or delete one afterwards
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
 class Partition(tuple):
     """Weakly decreasing positive parts; the index of an e- or p-basis term."""
 
@@ -113,7 +125,7 @@ class Partition(tuple):
         return f"Partition({list(self)})"
 
 
-class Composition:
+class Composition(_Frozen):
     """An ordered tuple of positive integer parts.
 
     The cumulative sums ``(0, i1, i1+i2, ..., n)`` are precomputed once so
@@ -135,17 +147,21 @@ class Composition:
             raise ValueError(
                 f"modulus {moduli[-1]} exceeds the supported bound {MAX_MODULUS}"
             )
-        self.parts = parts
-        self.prefix_moduli = moduli
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "prefix_moduli", moduli)
 
     @classmethod
     def _from_valid(cls, parts: tuple) -> "Composition":
         # Parts already known valid: a slice or reordering of a checked
         # composition, or an enumerator's output.  Skips the per-part checks.
         self = object.__new__(cls)
-        self.parts = parts
-        self.prefix_moduli = _moduli(parts)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "prefix_moduli", _moduli(parts))
         return self
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not by setting slots
+        return Composition, (self.parts,)
 
     @property
     def modulus(self) -> int:

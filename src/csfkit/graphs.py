@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import (
-    Composition, Partition, _check_degree, _check_ints, _check_modulus, _moduli, _rho,
-    _theta_plus, _weight, _weight_positive_tuples,
+    Composition, Partition, _Frozen, _check_degree, _check_ints, _check_modulus, _moduli,
+    _rho, _theta_plus, _weight, _weight_positive_tuples,
 )
 from .coefficients import _c_parts, _check_clock, _check_theta, _solve_psqt_parts
 from .errors import ResourceLimitError
@@ -27,7 +27,7 @@ from .symfunc import Basis, BasisVector, _pack, _unpack, _width
 MAX_ORACLE_EDGES = 30
 
 
-class Graph:
+class Graph(_Frozen):
     """An immutable simple undirected graph on vertices 0 .. vertex_count-1."""
 
     def __init__(self, vertex_count: int, edges: Iterable[Tuple[int, int]]):
@@ -50,12 +50,6 @@ class Graph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "edge_set", frozenset(seen))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
 
     # edge_set, the lookup index of has_edge, is derived from edges, so
     # repr, == and hash read (vertex_count, edges) only
@@ -195,13 +189,10 @@ def _frontier_order(graph: Graph) -> List[Tuple[int, int]]:
     )
 
 
-def _check_edges(graph: Graph, max_edges: int) -> None:
-    _check_ints("max_edges", max_edges)
-    if max_edges > MAX_ORACLE_EDGES:
-        raise ValueError(f"max_edges {max_edges} exceeds the hard bound {MAX_ORACLE_EDGES}")
-    if graph.edge_count > max_edges:
+def _check_edges(graph: Graph) -> None:
+    if graph.edge_count > MAX_ORACLE_EDGES:
         raise ResourceLimitError(
-            f"oracle budget exceeded: {graph.edge_count} edges > limit {max_edges}"
+            f"oracle budget exceeded: {graph.edge_count} edges > limit {MAX_ORACLE_EDGES}"
         )
 
 
@@ -226,10 +217,10 @@ def _frontier_move(labels: tuple, grown: int, pu: int, pv: int, leaving: set) ->
     return tuple(move)
 
 
-def _pbasis_codes(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> Dict[int, int]:
+def _pbasis_codes(graph: Graph) -> Dict[int, int]:
     """:func:`csf_pbasis` as {partition code: count}, in the codes of
     :mod:`csfkit.symfunc` at width ``_width(n)``."""
-    _check_edges(graph, max_edges)
+    _check_edges(graph)
     n = graph.vertex_count
     edges = _frontier_order(graph)
     last: Dict[int, int] = {}
@@ -256,8 +247,7 @@ def _pbasis_codes(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> Dict[int, 
             if not move:
                 continue
             lu, lv, keep, join = move
-            if ones:
-                sizes += ones
+            sizes += ones
             joined = list(sizes)
             joined[lu] += sizes[lv]
             for sign, src, (labs, order, closing) in ((1, sizes, keep), (-1, joined, join)):
@@ -265,19 +255,10 @@ def _pbasis_codes(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> Dict[int, 
                 add = 0
                 for x in closing:
                     add += unit[src[x]]
-                target = nxt.get(key)
-                if target is None:
-                    if sign > 0 and not add:
-                        # nothing closed: hand the dict on without a copy;
-                        # the branch with the edge has one component fewer,
-                        # so it never merges into this key
-                        nxt[key] = closed
-                    else:
-                        nxt[key] = {c + add: sign * k for c, k in closed.items()}
-                else:
-                    for c, k in closed.items():
-                        c += add
-                        target[c] = target.get(c, 0) + sign * k
+                target = nxt.setdefault(key, {})
+                for c, k in closed.items():
+                    c += add
+                    target[c] = target.get(c, 0) + sign * k
         states = nxt
         active = [w for p, w in enumerate(active) if p not in leaving]
     # every vertex has left the frontier: one state remains
@@ -285,7 +266,7 @@ def _pbasis_codes(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> Dict[int, 
     return {code: count for code, count in closed.items() if count}
 
 
-def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
+def csf_pbasis(graph: Graph) -> BasisVector:
     """Chromatic symmetric function in the power-sum basis.
 
     Evaluates the sum of (-1)^|S| p_{lambda(S)} over all edge subsets S,
@@ -304,26 +285,27 @@ def csf_pbasis(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
     does to a state depends only on its labels, so it is worked out once
     per edge and distinct labels tuple (:func:`_frontier_move`).
 
-    The frontier never holds more states than there are subsets, so
-    ``max_edges`` still bounds the cost.  :func:`csf_pbasis_subsets` keeps
-    the plain subset sum on partition tuples as an independent cross-check.
+    The frontier never holds more states than there are subsets, so the
+    cap of ``MAX_ORACLE_EDGES`` edges (a :class:`ResourceLimitError` above
+    it) still bounds the cost.  :func:`csf_pbasis_subsets` keeps the plain
+    subset sum on partition tuples as an independent cross-check.
     """
     width = _width(graph.vertex_count)
     return BasisVector(Basis.P, graph.vertex_count, {
-        _unpack(code, width): count for code, count in _pbasis_codes(graph, max_edges).items()
+        _unpack(code, width): count for code, count in _pbasis_codes(graph).items()
     })
 
 
-def csf_pbasis_subsets(graph: Graph, max_edges: int = MAX_ORACLE_EDGES) -> BasisVector:
+def csf_pbasis_subsets(graph: Graph) -> BasisVector:
     """:func:`csf_pbasis` by the plain sum over all 2^|E| edge subsets.
 
     Kept on purpose as the independent cross-check of the frontier
     program.  Components are tracked by a size-ranked union-find that is
     unwound on backtrack, so each subset costs amortized near-constant work
-    on top of the leaf bookkeeping.  Cost is Theta(2^|E|): guarded by
-    ``max_edges``.
+    on top of the leaf bookkeeping.  Cost is Theta(2^|E|): guarded by the
+    same cap of ``MAX_ORACLE_EDGES`` edges.
     """
-    _check_edges(graph, max_edges)
+    _check_edges(graph)
     m = graph.edge_count
     n = graph.vertex_count
     parent = list(range(n))

@@ -21,7 +21,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
-from .compositions import Partition, _check_ints
+from .compositions import Partition, _Frozen, _check_ints
 
 
 def _check_exact(what: str, value) -> None:
@@ -45,7 +45,7 @@ class Basis(Enum):
     P = "p"
 
 
-class BasisVector:
+class BasisVector(_Frozen):
     """A homogeneous symmetric function stored as partition -> coefficient.
 
     Invariants: every stored partition has modulus equal to the degree, no
@@ -74,12 +74,6 @@ class BasisVector:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"BasisVector is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"BasisVector is immutable: cannot delete {name!r}")
 
     def __repr__(self) -> str:
         return f"BasisVector({self.basis.value}, degree={self.degree}, terms={len(self.terms)})"

@@ -596,8 +596,10 @@ def _degrees(budget: int, name: str, n, n_max, default_max: int,
              lo: int = 1, lowest: Optional[int] = None) -> List[int]:
     # [--n], or lo .. --n-max (default_max when not given); a request that
     # checks nothing names where the suite starts: ``lowest`` (default lo)
-    # for --n, lo for --n-max
+    # for --n, lo for --n-max.  Both given: --n, refused above --n-max
     _check_budget(budget, n, n_max)
+    if n is not None and n_max is not None and n > n_max:
+        raise ValueError(f"--n-max {n_max} is below --n {n}")
     if n is None:
         degrees = list(range(lo, (default_max if n_max is None else n_max) + 1))
         flag, least = f"--n-max {n_max}", lo

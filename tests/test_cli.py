@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, budgets, determinism."""
 
+import importlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import csfkit.cli as cli
 from csfkit.errors import ResourceLimitError
 from csfkit.verify import (
     MAX_INSTANCE_COUNT,
+    MAX_REPORTED_VIOLATIONS,
     SuiteResult,
     run_c_doubleprime,
     run_fiber,
@@ -329,6 +331,8 @@ def test_run_suite_bounds_workers_and_count():
         run_suite("c-doubleprime", 20, workers=0)
     with pytest.raises(ValueError, match="--workers"):
         run_suite("positivity", 20, workers=-3)
+    with pytest.raises(ValueError, match="^unknown suite 'nope'; expected one of "):
+        run_suite("nope", 20)
 
 
 def test_c_doubleprime_notes_dropped_pairs_on_stderr(capsys, monkeypatch):
@@ -526,10 +530,65 @@ def test_verify_refuses_a_range_that_checks_nothing(capsys, monkeypatch):
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0, argv
         assert "CHECKED 0 " not in out
+    # both given, --n runs alone: above --n-max it would run a degree outside
+    # the range asked
+    for suite, n, n_max in (("phi-involution", "6", "3"), ("theta-duality", "4", "2"),
+                            ("lemma-bounds", "6", "5"), ("fiber", "11", "5")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n, "--n-max", n_max)
+        assert (code, out) == (2, ""), suite
+        assert err == f"error: --n-max {n_max} is below --n {n}\n"
+    for n_max in ("6", "7"):
+        code, out, _ = run(capsys, "verify", "--suite", "phi-involution",
+                           "--n", "6", "--n-max", n_max)
+        assert (code, out) == (0, "SUITE phi-involution CHECKED 192 VIOLATIONS 0\n")
     # a budget below the lowest pair drops every c-doubleprime pair: exit 3
     monkeypatch.setenv("CSFKIT_MAX_N", "4")
     code, out, err = run(capsys, "verify", "--suite", "c-doubleprime")
     assert (code, out, len(err.splitlines())) == (3, "", 1)
+
+
+# (suite, verify flags, module and name of the kernel it reads, a broken stand-in)
+BROKEN_KERNELS = [
+    ("phi-involution", ("--n", "4"), "csfkit.verify", "_phi_parts",
+     lambda parts, moduli, a: (1, *parts)),
+    ("theta-duality", ("--n", "4"), "csfkit.verify", "_theta_plus", lambda moduli, a: -1),
+    ("lemma-bounds", ("--n", "5"), "csfkit.verify", "_theta_minus", lambda moduli, a: -1),
+    ("fiber", ("--n", "7"), "csfkit.verify", "_psi_parts", lambda parts, moduli, a: parts),
+    ("c-doubleprime", ("--a-max", "2", "--b-max", "2", "--workers", "1"), "csfkit.verify",
+     "_c_doubleprime_parts", lambda parts, moduli, a, b, sol: -1),
+    ("positivity", ("--n-max", "4", "--workers", "1"), "csfkit.verify", "_delta_parts",
+     lambda parts, sol: -1),
+    ("triple-deletion", ("--count", "2"), "csfkit.graphs", "verify_triple_deletion",
+     lambda graph, triple: False),
+]
+
+
+@pytest.mark.parametrize("suite, argv, module, name, broken", BROKEN_KERNELS,
+                         ids=[entry[0] for entry in BROKEN_KERNELS])
+def test_every_suite_reports_a_broken_kernel(capsys, monkeypatch, suite, argv, module, name,
+                                             broken):
+    monkeypatch.setattr(importlib.import_module(module), name, broken)
+    flags = {argv[k][2:].replace("-", "_"): int(argv[k + 1]) for k in range(0, len(argv), 2)}
+    result = run_suite(suite, 20, **flags)
+    assert result.checked > 0 and result.violations and not result.ok
+    code, out, err = run(capsys, "verify", "--suite", suite, *argv)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    reported = [line for line in lines if line.startswith("VIOLATION: ")]
+    assert reported == [f"VIOLATION: {message}" for message in result.violations]
+    assert lines[-1] == (f"SUITE {suite} CHECKED {result.checked} "
+                         f"VIOLATIONS {len(result.violations)}")
+    assert lines[-1 - len(reported):-1] == reported
+
+
+def test_violations_past_the_cap_are_suppressed_in_one_line():
+    result = SuiteResult("x")
+    for k in range(60):
+        result.fail(f"v{k}")
+    assert len(result.violations) == MAX_REPORTED_VIOLATIONS + 1 == 51
+    assert result.violations[:-1] == [f"v{k}" for k in range(50)]
+    assert result.violations[-1] == "... further violations suppressed"
+    assert not result.ok
 
 
 def test_library_suites_fail_a_range_that_checks_nothing():

@@ -194,3 +194,27 @@ def test_composition_equality_hash_and_str():
     assert a != Composition((3, 2))
     assert str(a) == "23"
     assert a[0] == 2 and list(a) == [2, 3]
+
+
+def test_composition_fields_cannot_be_rebound_or_deleted():
+    import copy
+    import pickle
+
+    from csfkit.coefficients import phi
+
+    built = Composition((2, 2))
+    derived = [built.reversed(), next(compositions_of(4, 2)),
+               next(weight_positive_compositions(4)), phi(Composition((7, 2, 2)), 6)]
+    for I in [built, *derived]:
+        before = (I.parts, I.prefix_moduli, str(I), hash(I))
+        for name in ("parts", "prefix_moduli", "extra"):
+            with pytest.raises(AttributeError) as info:
+                setattr(I, name, (9,))
+            assert str(info.value) == f"Composition is immutable: cannot set {name!r}"
+            with pytest.raises(AttributeError) as info:
+                delattr(I, name)
+            assert str(info.value) == f"Composition is immutable: cannot delete {name!r}"
+        assert (I.parts, I.prefix_moduli, str(I), hash(I)) == before
+        # pickle and copy rebuild the value rather than setting its fields
+        assert pickle.loads(pickle.dumps(I)) == I == copy.copy(I)
+        assert copy.deepcopy(I).prefix_moduli == I.prefix_moduli

@@ -4,7 +4,8 @@ functions takes an exact int in its range.
 A float, a bool or a string in any integer position raises the kit's own
 ``ValueError`` (or ``ResourceLimitError``) with a one-line message and never
 returns a value; each range of the composition layer, the instance count and
-the worker count are pinned at their ends.
+the worker count are pinned at their ends, and the graph, vector and deletion
+parameters at their lower ends.
 """
 
 from unittest import mock
@@ -21,15 +22,15 @@ from csfkit.compositions import (
 )
 from csfkit.errors import ResourceLimitError
 from csfkit.graphs import (
-    MAX_ORACLE_EDGES, EExpansion, Graph, build_clock, build_cycle, build_cycle_chord,
-    build_family_graph, build_path, build_tadpole, build_theta, closed_form_clock,
-    closed_form_cycle, closed_form_cycle_chord, closed_form_path, closed_form_tadpole,
-    closed_form_theta, csf_pbasis, csf_pbasis_subsets, expansion_closed_form,
-    verify_triple_deletion,
+    EExpansion, Graph, build_clock, build_cycle, build_cycle_chord, build_family_graph,
+    build_path, build_tadpole, build_theta, closed_form_clock, closed_form_cycle,
+    closed_form_cycle_chord, closed_form_path, closed_form_tadpole, closed_form_theta,
+    expansion_closed_form, verify_triple_deletion,
 )
 from csfkit.symfunc import Basis, BasisVector, e_partition_to_p
 from csfkit.verify import (
-    clock_pairs, run_c_doubleprime, run_fiber, run_positivity, run_triple_deletion, theta_triples,
+    clock_pairs, run_c_doubleprime, run_fiber, run_positivity, run_triple_deletion,
+    theta_deletion_instance, theta_triples,
 )
 
 I = Composition((7, 2, 2))  # n = 11, in W_> at a = 6
@@ -79,8 +80,6 @@ CALLS = [
     ("closed_form_clock", closed_form_clock, (3, 2)),
     ("build_family_graph", lambda a, b, c: build_family_graph("theta", a=a, b=b, c=c), (3, 3, 2)),
     ("expansion_closed_form", lambda a, l: expansion_closed_form("tadpole", a=a, l=l), (3, 1)),
-    ("csf_pbasis", lambda m: csf_pbasis(PATH, max_edges=m), (4,)),
-    ("csf_pbasis_subsets", lambda m: csf_pbasis_subsets(PATH, max_edges=m), (4,)),
     ("verify_triple_deletion", lambda *t: verify_triple_deletion(PATH, t), (0, 2, 4)),
     ("BasisVector", lambda d, c: BasisVector(Basis.E, d, {(3,): c}), (3, 1)),
     ("BasisVector.from_json_dict",
@@ -140,8 +139,9 @@ def _triple_deletion(count: int):
         return run_triple_deletion(count, 7)
 
 
-# (name, call of one int, lo, hi): the ranges of the composition layer and
-# the resource knobs of the suites
+# (name, call of one int, lo, hi): the ranges of the composition layer, the
+# lower ends of the graph, vector and deletion parameters, and the resource
+# knobs of the suites
 RANGES = [
     ("theta_plus", I.theta_plus, 0, N),
     ("theta_minus", I.theta_minus, 0, N),
@@ -161,7 +161,10 @@ RANGES = [
     ("EExpansion", EExpansion, 1, 64),
     ("Composition", lambda p: Composition((2, p)), 1, 62),
     ("Partition", lambda p: Partition((2, p)), 1, None),
-    ("max_edges", lambda m: csf_pbasis(PATH, max_edges=m), PATH.edge_count, MAX_ORACLE_EDGES),
+    ("closed_form_tadpole-l", lambda l: closed_form_tadpole(3, l), 0, None),
+    ("theta_deletion_instance-c", lambda c: theta_deletion_instance(3, 3, c), 2, None),
+    ("BasisVector-degree", lambda d: BasisVector(Basis.E, d), 0, None),
+    ("evaluate_ones", VECTOR.evaluate_ones, 0, None),
     ("count", _triple_deletion, 0, 1000),
     ("workers", lambda w: run_positivity(5, workers=w), 1, None),
 ]

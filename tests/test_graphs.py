@@ -177,6 +177,8 @@ def test_graph_is_immutable_and_each_expansion_owns_its_entries():
         with pytest.raises(AttributeError):
             delattr(graph, attr)
     assert graph == build_path(3) and graph.has_edge(1, 2)
+    with pytest.raises(AttributeError, match=r"^Graph is immutable: cannot set 'x'$"):
+        graph.x = 1
     first, second = EExpansion(3), EExpansion(3)
     first.add_term(Composition((3,)), 2)
     assert first.grouped_by_rho().terms == {Partition((3,)): 6}
@@ -231,13 +233,11 @@ def test_oracle_counts_isolated_vertices():
 
 def test_oracle_edge_budget():
     wide = Graph(32, [(0, i) for i in range(1, 32)])
-    with pytest.raises(ResourceLimitError):
-        csf_pbasis(wide)
-    # explicit smaller budget
-    with pytest.raises(ResourceLimitError):
-        csf_pbasis(build_cycle(12), max_edges=11)
-    with pytest.raises(ResourceLimitError):
-        csf_pbasis_subsets(build_cycle(12), max_edges=11)
+    # one cap for both oracles, the constant, with the same message
+    for oracle in (csf_pbasis, csf_pbasis_subsets):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^oracle budget exceeded: 31 edges > limit 30$"):
+            oracle(wide)
 
 
 @st.composite

@@ -217,6 +217,8 @@ def test_fields_cannot_be_rebound_or_deleted():
     for name in ("degree", "terms", "basis"):
         with pytest.raises(AttributeError):
             delattr(vec, name)
+    with pytest.raises(AttributeError, match=r"^BasisVector is immutable: cannot delete 'terms'$"):
+        del vec.terms
     assert repr(vec) == "BasisVector(e, degree=9, terms=2)"
     assert vec.equals(BasisVector(Basis.E, 9, {(5, 2, 2): -3, (9,): Fraction(7, 2)}))
 
