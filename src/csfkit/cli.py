@@ -189,11 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    expand = sub.add_parser("expand", help="emit a grouped e-expansion")
-    expand.add_argument("--family", required=True, choices=FAMILIES)
+    # --family and the family flags, shared by expand and oracle-check
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, choices=FAMILIES)
     for flag in FAMILY_FLAGS:
-        expand.add_argument(f"--{flag}", type=int)
+        family.add_argument(f"--{flag}", type=int)
+
+    expand = sub.add_parser("expand", parents=[family], help="emit a grouped e-expansion")
     expand.add_argument("--format", choices=("text", "csv", "json"), default="text")
     expand.add_argument("--variant", choices=THETA_FORMS, default=THETA_FORMS[0],
                         help="theta coefficient variant")
@@ -201,12 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cycle-chord display form")
     expand.set_defaults(handler=cmd_expand)
 
-    oracle = sub.add_parser(
-        "oracle-check", help="compare a closed form with the power-sum oracle"
-    )
-    oracle.add_argument("--family", required=True, choices=FAMILIES)
-    for flag in FAMILY_FLAGS:
-        oracle.add_argument(f"--{flag}", type=int)
+    oracle = sub.add_parser("oracle-check", parents=[family],
+                            help="compare a closed form with the power-sum oracle")
     oracle.set_defaults(handler=cmd_oracle_check)
 
     verify = sub.add_parser("verify", help="run a verification sweep")

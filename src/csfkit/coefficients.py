@@ -19,8 +19,8 @@ kernel function (``_solve_psqt_parts``, ``_delta_parts``, ``_phi_parts``,
 ``_psi_parts``, ``_classify_parts``, ``_fiber_parts``, ``_c_parts``,
 ``_c_doubleprime_parts``) on the parts and prefix-moduli tuples, which checks
 nothing and returns tuples.  The sweeps of :mod:`csfkit.verify` and the closed
-forms of :mod:`csfkit.graphs` call the kernel directly, so each formula has one
-implementation.
+forms of :mod:`csfkit.graphs` call the kernel directly, and ``coeff_c`` and
+the closed forms build c_I through one factory, ``_theta_coeff``.
 
 Statistics of a reversal are read from the composition itself through
 theta-duality, theta_minus(reversed I, k) = theta_plus(I, n - k) and
@@ -35,7 +35,7 @@ from typing import List, NamedTuple, Tuple
 
 from .compositions import (
     Composition, _check_ints, _check_modulus, _check_range, _moduli, _theta_minus, _theta_plus,
-    _weight,
+    _theta_plus_sum, _weight,
 )
 
 
@@ -146,20 +146,21 @@ def _fiber_parts(parts, p: int, q: int) -> List[tuple]:
 
 
 def _c_parts(parts, moduli, a: int, c: int, sol, twisted: bool) -> int:
-    # c_I, or c'_I when twisted (the reversal of J = phi(I, a) for that of I);
-    # sol solves at b + c - 1
-    total = _delta_parts(parts, sol)
-    for k in range(2, c + 1):
-        total += _theta_plus(moduli, k)
-    j_moduli = moduli
-    if twisted:
-        J = _phi_parts(parts, moduli, a)
-        if J is not parts:
-            j_moduli = _moduli(J)
+    # c_I = delta + sum_{k=2..c} theta_plus(I, k) - sum_{k=n-a-c+2..n-a}
+    # theta_plus(J, k), the undershoots of J's reversal at a..a+c-2 read by
+    # duality; J = phi(I, a) for c'_I (twisted), else I; sol solves at b + c - 1
+    J = _phi_parts(parts, moduli, a) if twisted else parts
+    j_moduli = moduli if J is parts else _moduli(J)
     n = moduli[-1]
-    for k in range(a, a + c - 1):
-        total -= _theta_plus(j_moduli, n - k)
-    return total
+    return (_delta_parts(parts, sol) + _theta_plus_sum(moduli, 2, c)
+            - _theta_plus_sum(j_moduli, n - a - c + 2, n - a))
+
+
+def _theta_coeff(a: int, b: int, c: int, twisted: bool):
+    # c_I (c'_I when twisted) on the kernel tuples; at c = 1 it is delta(I, b),
+    # which reads neither a nor the twist, so it also serves a < b
+    return lambda parts, moduli: _c_parts(
+        parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted)
 
 
 def _D_parts(parts, moduli, a: int, b: int) -> int:
@@ -298,15 +299,15 @@ def fiber(I: Composition, a: int, b: int) -> List[Composition]:
 def _coeff(I: Composition, a: int, b: int, c: int, twisted: bool) -> int:
     _check_theta(a, b, c)
     _check_modulus(I, a + b + c - 1, "a+b+c-1")
-    parts, moduli = I.parts, I.prefix_moduli
-    return _c_parts(parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted)
+    return _theta_coeff(a, b, c, twisted)(I.parts, I.prefix_moduli)
 
 
 def coeff_c(I: Composition, a: int, b: int, c: int) -> int:
     """Coefficient of I in the three-path expansion via the reversal of I.
 
-    Equals sum_{k=2..c} theta_plus(I, k) - sum_{k=a..a+c-2} theta_minus of
-    the reversal, plus delta(I, b+c-1).  May be negative for individual
+    Equals delta(I, b+c-1) + sum_{k=2..c} theta_plus(I, k) minus
+    sum_{k=n-a-c+2..n-a} theta_plus(I, k), the undershoots of the reversal at
+    a..a+c-2 read by theta-duality.  May be negative for individual
     compositions; only the partition-grouped sums are nonnegative.
     """
     return _coeff(I, a, b, c, False)

@@ -8,8 +8,8 @@ across workers.
 
 Two layers: the public API validates, through the range, degree, parts and
 modulus checks that this module owns for the whole composition layer, and
-wraps a private kernel on the parts and prefix-moduli tuples
-(``_moduli``, ``_theta_plus``, ``_theta_minus``, ``_weight``, ``_rho``,
+wraps a private kernel on the parts and prefix-moduli tuples (``_moduli``,
+``_theta_plus``, ``_theta_plus_sum``, ``_theta_minus``, ``_weight``, ``_rho``,
 ``_composition_tuples``) that checks nothing.  The sweeps of
 :mod:`csfkit.verify` and the closed forms of :mod:`csfkit.graphs` call the
 kernel directly.  Derived compositions (the enumerators, ``reversed`` and the
@@ -78,6 +78,14 @@ def _moduli(parts: tuple) -> tuple:
 def _theta_plus(moduli: tuple, a: int) -> int:
     # overshoot: the smallest prefix modulus >= a, minus a
     return moduli[bisect.bisect_left(moduli, a)] - a
+
+
+def _theta_plus_sum(moduli: tuple, lo: int, hi: int) -> int:
+    # overshoots summed over lo <= k <= hi; 0 for an empty range
+    total = 0
+    for k in range(lo, hi + 1):
+        total += _theta_plus(moduli, k)
+    return total
 
 
 def _theta_minus(moduli: tuple, a: int) -> int:

@@ -16,9 +16,9 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import (
     Composition, Partition, _Frozen, _check_degree, _check_ints, _check_modulus, _moduli,
-    _rho, _theta_plus, _weight, _weight_positive_tuples,
+    _rho, _theta_plus, _theta_plus_sum, _weight, _weight_positive_tuples,
 )
-from .coefficients import _c_parts, _check_clock, _check_theta, _solve_psqt_parts
+from .coefficients import _check_clock, _check_theta, _theta_coeff
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector, _pack, _unpack, _width
 
@@ -29,6 +29,8 @@ MAX_ORACLE_EDGES = 30
 
 class Graph(_Frozen):
     """An immutable simple undirected graph on vertices 0 .. vertex_count-1."""
+
+    __slots__ = ("vertex_count", "edges", "edge_set")
 
     def __init__(self, vertex_count: int, edges: Iterable[Tuple[int, int]]):
         _check_ints("vertex count", vertex_count)
@@ -50,6 +52,10 @@ class Graph(_Frozen):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "edge_set", frozenset(seen))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not by setting slots
+        return Graph, (self.vertex_count, self.edges)
 
     # edge_set, the lookup index of has_edge, is derived from edges, so
     # repr, == and hash read (vertex_count, edges) only
@@ -410,19 +416,13 @@ def closed_form_tadpole(a: int, l: int) -> EExpansion:
     return _assemble(n, lambda parts, moduli: _theta_plus(moduli, l + 1))
 
 
-def _theta_coeff(a: int, b: int, c: int, twisted: bool):
-    # c_I (c'_I when twisted) on the kernel tuples; at c = 1 it is delta(I, b),
-    # which reads neither a nor the twist, so it also serves a < b
-    return lambda parts, moduli: _c_parts(
-        parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted)
-
-
 def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
     """Cycle-chord expansion, in either of its two equivalent displays.
 
-    ``form="delta"`` uses the kernel delta(I, b), the theta coefficient at
-    c = 1 for every a, b >= 2; ``form="theta-sum"`` uses
-    sum_{i=1..b} theta_plus(I, i) - sum_{i=1..b-1} theta_minus(reversed I, i).
+    ``form="delta"`` uses delta(I, b) alone, the theta coefficient at c = 1
+    (both overshoot sums empty) for every a, b >= 2; ``form="theta-sum"``
+    uses sum_{k=1..b} theta_plus(I, k) - sum_{k=n-b+1..n-1} theta_plus(I, k),
+    the undershoots of the reversal at 1..b-1 read by theta-duality.
     """
     _check_ints("cycle-chord parameter", a, b)
     if a < 2 or b < 2:
@@ -431,21 +431,14 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
     n = a + b
     if form == "delta":
         return _assemble(n, _theta_coeff(a, b, 1, False))
-
-    def coeff(parts: tuple, moduli: tuple) -> int:
-        # theta_minus(reversed I, i) read as theta_plus(I, n - i)
-        total = 0
-        for i in range(1, b + 1):
-            total += _theta_plus(moduli, i)
-        for i in range(1, b):
-            total -= _theta_plus(moduli, n - i)
-        return total
-
-    return _assemble(n, coeff)
+    return _assemble(n, lambda parts, moduli: (
+        _theta_plus_sum(moduli, 1, b) - _theta_plus_sum(moduli, n - b + 1, n - 1)))
 
 
 def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
-    """Three-path expansion with coefficients c_I or the phi-twisted c'_I."""
+    """Three-path expansion with coefficients c_I or the phi-twisted c'_I:
+    delta(I, b+c-1) + sum_{k=2..c} theta_plus(I, k) - sum_{k=n-a-c+2..n-a}
+    theta_plus(J, k), with J = phi(I, a) for c'_I and J = I for c_I."""
     _check_form("theta", variant)
     _check_theta(a, b, c)
     return _assemble(a + b + c - 1, _theta_coeff(a, b, c, variant == "c-prime"))

@@ -75,6 +75,10 @@ class BasisVector(_Frozen):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: a mappingproxy cannot pickle
+        return BasisVector, (self.basis, self.degree, dict(self.terms))
+
     def __repr__(self) -> str:
         return f"BasisVector({self.basis.value}, degree={self.degree}, terms={len(self.terms)})"
 

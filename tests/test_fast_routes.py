@@ -44,6 +44,7 @@ from csfkit.compositions import (
     _rho,
     _theta_minus,
     _theta_plus,
+    _theta_plus_sum,
     _weight,
     _weight_positive_tuples,
 )
@@ -403,3 +404,27 @@ def test_fiber_elements_lie_in_w_le_and_map_back_to_n30(I):
 @given(compositions(n_max=30))
 def test_kernel_matches_wrappers_and_references_to_n30(I):
     check_kernel(I)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(compositions(n_max=30), st.data())
+def test_theta_plus_sum_is_the_plain_sum_of_overshoots_to_n30(I, data):
+    n = I.modulus
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(0, n), label="hi")
+    expected = sum(_theta_plus(I.prefix_moduli, k) for k in range(lo, hi + 1))
+    assert _theta_plus_sum(I.prefix_moduli, lo, hi) == expected, (I, lo, hi)
+    # one threshold, and an empty range whenever lo > hi
+    assert _theta_plus_sum(I.prefix_moduli, lo, lo) == I.theta_plus(lo)
+    assert _theta_plus_sum(I.prefix_moduli, hi + 1, hi) == 0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(compositions(n_max=30).filter(lambda I: I.modulus >= 4), st.data())
+def test_c_parts_matches_the_reversal_based_reference_to_n30(I, data):
+    a, b, c = data.draw(st.sampled_from(theta_triples(I.modulus)), label="triple")
+    parts, moduli = I.parts, I.prefix_moduli
+    sol = _solve_psqt_parts(parts, moduli, b + c - 2)
+    for twisted in (False, True):
+        assert _c_parts(parts, moduli, a, c, sol, twisted) \
+            == ref_coeff(I, a, b, c, twisted), (I, a, b, c, twisted)

@@ -1,5 +1,7 @@
 """Graph builders, oracle, closed forms, deletion identities, and reports."""
 
+import copy
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -167,6 +169,16 @@ def test_has_edge_agrees_with_the_edge_tuple():
     assert graph == Graph(3, [(1, 0), (2, 1)])
     assert hash(graph) == hash(Graph(3, [(0, 1), (1, 2)]))
     assert graph != Graph(3, [(1, 2), (0, 1)])
+
+
+def test_graph_has_no_instance_dict_and_pickles_and_copies():
+    graph = Graph(3, [(0, 1)])
+    with pytest.raises(TypeError):
+        vars(graph)
+    for twin in (pickle.loads(pickle.dumps(graph)), copy.copy(graph), copy.deepcopy(graph)):
+        assert twin == graph and hash(twin) == hash(graph)
+        assert twin.has_edge(0, 1) and not twin.has_edge(1, 2)
+        assert {graph: 1}[twin] == 1
 
 
 def test_graph_is_immutable_and_each_expansion_owns_its_entries():

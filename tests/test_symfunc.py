@@ -1,5 +1,7 @@
 """Symmetric-function vector arithmetic and basis-conversion tests."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -221,6 +223,19 @@ def test_fields_cannot_be_rebound_or_deleted():
         del vec.terms
     assert repr(vec) == "BasisVector(e, degree=9, terms=2)"
     assert vec.equals(BasisVector(Basis.E, 9, {(5, 2, 2): -3, (9,): Fraction(7, 2)}))
+
+
+def test_vectors_pickle_and_copy_through_the_constructor():
+    from csfkit.graphs import closed_form_clock
+
+    for vec in (closed_form_clock(6, 4).grouped_by_rho(), e_partition_to_p((2,))):
+        for twin in (pickle.loads(pickle.dumps(vec)), copy.copy(vec), copy.deepcopy(vec)):
+            assert twin == vec and type(twin) is BasisVector
+            assert [type(c) for c in twin.terms.values()] == [type(c) for c in vec.terms.values()]
+            with pytest.raises(TypeError):
+                twin.terms[Partition((vec.degree,))] = 1
+            with pytest.raises(AttributeError):
+                twin.degree = 0
 
 
 # ---------------------------------------------------------------------------
