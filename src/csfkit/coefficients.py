@@ -163,17 +163,12 @@ def _theta_coeff(a: int, b: int, c: int, twisted: bool):
         parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted)
 
 
-def _D_parts(parts, moduli, a: int, b: int) -> int:
-    # untwisted: at c = 2 the one undershoot is read at n - a, and phi keeps
-    # every prefix modulus from the largest one <= n - a on, so c' = c there
-    return _c_parts(parts, moduli, a, 2, _solve_psqt_parts(parts, moduli, b), False)
-
-
 def _c_doubleprime_parts(parts, moduli, a: int, b: int, sol) -> int:
-    # I in W_> at a; sol solves at b + 1; D_I untwisted, as in _D_parts
+    # I in W_> at a; sol solves at b + 1; D built once for the fiber, as in coeff_D
+    D = _theta_coeff(a, b, 2, False)
     total = _c_parts(parts, moduli, a, 2, sol, False) * _weight(parts)
     for H in _fiber_parts(parts, sol[0], sol[2]):
-        total += _D_parts(H, _moduli(H), a, b) * _weight(H)
+        total += D(H, _moduli(H)) * _weight(H)
     return total
 
 
@@ -326,12 +321,12 @@ def coeff_D(I: Composition, a: int, b: int) -> int:
     """Clock coefficient: the c = 2 case of :func:`coeff_c_prime`.
 
     D_I = theta_plus(I, 2) - theta_minus(reversed(phi(I)), a) + delta(I, b+1),
-    for a >= b >= 2 and |I| = a + b + 1.  At c = 2 the twist by phi changes
-    no term, so D_I is computed as ``coeff_c(I, a, b, 2)``.
+    for a >= b >= 2 and |I| = a + b + 1.  At c = 2 phi keeps the prefix moduli
+    where the one undershoot is read, so D_I is ``_theta_coeff(a, b, 2, False)``.
     """
     _check_clock(a, b)
     _check_modulus(I, a + b + 1, "a+b+1")
-    return _D_parts(I.parts, I.prefix_moduli, a, b)
+    return _theta_coeff(a, b, 2, False)(I.parts, I.prefix_moduli)
 
 
 def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:

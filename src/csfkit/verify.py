@@ -12,12 +12,14 @@ streams their part tuples (``compositions._composition_tuples``), computes each
 tuple's prefix moduli once, evaluates the private kernel of
 :mod:`csfkit.coefficients` on them, and holds, for all parameters of that n,
 only Fibonacci-sized lists: parts >= 2 (lemma-bounds, fiber, c-doubleprime),
-positive weight (lemma-bounds) and first part 1 (c-doubleprime, one task per n).
+positive weight (lemma-bounds) and first part 1 (c-doubleprime).  Clock
+routes read D_I from ``_theta_coeff(a, b, 2, False)``, built once per pair.
 Messages print compositions by ``format_parts``, as ``str(Composition)`` does.
 
-Sweeps over (a, b) parameter pairs are pure and independent, so the heavy
-suites optionally fan out over a process pool; results are merged in sorted
-task order, making output independent of the worker count.
+c-doubleprime and positivity run one task per n; positivity sums every clock
+and cycle-chord of n (theta at c = 2 and c = 1) in one pass.  Tasks are pure,
+so these suites optionally fan out over a process pool, merged in task order:
+output does not depend on the worker count.  Only triple-deletion loads graphs.
 
 ``SUITE_TABLE`` maps each suite to a runner whose parameters after the budget
 are the ``verify`` flags it reads (``suite_flags``); ``run_suite`` rejects any
@@ -31,18 +33,15 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
-    WClass, _c_doubleprime_parts, _c_parts, _check_clock, _classify_parts, _D_parts,
+    WClass, _c_doubleprime_parts, _c_parts, _check_clock, _check_theta, _classify_parts,
     _delta_parts, _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut,
+    _theta_coeff,
 )
 from .compositions import (
     _check_degree, _check_ints, _composition_tuples, _moduli, _rho, _theta_minus, _theta_plus,
     _weight, _weight_positive_tuples, format_parts,
 )
 from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
-
-# graphs, symfunc and random are imported by the c-doubleprime, positivity and
-# triple-deletion code that uses them, so the four composition suites load no
-# graph or basis code; the pooled suites load them before the pool forks
 
 MAX_REPORTED_VIOLATIONS = 50
 
@@ -78,6 +77,8 @@ def theta_triples(n: int, min_c: int = 1) -> List[Tuple[int, int, int]]:
     """All (a, b, c) with a >= b >= c >= min_c, b >= 2, a + b + c - 1 = n."""
     _check_degree(n)
     _check_ints("min_c", min_c)
+    if min_c < 1:
+        raise ValueError(f"min_c must be >= 1, got {min_c}")
     triples = []
     for c in range(min_c, n):
         for b in range(max(c, 2), n):
@@ -177,14 +178,15 @@ def _check_solver_identities(
 
 def _check_gt_bounds(
     result: SuiteResult, parts: tuple, moduli: tuple, a: int, b: int,
-    sol: tuple, in_A: bool, D: int, counts: Dict[str, int],
+    sol: tuple, in_A: bool, D: Callable[[tuple, tuple], int], counts: Dict[str, int],
 ) -> None:
     n = moduli[-1]
     i1 = parts[0]
     p, _, q, _ = sol
     I = format_parts(parts)
+    value = D(parts, moduli)
     result.checked += 1
-    if D < i1 - 2:
+    if value < i1 - 2:
         result.fail(f"D below i_1 - 2 on W_> at I={I}, (a,b)=({a},{b})")
     # q - p equals the largest j <= z - p whose suffix after position p + j
     # still has modulus above a - i_1
@@ -198,14 +200,14 @@ def _check_gt_bounds(
         counts["W> q=p"] += 1
     elif in_A:
         counts["W> q>p exact-suffix"] += 1
-        if i1 < 3 or D < 2 * i1 - 3:
+        if i1 < 3 or value < 2 * i1 - 3:
             result.fail(f"exact-suffix W_> bound fails at I={I}, (a,b)=({a},{b})")
     else:
         counts["W> q>p no-exact-suffix"] += 1
-        if i1 < 4 or D < i1 + 2:
+        if i1 < 4 or value < i1 + 2:
             result.fail(f"no-exact-suffix W_> bound fails at I={I}, (a,b)=({a},{b})")
     for r, H in enumerate(_fiber_parts(parts, p, q), start=1):
-        if _D_parts(H, _moduli(H), a, b) < 0:
+        if D(H, _moduli(H)) < 0:
             result.checked += 1
             if not (r == q - p or (in_A and r == 1)):
                 result.fail(f"negative fiber coefficient at interior index r={r}, I={I}")
@@ -243,18 +245,18 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
         positive = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)]
         first_part_1 = [(parts, moduli) for parts, moduli in positive if parts[0] == 1]
         for a, b in clock_pairs(n):
+            D = _theta_coeff(a, b, 2, False)
             for parts, moduli in first_part_1:
                 result.checked += 1
-                if _D_parts(parts, moduli, a, b) < 0:
+                if D(parts, moduli) < 0:
                     result.fail(f"first-part-1 coefficient negative at I={format_parts(parts)}")
             for parts, moduli in all_ge_2:
                 wclass, in_A = _classify_parts(parts, moduli, a)
                 sol = _solve_psqt_parts(parts, moduli, b)
-                D = _c_parts(parts, moduli, a, 2, sol, False)  # untwisted: see _D_parts
                 if wclass is WClass.W_GT:
                     _check_gt_bounds(result, parts, moduli, a, b, sol, in_A, D, counts)
                 else:
-                    _check_le_closed_form(result, parts, a, b, sol, D, counts)
+                    _check_le_closed_form(result, parts, a, b, sol, D(parts, moduli), counts)
         # lower bound of the phi-twisted coefficient by its delta term on the
         # exact-suffix family, for every three-path parameter choice
         for a, b, c in theta_triples(n, min_c=2):
@@ -300,6 +302,7 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
         all_ge_2 = ([(parts, _moduli(parts)) for parts in _composition_tuples(n, 2)]
                     if pairs else [])
         for pa, pb in pairs:
+            D = _theta_coeff(pa, pb, 2, False)
             greater: List[Tuple[tuple, tuple]] = []
             lesser: List[Tuple[tuple, tuple]] = []
             for entry in all_ge_2:
@@ -332,7 +335,7 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
                 if (n, pa, pb) == (11, 6, 4) and parts in _FIBER_FIXTURES:
                     expected = _FIBER_FIXTURES[parts]
                     result.checked += 1
-                    got = tuple((H, _D_parts(H, _moduli(H), pa, pb)) for H in preimages)
+                    got = tuple((H, D(H, _moduli(H))) for H in preimages)
                     if got != expected:
                         result.fail(f"fixture fiber mismatch at I={format_parts(parts)}: "
                                     f"got {got}, want {expected}")
@@ -353,9 +356,6 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
 
 
 def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[str]]:
-    from .graphs import closed_form_clock
-    from .symfunc import Basis, BasisVector, first_difference
-
     n, pairs = task
     checked = 0
     violations: List[str] = []
@@ -363,28 +363,31 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
     first_part_1 = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)
                     if parts[0] == 1]
     for a, b in pairs:
-        grouped: Dict = {}
-        for parts, moduli in all_ge_2:
-            if _classify_parts(parts, moduli, a)[0] is not WClass.W_GT:
-                continue
-            sol = _solve_psqt_parts(parts, moduli, b)
-            value = _c_doubleprime_parts(parts, moduli, a, b, sol)
-            checked += 1
-            if value < 0:
-                violations.append(f"fiber-grouped coefficient {value} < 0 at "
-                                  f"I={format_parts(parts)}, (a,b)=({a},{b})")
-            lam = _rho(parts)
-            grouped[lam] = grouped.get(lam, 0) + value
+        D = _theta_coeff(a, b, 2, False)
         # the first-part-1 block plus the fiber-grouped block must reassemble
-        # the full clock expansion
+        # the clock expansion, summed term by term over the same compositions
+        grouped: Dict = {}
         for parts, moduli in first_part_1:
             lam = _rho(parts)
-            grouped[lam] = grouped.get(lam, 0) + _D_parts(parts, moduli, a, b) * _weight(parts)
+            grouped[lam] = grouped.get(lam, 0) + D(parts, moduli) * _weight(parts)
+        direct = dict(grouped)
+        for parts, moduli in all_ge_2:
+            lam = _rho(parts)
+            direct[lam] = direct.get(lam, 0) + D(parts, moduli) * _weight(parts)
+            value = 0  # grouped and direct get the same keys, so != compares them exactly
+            if _classify_parts(parts, moduli, a)[0] is WClass.W_GT:
+                sol = _solve_psqt_parts(parts, moduli, b)
+                value = _c_doubleprime_parts(parts, moduli, a, b, sol)
+                checked += 1
+                if value < 0:
+                    violations.append(f"fiber-grouped coefficient {value} < 0 at "
+                                      f"I={format_parts(parts)}, (a,b)=({a},{b})")
+            grouped[lam] = grouped.get(lam, 0) + value
         checked += 1
-        regrouped = BasisVector(Basis.E, n, grouped)
-        direct = closed_form_clock(a, b).grouped_by_rho()
-        if not regrouped.equals(direct):
-            diff = first_difference(regrouped, direct)
+        if grouped != direct:
+            from .symfunc import Basis, BasisVector, first_difference  # to word the message
+
+            diff = first_difference(*(BasisVector(Basis.E, n, sums) for sums in (grouped, direct)))
             violations.append(
                 f"fiber regrouping disagrees with the clock expansion at (a,b)=({a},{b}): {diff}"
             )
@@ -394,9 +397,6 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
 def run_c_doubleprime(
     a_max: int, b_max: int, n_cap: int, workers: int = 1
 ) -> SuiteResult:
-    # the tasks' modules, loaded here so that pool workers inherit them
-    from . import graphs  # noqa: F401
-
     _check_ints("c-doubleprime bound", a_max, b_max, n_cap)
     result = SuiteResult("c-doubleprime")
     # the pairs a >= b >= 2 with a <= a_max, b <= b_max and a + b + 1 <= n_cap;
@@ -423,51 +423,52 @@ def run_c_doubleprime(
 # positivity
 
 
-def _positivity_task(task: Tuple[str, int, int]):
-    from .graphs import e_positivity_report, expansion_closed_form
-
-    family, a, b = task
+def _positivity_task(n: int) -> Tuple[int, List[str], List[Optional[int]]]:
+    # one pass sums each clock (theta at c = 2) and cycle-chord (c = 1) of n by
+    # partition; a cycle-chord term, delta(I, b) >= 0, is also counted and checked
+    sweeps = [("clock", a, b, _theta_coeff(a, b, 2, False), {}, []) for a, b in clock_pairs(n)]
+    sweeps += [("cycle-chord", a, n - a, _theta_coeff(a, n - a, 1, False), {}, [])
+               for a in range(2, n - 1)]
     checked = 0
+    for parts in _weight_positive_tuples(n):
+        moduli = _moduli(parts)
+        lam = _rho(parts)
+        weight = _weight(parts)
+        for family, _, _, coeff, sums, negative in sweeps:
+            term = coeff(parts, moduli)
+            if term:
+                sums[lam] = sums.get(lam, 0) + term * weight
+                if family == "cycle-chord":
+                    checked += 1
+                    if term < 0:
+                        negative.append(parts)
     violations: List[str] = []
-    if family == "cycle-chord":
-        # term by term as well, counting each nonzero term delta(I, b)
-        for parts in _weight_positive_tuples(a + b):
-            term = _delta_parts(parts, _solve_psqt_parts(parts, _moduli(parts), b - 1))
-            checked += bool(term)
-            if term < 0:
-                violations.append(f"negative {family} term at I={format_parts(parts)}, "
-                                  f"(a,b)=({a},{b})")
-    report = e_positivity_report(expansion_closed_form(family, a=a, b=b))
-    checked += len(report.coefficients)
-    if report.negative_partitions:
-        negatives = [format_parts(lam) for lam in report.negative_partitions]
-        violations.append(
-            f"negative grouped coefficient for {family} (a,b)=({a},{b}): {negatives}"
-        )
-    return checked, violations, report.minimum
+    minima = []
+    for family, a, b, _, sums, negative in sweeps:
+        violations += [f"negative {family} term at I={format_parts(parts)}, (a,b)=({a},{b})"
+                       for parts in negative]
+        sums = {lam: value for lam, value in sums.items() if value}
+        checked += len(sums)
+        negatives = [format_parts(lam) for lam in sorted(sums, reverse=True) if sums[lam] < 0]
+        if negatives:
+            violations.append(
+                f"negative grouped coefficient for {family} (a,b)=({a},{b}): {negatives}"
+            )
+        minima.append(min(sums.values(), default=None))
+    return checked, violations, minima
 
 
 def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
-    # the tasks' modules, loaded here so that pool workers inherit them
-    from . import graphs  # noqa: F401
-
     _check_degree(n_max)
     result = SuiteResult("positivity")
-    # the clock is checked after grouping only; cycle-chord terms are
-    # nonnegative one by one as well, since delta >= 0
-    tasks: List[Tuple[str, int, int]] = []
-    for n in range(5, n_max + 1):
-        tasks.extend(("clock", a, b) for a, b in clock_pairs(n))
-    for n in range(4, n_max + 1):
-        tasks.extend(("cycle-chord", a, n - a) for a in range(2, n - 1))
-    tasks.sort()
+    # one task per degree: the cycle-chords start at n = 4, the clocks at 5
     minima = []
-    for checked, violations, minimum in _run_tasks(_positivity_task, tasks, workers):
+    for checked, violations, lows in _run_tasks(_positivity_task, range(4, n_max + 1), workers):
         result.checked += checked
         for message in violations:
             result.fail(message)
-        minima.append(minimum)
-    result.notes.append(f"expansions swept: {len(tasks)}")
+        minima += lows
+    result.notes.append(f"expansions swept: {len(minima)}")
     result.notes.append(f"smallest grouped coefficient: {min(minima, default=None)}")
     return result
 
@@ -513,6 +514,7 @@ def theta_deletion_instance(a: int, b: int, c: int):
     """
     from .graphs import Graph, build_theta
 
+    _check_theta(a, b, c)  # before the c >= 2 rule, so an inexact c is named as such
     if c < 2:
         raise ValueError(f"deletion instance needs c >= 2, got {(a, b, c)}")
     theta = build_theta(a, b, c)

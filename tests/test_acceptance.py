@@ -45,6 +45,7 @@ from csfkit.verify import (
     run_fiber,
     run_lemma_bounds,
     run_phi_involution,
+    run_positivity,
     run_theta_duality,
     run_triple_deletion,
     theta_triples,
@@ -152,6 +153,17 @@ def test_acceptance_clock_e_positivity():
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"clock sweep took {elapsed:.1f}s"
     _passed("clock e-positivity (n <= 18) with oracle equality (n <= 12)")
+
+
+def test_acceptance_positivity_n18():
+    # every clock to n = 18 grouped, and every cycle-chord to n = 18 grouped
+    # and term by term, at one and at two workers
+    results = [run_positivity(18), run_positivity(18, workers=2)]
+    for result in results:
+        assert result.ok, result.violations[:5]
+        assert result.checked == 67628
+        assert result.notes == ["expansions swept: 176", "smallest grouped coefficient: 1"]
+    _passed("positivity suite to n=18 with exact checked counts at 1 and 2 workers")
 
 
 def test_acceptance_worked_examples():

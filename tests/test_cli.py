@@ -281,20 +281,26 @@ def test_cli_import_leaves_multiprocessing_unloaded():
              "except SystemExit:\n"
              "    pass\n"
              "print(sorted(m for m in unused if m in sys.modules))\n"
-             "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('csfkit.'))))")
+             "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('csfkit.'))))\n"
+             "print('fractions' in sys.modules)")
     composition = "cli coefficients compositions errors"
+    # only the commands that load symfunc load fractions
     for argv, loaded in (
         (("--help",), "cli errors"),
         (("fibers", "--I", "7,2,2", "--a", "6", "--b", "4"), composition),
         (("verify", "--suite", "phi-involution", "--n", "5"), f"{composition} verify"),
+        (("verify", "--suite", "positivity", "--n-max", "5"), f"{composition} verify"),
+        (("verify", "--suite", "c-doubleprime", "--a-max", "3", "--b-max", "3"),
+         f"{composition} verify"),
         (("oracle-check", "--family", "path", "--n", "5"), f"{composition} graphs symfunc"),
     ):
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                              capture_output=True, text=True, check=True).stdout
         lines = out.splitlines()
-        assert lines[0] == lines[-2] == "[]", (argv, out)
-        assert lines[-1] == loaded, (argv, out)
+        assert lines[0] == lines[-3] == "[]", (argv, out)
+        assert lines[-2] == loaded, (argv, out)
+        assert lines[-1] == str("symfunc" in loaded), (argv, out)
         if argv[0] == "oracle-check":
             assert lines[1].startswith("OK path (5,)")
 
@@ -556,8 +562,8 @@ BROKEN_KERNELS = [
     ("fiber", ("--n", "7"), "csfkit.verify", "_psi_parts", lambda parts, moduli, a: parts),
     ("c-doubleprime", ("--a-max", "2", "--b-max", "2", "--workers", "1"), "csfkit.verify",
      "_c_doubleprime_parts", lambda parts, moduli, a, b, sol: -1),
-    ("positivity", ("--n-max", "4", "--workers", "1"), "csfkit.verify", "_delta_parts",
-     lambda parts, sol: -1),
+    ("positivity", ("--n-max", "4", "--workers", "1"), "csfkit.verify", "_theta_coeff",
+     lambda a, b, c, twisted: lambda parts, moduli: -1),
     ("triple-deletion", ("--count", "2"), "csfkit.graphs", "verify_triple_deletion",
      lambda graph, triple: False),
 ]

@@ -96,6 +96,7 @@ CALLS = [
     ("run_c_doubleprime", run_c_doubleprime, (3, 2, 6, 1)),
     ("run_positivity", run_positivity, (5, 1)),
     ("run_triple_deletion", run_triple_deletion, (3, 7)),
+    ("theta_deletion_instance", theta_deletion_instance, (3, 3, 3)),
 ]
 
 SLOTS = [(name, call, args, k) for name, call, args in CALLS for k in range(len(args))]
@@ -163,6 +164,7 @@ RANGES = [
     ("Partition", lambda p: Partition((2, p)), 1, None),
     ("closed_form_tadpole-l", lambda l: closed_form_tadpole(3, l), 0, None),
     ("theta_deletion_instance-c", lambda c: theta_deletion_instance(3, 3, c), 2, None),
+    ("theta_triples-min_c", lambda c: theta_triples(5, c), 1, None),
     ("BasisVector-degree", lambda d: BasisVector(Basis.E, d), 0, None),
     ("evaluate_ones", VECTOR.evaluate_ones, 0, None),
     ("count", _triple_deletion, 0, 1000),
@@ -185,6 +187,16 @@ def test_threshold_ranges_name_their_bounds():
     assert _refused(solve_psqt, I, N) == f"b {N} outside [0, {N - 1}] for {I}"
     assert _refused(delta, I, 0) == f"equation value 0 outside [1, {N}] for {I}"
     assert I.theta_plus(N) == 0 and I.theta_minus(0) == 0
+
+
+def test_suite_parameter_rules_name_themselves():
+    assert _refused(theta_triples, 5, 0) == "min_c must be >= 1, got 0"
+    assert _refused(theta_triples, 5, -1) == "min_c must be >= 1, got -1"
+    # the integer rule before the c >= 2 rule of the deletion instance
+    for c in ("x", True, 2.0):
+        assert "integer" in _refused(theta_deletion_instance, 3, 3, c), c
+    assert _refused(theta_deletion_instance, 3, 3, 1) == (
+        "deletion instance needs c >= 2, got (3, 3, 1)")
 
 
 def test_fiber_ranges_end_where_the_modulus_rule_takes_over():

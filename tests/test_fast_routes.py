@@ -26,13 +26,13 @@ from csfkit.coefficients import (
     _c_doubleprime_parts,
     _c_parts,
     _classify_parts,
-    _D_parts,
     _delta_parts,
     _fiber_parts,
     _phi_parts,
     _psi_parts,
     _solve_psqt_parts,
     _split_cut,
+    _theta_coeff,
 )
 from csfkit.compositions import (
     Composition,
@@ -48,8 +48,10 @@ from csfkit.compositions import (
     _weight,
     _weight_positive_tuples,
 )
-from csfkit.graphs import closed_form_cycle_chord
-from csfkit.verify import clock_pairs, theta_triples
+from csfkit.graphs import (
+    closed_form_clock, closed_form_cycle_chord, e_positivity_report, expansion_closed_form,
+)
+from csfkit.verify import clock_pairs, run_c_doubleprime, run_positivity, theta_triples
 
 
 def assert_validated(J):
@@ -218,6 +220,65 @@ def test_fiber_body_from_the_solution_matches_fiber_to_n12():
                 assert sorted(H.parts for H in body) == expected, (I, a, b)
 
 
+def ref_positivity_degree(n):
+    """The per-pair positivity route at degree n: each clock and cycle-chord
+    closed form grouped by ``e_positivity_report``, and every cycle-chord term
+    delta(I, b) checked one by one.  Returns (checked, violation count,
+    grouped minima, expansions)."""
+    pairs = [("clock", a, b) for a, b in clock_pairs(n)]
+    pairs += [("cycle-chord", a, n - a) for a in range(2, n - 1)]
+    checked = violations = 0
+    minima = []
+    for family, a, b in pairs:
+        if family == "cycle-chord":
+            for I in weight_positive_compositions(n):
+                term = delta(I, b)
+                checked += bool(term)
+                violations += term < 0
+        report = e_positivity_report(expansion_closed_form(family, a=a, b=b))
+        checked += len(report.coefficients)
+        violations += not report.is_e_positive
+        minima.append(report.minimum)
+    return checked, violations, minima, len(pairs)
+
+
+def test_positivity_matches_the_per_pair_closed_form_route_to_n14():
+    checked = violations = swept = 0
+    minima = []
+    for n_max in range(4, 15):
+        step = ref_positivity_degree(n_max)
+        checked += step[0]
+        violations += step[1]
+        minima += step[2]
+        swept += step[3]
+        result = run_positivity(n_max)
+        assert result.checked == checked, n_max
+        assert result.notes == [f"expansions swept: {swept}",
+                                f"smallest grouped coefficient: {min(minima)}"], n_max
+        assert result.ok == (checked > 0 and not violations), n_max
+
+
+def test_c_doubleprime_regrouping_is_checked_against_the_clock_closed_form():
+    # one unit more on every fiber-grouped coefficient: each pair's regrouping
+    # then exceeds the clock closed form first at the reverse-lexicographically
+    # largest partition of a composition in W_>
+    body = _c_doubleprime_parts
+    with mock.patch("csfkit.verify._c_doubleprime_parts", lambda *args: body(*args) + 1):
+        result = run_c_doubleprime(5, 3, 20)
+    expected = []
+    for a, b in sorted(((a, b) for a in range(2, 6) for b in range(2, min(a, 3) + 1)),
+                       key=lambda pair: (sum(pair), pair)):
+        extra = {}
+        for I in compositions_of(a + b + 1, 2):
+            if classify(I, a).wclass is WClass.W_GT:
+                extra[I.rho()] = extra.get(I.rho(), 0) + 1
+        lam = max(extra)
+        direct = closed_form_clock(a, b).grouped_by_rho().coefficient(lam)
+        expected.append(f"fiber regrouping disagrees with the clock expansion at "
+                        f"(a,b)=({a},{b}): {(lam, direct + extra[lam], direct)}")
+    assert result.violations == expected
+
+
 @st.composite
 def compositions(draw, n_max=20):
     n = draw(st.integers(1, n_max))
@@ -332,7 +393,7 @@ def check_kernel(I):
         assert _c_parts(parts, moduli, a, c, sol, True) == coeff_c_prime(I, a, b, c) \
             == ref_coeff(I, a, b, c, twisted=True), (I, a, b, c)
     for a, b in clock_pairs(n):
-        assert _D_parts(parts, moduli, a, b) == coeff_D(I, a, b)
+        assert _theta_coeff(a, b, 2, False)(parts, moduli) == coeff_D(I, a, b)
         if _classify_parts(parts, moduli, a)[0] is not WClass.W_GT:
             continue
         sol = _solve_psqt_parts(parts, moduli, b)
