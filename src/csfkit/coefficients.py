@@ -16,11 +16,11 @@ All functions are pure; every value is an exact Python integer.
 
 Two layers: each public function checks its parameters and wraps one private
 kernel function (``_solve_psqt_parts``, ``_delta_parts``, ``_phi_parts``,
-``_psi_parts``, ``_classify_parts``, ``_fiber_parts``, ``_c_parts``,
+``_psi_parts``, ``_classify_parts``, ``_fiber_parts``, ``_theta_coeff``,
 ``_c_doubleprime_parts``) on the parts and prefix-moduli tuples, which checks
 nothing and returns tuples.  The sweeps of :mod:`csfkit.verify` and the closed
-forms of :mod:`csfkit.graphs` call the kernel directly, and ``coeff_c`` and
-the closed forms build c_I through one factory, ``_theta_coeff``.
+forms of :mod:`csfkit.graphs` call the kernel directly; ``_theta_coeff`` is
+the one body of c_I, c'_I, D_I and delta at c = 1, and c'' takes the pair's D.
 
 Statistics of a reversal are read from the composition itself through
 theta-duality, theta_minus(reversed I, k) = theta_plus(I, n - k) and
@@ -145,29 +145,25 @@ def _fiber_parts(parts, p: int, q: int) -> List[tuple]:
     return [parts[: p + r][::-1] + parts[p + r :] for r in range(1, q - p + 1)]
 
 
-def _c_parts(parts, moduli, a: int, c: int, sol, twisted: bool) -> int:
-    # c_I = delta + sum_{k=2..c} theta_plus(I, k) - sum_{k=n-a-c+2..n-a}
-    # theta_plus(J, k), the undershoots of J's reversal at a..a+c-2 read by
-    # duality; J = phi(I, a) for c'_I (twisted), else I; sol solves at b + c - 1
-    J = _phi_parts(parts, moduli, a) if twisted else parts
-    j_moduli = moduli if J is parts else _moduli(J)
-    n = moduli[-1]
-    return (_delta_parts(parts, sol) + _theta_plus_sum(moduli, 2, c)
-            - _theta_plus_sum(j_moduli, n - a - c + 2, n - a))
-
-
 def _theta_coeff(a: int, b: int, c: int, twisted: bool):
-    # c_I (c'_I when twisted) on the kernel tuples; at c = 1 it is delta(I, b),
-    # which reads neither a nor the twist, so it also serves a < b
-    return lambda parts, moduli: _c_parts(
-        parts, moduli, a, c, _solve_psqt_parts(parts, moduli, b + c - 2), twisted)
+    # c_I (c'_I when twisted) on the kernel tuples: delta at b + c - 1 plus
+    # sum_{k=2..c} theta_plus(I, k) - sum_{k=n-a-c+2..n-a} theta_plus(J, k), the
+    # undershoots of J's reversal at a..a+c-2 read by duality; J = phi(I, a)
+    # for c'_I, else I.  At c = 1 it is delta(I, b), which reads neither a nor
+    # the twist, so it also serves a < b
+    def coeff(parts, moduli) -> int:
+        J = _phi_parts(parts, moduli, a) if twisted else parts
+        j_moduli = moduli if J is parts else _moduli(J)
+        n = moduli[-1]
+        return (_delta_parts(parts, _solve_psqt_parts(parts, moduli, b + c - 2))
+                + _theta_plus_sum(moduli, 2, c) - _theta_plus_sum(j_moduli, n - a - c + 2, n - a))
+    return coeff
 
 
-def _c_doubleprime_parts(parts, moduli, a: int, b: int, sol) -> int:
-    # I in W_> at a; sol solves at b + 1; D built once for the fiber, as in coeff_D
-    D = _theta_coeff(a, b, 2, False)
-    total = _c_parts(parts, moduli, a, 2, sol, False) * _weight(parts)
-    for H in _fiber_parts(parts, sol[0], sol[2]):
+def _c_doubleprime_parts(parts, moduli, D, p: int, q: int) -> int:
+    # I in W_> with indices (p, q) at b + 1; D is the pair's _theta_coeff(a, b, 2, False)
+    total = D(parts, moduli) * _weight(parts)
+    for H in _fiber_parts(parts, p, q):
         total += D(H, _moduli(H)) * _weight(H)
     return total
 
@@ -336,5 +332,5 @@ def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:
     """
     _check_clock(a, b)
     _check_fiber_params(I, a, b)
-    parts, moduli = I.parts, I.prefix_moduli
-    return _c_doubleprime_parts(parts, moduli, a, b, _solve_psqt_parts(parts, moduli, b))
+    p, _, q, _ = _solve_psqt_parts(I.parts, I.prefix_moduli, b)
+    return _c_doubleprime_parts(I.parts, I.prefix_moduli, _theta_coeff(a, b, 2, False), p, q)

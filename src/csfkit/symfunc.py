@@ -57,6 +57,8 @@ class BasisVector(_Frozen):
     __slots__ = ("basis", "degree", "terms")
 
     def __init__(self, basis: Basis, degree: int, terms: Optional[Dict] = None):
+        if not isinstance(basis, Basis):
+            raise ValueError(f"basis must be a Basis, got {basis!r}")
         _check_ints("degree", degree)
         if degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")

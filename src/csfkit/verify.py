@@ -11,9 +11,9 @@ Each composition suite enumerates the compositions of n once per n: it
 streams their part tuples (``compositions._composition_tuples``), computes each
 tuple's prefix moduli once, evaluates the private kernel of
 :mod:`csfkit.coefficients` on them, and holds, for all parameters of that n,
-only Fibonacci-sized lists: parts >= 2 (lemma-bounds, fiber, c-doubleprime),
-positive weight (lemma-bounds) and first part 1 (c-doubleprime).  Clock
-routes read D_I from ``_theta_coeff(a, b, 2, False)``, built once per pair.
+only Fibonacci-sized lists: positive weight (lemma-bounds, c-doubleprime; its
+first-part-1 head and parts >= 2 tail), and parts >= 2 (fiber).  Clock routes
+build D_I = ``_theta_coeff(a, b, 2, False)`` once per pair; c'' takes that D.
 Messages print compositions by ``format_parts``, as ``str(Composition)`` does.
 
 c-doubleprime and positivity run one task per n; positivity sums every clock
@@ -33,9 +33,8 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
-    WClass, _c_doubleprime_parts, _c_parts, _check_clock, _check_theta, _classify_parts,
-    _delta_parts, _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut,
-    _theta_coeff,
+    WClass, _c_doubleprime_parts, _check_clock, _check_theta, _classify_parts, _delta_parts,
+    _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut, _theta_coeff,
 )
 from .compositions import (
     _check_degree, _check_ints, _composition_tuples, _moduli, _rho, _theta_minus, _theta_plus,
@@ -241,9 +240,9 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
         # clock-parameter range
         for parts in _composition_tuples(n):
             _check_solver_identities(result, parts, _moduli(parts), _moduli(parts[::-1]))
-        all_ge_2 = [(parts, _moduli(parts)) for parts in _composition_tuples(n, 2)]
         positive = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)]
-        first_part_1 = [(parts, moduli) for parts, moduli in positive if parts[0] == 1]
+        first_part_1 = [entry for entry in positive if entry[0][0] == 1]
+        all_ge_2 = positive[len(first_part_1):]  # first part 1 comes first
         for a, b in clock_pairs(n):
             D = _theta_coeff(a, b, 2, False)
             for parts, moduli in first_part_1:
@@ -260,13 +259,14 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
         # lower bound of the phi-twisted coefficient by its delta term on the
         # exact-suffix family, for every three-path parameter choice
         for a, b, c in theta_triples(n, min_c=2):
+            c_prime = _theta_coeff(a, b, c, True)
             for parts, moduli in positive:
                 # exact-suffix family: theta_plus(reversed I, a) = 0
                 if _theta_minus(moduli, n - a) != 0:
                     continue
                 result.checked += 1
                 sol = _solve_psqt_parts(parts, moduli, b + c - 2)
-                if _c_parts(parts, moduli, a, c, sol, True) < _delta_parts(parts, sol):
+                if c_prime(parts, moduli) < _delta_parts(parts, sol):
                     result.fail(f"c' below its delta term at I={format_parts(parts)}, "
                                 f"(a,b,c)=({a},{b},{c})")
     result.notes.extend(f"{key}: {value}" for key, value in sorted(counts.items()))
@@ -359,9 +359,9 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
     n, pairs = task
     checked = 0
     violations: List[str] = []
-    all_ge_2 = [(parts, _moduli(parts)) for parts in _composition_tuples(n, 2)]
-    first_part_1 = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)
-                    if parts[0] == 1]
+    positive = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)]
+    first_part_1 = [entry for entry in positive if entry[0][0] == 1]
+    all_ge_2 = positive[len(first_part_1):]  # first part 1 comes first
     for a, b in pairs:
         D = _theta_coeff(a, b, 2, False)
         # the first-part-1 block plus the fiber-grouped block must reassemble
@@ -376,8 +376,8 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
             direct[lam] = direct.get(lam, 0) + D(parts, moduli) * _weight(parts)
             value = 0  # grouped and direct get the same keys, so != compares them exactly
             if _classify_parts(parts, moduli, a)[0] is WClass.W_GT:
-                sol = _solve_psqt_parts(parts, moduli, b)
-                value = _c_doubleprime_parts(parts, moduli, a, b, sol)
+                p, _, q, _ = _solve_psqt_parts(parts, moduli, b)
+                value = _c_doubleprime_parts(parts, moduli, D, p, q)
                 checked += 1
                 if value < 0:
                     violations.append(f"fiber-grouped coefficient {value} < 0 at "

@@ -24,7 +24,6 @@ from csfkit.coefficients import (
     solve_qt,
     split_LR,
     _c_doubleprime_parts,
-    _c_parts,
     _classify_parts,
     _delta_parts,
     _fiber_parts,
@@ -279,6 +278,24 @@ def test_c_doubleprime_regrouping_is_checked_against_the_clock_closed_form():
     assert result.violations == expected
 
 
+def test_c_doubleprime_builds_one_clock_kernel_per_pair():
+    # D is built once per (a, b) swept and handed to every fiber-grouped sum
+    factory = _theta_coeff
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return factory(*args)
+
+    with mock.patch("csfkit.coefficients._theta_coeff", counted), \
+            mock.patch("csfkit.verify._theta_coeff", counted):
+        result = run_c_doubleprime(10, 10, 20)
+    assert result.checked == 15505
+    assert len(built) == 44
+    assert sorted(built) == [(a, b, 2, False) for a in range(2, 11) for b in range(2, a + 1)
+                             if a + b + 1 <= 20]
+
+
 @st.composite
 def compositions(draw, n_max=20):
     n = draw(st.integers(1, n_max))
@@ -387,19 +404,19 @@ def check_kernel(I):
             == ref_ps(parts, b + 1) + ref_qt(parts, b + 1), (I, b)
         assert _delta_parts(parts, sol) == delta(I, b + 1) == ref_delta(parts, b + 1), (I, b)
     for a, b, c in theta_triples(n):
-        sol = _solve_psqt_parts(parts, moduli, b + c - 2)
-        assert _c_parts(parts, moduli, a, c, sol, False) == coeff_c(I, a, b, c) \
+        assert _theta_coeff(a, b, c, False)(parts, moduli) == coeff_c(I, a, b, c) \
             == ref_coeff(I, a, b, c, twisted=False), (I, a, b, c)
-        assert _c_parts(parts, moduli, a, c, sol, True) == coeff_c_prime(I, a, b, c) \
+        assert _theta_coeff(a, b, c, True)(parts, moduli) == coeff_c_prime(I, a, b, c) \
             == ref_coeff(I, a, b, c, twisted=True), (I, a, b, c)
     for a, b in clock_pairs(n):
-        assert _theta_coeff(a, b, 2, False)(parts, moduli) == coeff_D(I, a, b)
+        D = _theta_coeff(a, b, 2, False)
+        assert D(parts, moduli) == coeff_D(I, a, b)
         if _classify_parts(parts, moduli, a)[0] is not WClass.W_GT:
             continue
-        sol = _solve_psqt_parts(parts, moduli, b)
-        fiber_parts = _fiber_parts(parts, sol[0], sol[2])
+        p, _, q, _ = _solve_psqt_parts(parts, moduli, b)
+        fiber_parts = _fiber_parts(parts, p, q)
         assert fiber_parts == [H.parts for H in fiber(I, a, b)] == ref_fiber(parts, b)
-        assert _c_doubleprime_parts(parts, moduli, a, b, sol) == coeff_c_doubleprime(I, a, b) \
+        assert _c_doubleprime_parts(parts, moduli, D, p, q) == coeff_c_doubleprime(I, a, b) \
             == ref_c_doubleprime(I, a, b), (I, a, b)
 
 
@@ -411,6 +428,16 @@ def test_kernel_matches_wrappers_and_references_to_n12():
         ]
         for I in compositions_of(n):
             check_kernel(I)
+
+
+def test_weight_positive_tuples_are_first_part_1_then_parts_ge_2_in_order_to_n20():
+    # lemma-bounds and c-doubleprime slice one weight-positive list per degree
+    # into these two blocks
+    for n in range(1, 21):
+        positive = list(_weight_positive_tuples(n))
+        head = [parts for parts in positive if parts[0] == 1]
+        assert positive[:len(head)] == head, n
+        assert positive[len(head):] == list(_composition_tuples(n, 2)), n
 
 
 def test_kernel_enumerators_keep_the_public_checks():
@@ -482,10 +509,8 @@ def test_theta_plus_sum_is_the_plain_sum_of_overshoots_to_n30(I, data):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(compositions(n_max=30).filter(lambda I: I.modulus >= 4), st.data())
-def test_c_parts_matches_the_reversal_based_reference_to_n30(I, data):
+def test_theta_coeff_matches_the_reversal_based_reference_to_n30(I, data):
     a, b, c = data.draw(st.sampled_from(theta_triples(I.modulus)), label="triple")
-    parts, moduli = I.parts, I.prefix_moduli
-    sol = _solve_psqt_parts(parts, moduli, b + c - 2)
     for twisted in (False, True):
-        assert _c_parts(parts, moduli, a, c, sol, twisted) \
+        assert _theta_coeff(a, b, c, twisted)(I.parts, I.prefix_moduli) \
             == ref_coeff(I, a, b, c, twisted), (I, a, b, c, twisted)

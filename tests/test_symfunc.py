@@ -121,6 +121,15 @@ def test_vector_construction_prunes_zeros_and_checks_degree():
         BasisVector(Basis.E, 3, {(2, 2): 1})
 
 
+def test_vector_refuses_a_basis_that_is_not_a_basis():
+    # evaluate_ones reads every basis but Basis.E as the p-basis: "e" would give 14
+    assert BasisVector(Basis.E, 2, {(2,): 1, (1, 1): 3}).evaluate_ones(2) == 13
+    for basis in ("e", "p", None, 0):
+        with pytest.raises(ValueError, match="^basis must be a Basis, got ") as info:
+            BasisVector(basis, 2, {(2,): 1, (1, 1): 3})
+        assert "\n" not in str(info.value)
+
+
 def test_add_scale_equals():
     vec = BasisVector(Basis.E, 2, {(2,): 1, (1, 1): 3})
     assert vec.add(vec.scale(-1)).is_zero()
