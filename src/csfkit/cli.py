@@ -51,10 +51,11 @@ def _n_budget() -> int:
     raw = os.environ.get("CSFKIT_MAX_N", "").strip()
     if not raw:
         return DEFAULT_MAX_N
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(f"CSFKIT_MAX_N must be an integer, got {raw!r}") from None
+    # ASCII digits after an optional minus; int() would also read "1_0" and "+12"
+    digits = raw[1:] if raw.startswith("-") else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"CSFKIT_MAX_N must be an integer, got {raw!r}")
+    budget = int(raw)
     if not 1 <= budget <= MAX_MODULUS:
         raise ValueError(f"CSFKIT_MAX_N must be between 1 and {MAX_MODULUS}, got {budget}")
     return budget

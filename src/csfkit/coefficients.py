@@ -20,7 +20,7 @@ kernel function (``_solve_psqt_parts``, ``_delta_parts``, ``_phi_parts``,
 ``_c_doubleprime_parts``) on the parts and prefix-moduli tuples, which checks
 nothing and returns tuples.  The sweeps of :mod:`csfkit.verify` and the closed
 forms of :mod:`csfkit.graphs` call the kernel directly; ``_theta_coeff`` is
-the one body of c_I, c'_I, D_I and delta at c = 1, and c'' takes the pair's D.
+the one body of c_I, c'_I, D_I and delta at c = 1; c'' sums looked-up D_H w_H.
 
 Statistics of a reversal are read from the composition itself through
 theta-duality, theta_minus(reversed I, k) = theta_plus(I, n - k) and
@@ -160,12 +160,9 @@ def _theta_coeff(a: int, b: int, c: int, twisted: bool):
     return coeff
 
 
-def _c_doubleprime_parts(parts, moduli, D, p: int, q: int) -> int:
-    # I in W_> with indices (p, q) at b + 1; D is the pair's _theta_coeff(a, b, 2, False)
-    total = D(parts, moduli) * _weight(parts)
-    for H in _fiber_parts(parts, p, q):
-        total += D(H, _moduli(H)) * _weight(H)
-    return total
+def _c_doubleprime_parts(parts, p: int, q: int, term) -> int:
+    # I in W_> with indices (p, q) at b + 1; term(H) is the pair's D_H * w_H
+    return term(parts) + sum(map(term, _fiber_parts(parts, p, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,4 +330,5 @@ def coeff_c_doubleprime(I: Composition, a: int, b: int) -> int:
     _check_clock(a, b)
     _check_fiber_params(I, a, b)
     p, _, q, _ = _solve_psqt_parts(I.parts, I.prefix_moduli, b)
-    return _c_doubleprime_parts(I.parts, I.prefix_moduli, _theta_coeff(a, b, 2, False), p, q)
+    D = _theta_coeff(a, b, 2, False)
+    return _c_doubleprime_parts(I.parts, p, q, lambda H: D(H, _moduli(H)) * _weight(H))

@@ -10,7 +10,8 @@ Two layers: the public API validates, through the range, degree, parts and
 modulus checks that this module owns for the whole composition layer, and
 wraps a private kernel on the parts and prefix-moduli tuples (``_moduli``,
 ``_theta_plus``, ``_theta_plus_sum``, ``_theta_minus``, ``_weight``, ``_rho``,
-``_composition_tuples``) that checks nothing.  The sweeps of
+``_composition_tuples``, and ``_weight_positive_terms``: each weight-positive
+tuple with its moduli, rho and weight) that checks nothing.  The sweeps of
 :mod:`csfkit.verify` and the closed forms of :mod:`csfkit.graphs` call the
 kernel directly.  Derived compositions (the enumerators, ``reversed`` and the
 maps of :mod:`csfkit.coefficients`) skip re-checking parts already known valid.
@@ -290,6 +291,12 @@ def _weight_positive_tuples(n: int) -> Iterator[tuple]:
         for tail in _composition_tuples(n - first, 2):
             yield (first,) + tail
     yield (n,)
+
+
+def _weight_positive_terms(n: int) -> Iterator[tuple]:
+    # (parts, moduli, rho, weight) of each weight-positive tuple, in its order
+    for parts in _weight_positive_tuples(n):
+        yield parts, _moduli(parts), _rho(parts), _weight(parts)
 
 
 def compositions_of(n: int, min_part: int = 1) -> Iterator[Composition]:

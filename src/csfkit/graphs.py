@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import (
-    Composition, Partition, _Frozen, _check_degree, _check_ints, _check_modulus, _moduli,
-    _rho, _theta_plus, _theta_plus_sum, _weight, _weight_positive_tuples,
+    Composition, Partition, _Frozen, _check_degree, _check_ints, _check_modulus, _theta_plus,
+    _theta_plus_sum, _weight_positive_terms,
 )
 from .coefficients import _check_clock, _check_theta, _theta_coeff
 from .errors import ResourceLimitError
@@ -376,11 +376,10 @@ def _assemble(n: int, coeff_fn) -> EExpansion:
     # one pass over the kernel tuples, each term summed onto its partition
     expansion = EExpansion(n)
     sums = expansion._sums
-    for parts in _weight_positive_tuples(n):
-        coeff = coeff_fn(parts, _moduli(parts))
+    for parts, moduli, lam, weight in _weight_positive_terms(n):
+        coeff = coeff_fn(parts, moduli)
         if coeff:
-            lam = _rho(parts)
-            sums[lam] = sums.get(lam, 0) + coeff * _weight(parts)
+            sums[lam] = sums.get(lam, 0) + coeff * weight
     return expansion
 
 

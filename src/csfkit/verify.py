@@ -7,19 +7,21 @@ fiber structure of the partial reversal, nonnegativity of the grouped
 expansions, and the deletion identities.  Suites report a checked count and
 a list of counterexample descriptions (empty means the sweep passed).
 
-Each composition suite enumerates the compositions of n once per n: it
-streams their part tuples (``compositions._composition_tuples``), computes each
-tuple's prefix moduli once, evaluates the private kernel of
-:mod:`csfkit.coefficients` on them, and holds, for all parameters of that n,
-only Fibonacci-sized lists: positive weight (lemma-bounds, c-doubleprime; its
-first-part-1 head and parts >= 2 tail), and parts >= 2 (fiber).  Clock routes
-build D_I = ``_theta_coeff(a, b, 2, False)`` once per pair; c'' takes that D.
+Each composition suite enumerates the compositions of n once per n, as part
+tuples (``compositions._composition_tuples``) with their moduli computed once,
+or as ``_weight_positive_terms`` (c-doubleprime, positivity); it evaluates the
+private kernel of :mod:`csfkit.coefficients` on them and holds, for all
+parameters of that n, only Fibonacci-sized lists: positive weight
+(lemma-bounds, c-doubleprime) and parts >= 2 (fiber).  Clock routes build D_I
+= ``_theta_coeff(a, b, 2, False)`` once per pair; c-doubleprime stores the
+pair's D_I * w_I by parts, and its clock sum and every c'' sum read them.
 Messages print compositions by ``format_parts``, as ``str(Composition)`` does.
 
 c-doubleprime and positivity run one task per n; positivity sums every clock
 and cycle-chord of n (theta at c = 2 and c = 1) in one pass.  Tasks are pure,
-so these suites optionally fan out over a process pool, merged in task order:
-output does not depend on the worker count.  Only triple-deletion loads graphs.
+so these suites optionally fan out over a process pool, highest n first, and
+merge in task order: output does not depend on the worker count.  Only
+triple-deletion loads graphs.
 
 ``SUITE_TABLE`` maps each suite to a runner whose parameters after the budget
 are the ``verify`` flags it reads (``suite_flags``); ``run_suite`` rejects any
@@ -37,8 +39,8 @@ from .coefficients import (
     _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut, _theta_coeff,
 )
 from .compositions import (
-    _check_degree, _check_ints, _composition_tuples, _moduli, _rho, _theta_minus, _theta_plus,
-    _weight, _weight_positive_tuples, format_parts,
+    _check_degree, _check_ints, _composition_tuples, _moduli, _theta_minus, _theta_plus, _weight,
+    _weight_positive_terms, _weight_positive_tuples, format_parts,
 )
 from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
 
@@ -359,25 +361,20 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
     n, pairs = task
     checked = 0
     violations: List[str] = []
-    positive = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)]
-    first_part_1 = [entry for entry in positive if entry[0][0] == 1]
-    all_ge_2 = positive[len(first_part_1):]  # first part 1 comes first
+    positive = list(_weight_positive_terms(n))
     for a, b in pairs:
         D = _theta_coeff(a, b, 2, False)
-        # the first-part-1 block plus the fiber-grouped block must reassemble
-        # the clock expansion, summed term by term over the same compositions
-        grouped: Dict = {}
-        for parts, moduli in first_part_1:
-            lam = _rho(parts)
-            grouped[lam] = grouped.get(lam, 0) + D(parts, moduli) * _weight(parts)
-        direct = dict(grouped)
-        for parts, moduli in all_ge_2:
-            lam = _rho(parts)
-            direct[lam] = direct.get(lam, 0) + D(parts, moduli) * _weight(parts)
-            value = 0  # grouped and direct get the same keys, so != compares them exactly
+        # D_I * w_I of every composition, each fiber element included
+        terms = {parts: D(parts, moduli) * weight for parts, moduli, _, weight in positive}
+        # the first-part-1 terms plus c'' on W_> must reassemble the clock sum;
+        # both sums get the same keys, so != compares them exactly
+        grouped, direct = {}, {}
+        for parts, moduli, lam, _ in positive:
+            direct[lam] = direct.get(lam, 0) + terms[parts]
+            value = terms[parts] if parts[0] == 1 else 0  # W_<= counts in c'' of its image
             if _classify_parts(parts, moduli, a)[0] is WClass.W_GT:
                 p, _, q, _ = _solve_psqt_parts(parts, moduli, b)
-                value = _c_doubleprime_parts(parts, moduli, D, p, q)
+                value = _c_doubleprime_parts(parts, p, q, terms.__getitem__)
                 checked += 1
                 if value < 0:
                     violations.append(f"fiber-grouped coefficient {value} < 0 at "
@@ -430,10 +427,7 @@ def _positivity_task(n: int) -> Tuple[int, List[str], List[Optional[int]]]:
     sweeps += [("cycle-chord", a, n - a, _theta_coeff(a, n - a, 1, False), {}, [])
                for a in range(2, n - 1)]
     checked = 0
-    for parts in _weight_positive_tuples(n):
-        moduli = _moduli(parts)
-        lam = _rho(parts)
-        weight = _weight(parts)
+    for parts, moduli, lam, weight in _weight_positive_terms(n):
         for family, _, _, coeff, sums, negative in sweeps:
             term = coeff(parts, moduli)
             if term:
@@ -589,7 +583,8 @@ def _run_tasks(fn, tasks, workers: int):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, tasks)
+            # the suites list tasks by ascending degree, costliest last: run those first
+            yield from reversed(list(pool.map(fn, tasks[::-1])))
     else:
         yield from map(fn, tasks)
 

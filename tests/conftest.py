@@ -13,14 +13,14 @@ def _closed_form_terms(build, n):
     # vector is coeff_I * w_I at rho(I), or zero.
     current = []
 
-    def tuples(degree):
+    def stream(degree):
         assert degree == n, (degree, n)
         return iter(current)
 
     terms = {}
-    with mock.patch("csfkit.graphs._weight_positive_tuples", tuples):
+    with mock.patch("csfkit.graphs._weight_positive_terms", stream):
         for I in weight_positive_compositions(n):
-            current[:] = [I.parts]
+            current[:] = [(I.parts, I.prefix_moduli, I.rho(), I.weight)]
             grouped = build().grouped_by_rho()
             assert set(grouped.terms) <= {I.rho()}, (I, grouped.terms)
             coeff, rest = divmod(grouped.coefficient(I.rho()), I.weight)

@@ -490,6 +490,19 @@ def test_budget_env_is_bounded_by_the_largest_modulus(capsys, monkeypatch):
     assert run(capsys, "expand", "--family", "path", "--n", "3")[0] == 0
 
 
+def test_budget_env_is_ascii_digits_after_an_optional_minus(capsys, monkeypatch):
+    # int() alone would run "1_0" with budget 10, and "+12" or Arabic-Indic
+    # digits with budget 12
+    for raw in ("1_0", "+12", "\u0661\u0662", "1.0", "--3", "-", "12a", "0x10"):
+        monkeypatch.setenv("CSFKIT_MAX_N", raw)
+        code, out, err = run(capsys, "expand", "--family", "path", "--n", "3")
+        assert (code, out) == (2, ""), raw
+        assert err == f"error: CSFKIT_MAX_N must be an integer, got {raw!r}\n"
+    for raw, budget in ((" 12 ", 12), ("07", 7)):
+        monkeypatch.setenv("CSFKIT_MAX_N", raw)
+        assert cli._n_budget() == budget
+
+
 def test_closed_pipe_exits_1_without_a_traceback():
     import os
     import subprocess
@@ -561,7 +574,7 @@ BROKEN_KERNELS = [
     ("lemma-bounds", ("--n", "5"), "csfkit.verify", "_theta_minus", lambda moduli, a: -1),
     ("fiber", ("--n", "7"), "csfkit.verify", "_psi_parts", lambda parts, moduli, a: parts),
     ("c-doubleprime", ("--a-max", "2", "--b-max", "2", "--workers", "1"), "csfkit.verify",
-     "_c_doubleprime_parts", lambda parts, moduli, a, b, sol: -1),
+     "_c_doubleprime_parts", lambda parts, p, q, term: -1),
     ("positivity", ("--n-max", "4", "--workers", "1"), "csfkit.verify", "_theta_coeff",
      lambda a, b, c, twisted: lambda parts, moduli: -1),
     ("triple-deletion", ("--count", "2"), "csfkit.graphs", "verify_triple_deletion",

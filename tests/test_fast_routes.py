@@ -45,6 +45,7 @@ from csfkit.compositions import (
     _theta_plus,
     _theta_plus_sum,
     _weight,
+    _weight_positive_terms,
     _weight_positive_tuples,
 )
 from csfkit.graphs import (
@@ -296,6 +297,28 @@ def test_c_doubleprime_builds_one_clock_kernel_per_pair():
                              if a + b + 1 <= 20]
 
 
+def test_c_doubleprime_evaluates_each_clock_term_once():
+    # D_I once per (pair, weight-positive composition): the clock sum and every
+    # fiber-grouped c'' read the same stored D_I * w_I
+    factory = _theta_coeff
+    calls = []
+
+    def counted(*args):
+        D = factory(*args)
+
+        def coeff(parts, moduli):
+            calls.append((args, parts))
+            return D(parts, moduli)
+        return coeff
+
+    with mock.patch("csfkit.verify._theta_coeff", counted):
+        result = run_c_doubleprime(10, 10, 20)
+    assert result.checked == 15505 and result.ok
+    assert len(calls) == len(set(calls)) == 34440
+    assert len(calls) == sum(len(list(_weight_positive_tuples(a + b + 1)))
+                             for a in range(2, 11) for b in range(2, a + 1) if a + b + 1 <= 20)
+
+
 @st.composite
 def compositions(draw, n_max=20):
     n = draw(st.integers(1, n_max))
@@ -314,8 +337,8 @@ def test_fast_routes_match_references_on_random_compositions(I):
         return
     # evaluate the closed form on I alone rather than on all of degree n:
     # its grouped vector is then the one term at rho(I)
-    with mock.patch("csfkit.graphs._weight_positive_tuples",
-                    lambda degree: iter([I.parts])):
+    with mock.patch("csfkit.graphs._weight_positive_terms",
+                    lambda degree: iter([(I.parts, I.prefix_moduli, I.rho(), I.weight)])):
         for b in range(2, n - 1):
             grouped = closed_form_cycle_chord(n - b, b, form="theta-sum").grouped_by_rho()
             term = ref_theta_sum(I, b) * I.weight
@@ -416,7 +439,8 @@ def check_kernel(I):
         p, _, q, _ = _solve_psqt_parts(parts, moduli, b)
         fiber_parts = _fiber_parts(parts, p, q)
         assert fiber_parts == [H.parts for H in fiber(I, a, b)] == ref_fiber(parts, b)
-        assert _c_doubleprime_parts(parts, moduli, D, p, q) == coeff_c_doubleprime(I, a, b) \
+        term = lambda H: D(H, _moduli(H)) * _weight(H)
+        assert _c_doubleprime_parts(parts, p, q, term) == coeff_c_doubleprime(I, a, b) \
             == ref_c_doubleprime(I, a, b), (I, a, b)
 
 
@@ -431,8 +455,8 @@ def test_kernel_matches_wrappers_and_references_to_n12():
 
 
 def test_weight_positive_tuples_are_first_part_1_then_parts_ge_2_in_order_to_n20():
-    # lemma-bounds and c-doubleprime slice one weight-positive list per degree
-    # into these two blocks
+    # lemma-bounds slices one weight-positive list per degree into these two
+    # blocks
     for n in range(1, 21):
         positive = list(_weight_positive_tuples(n))
         head = [parts for parts in positive if parts[0] == 1]
@@ -440,10 +464,21 @@ def test_weight_positive_tuples_are_first_part_1_then_parts_ge_2_in_order_to_n20
         assert positive[len(head):] == list(_composition_tuples(n, 2)), n
 
 
+def test_weight_positive_terms_derive_each_tuple_in_order_to_n20():
+    # the closed forms and the positivity and c-doubleprime sweeps read moduli,
+    # rho and weight of every weight-positive tuple from this one stream
+    for n in range(1, 21):
+        assert list(_weight_positive_terms(n)) == [
+            (parts, _moduli(parts), _rho(parts), _weight(parts))
+            for parts in _weight_positive_tuples(n)
+        ], n
+
+
 def test_kernel_enumerators_keep_the_public_checks():
     for bad in (0, -1, 65):
         for stream in (_composition_tuples(bad), compositions_of(bad),
-                       _weight_positive_tuples(bad), weight_positive_compositions(bad)):
+                       _weight_positive_tuples(bad), _weight_positive_terms(bad),
+                       weight_positive_compositions(bad)):
             with pytest.raises(ValueError):
                 next(stream)
 
