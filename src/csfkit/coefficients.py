@@ -14,13 +14,14 @@ n = a + b + c - 1.  This module implements the pieces of those coefficients:
 
 All functions are pure; every value is an exact Python integer.
 
-Two layers: each public function checks its parameters and wraps one private
-kernel function (``_solve_psqt_parts``, ``_delta_parts``, ``_phi_parts``,
-``_psi_parts``, ``_classify_parts``, ``_fiber_parts``, ``_theta_coeff``,
-``_c_doubleprime_parts``) on the parts and prefix-moduli tuples, which checks
-nothing and returns tuples.  The sweeps of :mod:`csfkit.verify` and the closed
-forms of :mod:`csfkit.graphs` call the kernel directly; ``_theta_coeff`` is
-the one body of c_I, c'_I, D_I and delta at c = 1; c'' sums looked-up D_H w_H.
+Two layers: each public function checks its parameters and wraps the kernel,
+private functions on the parts and prefix-moduli tuples that check nothing
+(``_solve_psqt_parts``, ``_delta_parts``, ``_phi_parts``, ``_psi_parts``,
+``_in_w_gt``, ``_in_A``, ``_fiber_parts``, ``_theta_coeff``,
+``_c_doubleprime_parts``); only ``classify`` builds a ``WClass``.  The sweeps
+of :mod:`csfkit.verify` and the closed forms of :mod:`csfkit.graphs` call the
+kernel directly; ``_theta_coeff`` is the one body of c_I, c'_I, D_I and delta
+at c = 1; c'' sums looked-up D_H w_H.
 
 Statistics of a reversal are read from the composition itself through
 theta-duality, theta_minus(reversed I, k) = theta_plus(I, n - k) and
@@ -128,16 +129,14 @@ def _psi_parts(parts, moduli, a: int) -> tuple:
     return parts[:cut][::-1] + parts[cut:]
 
 
-def _classify_parts(parts, moduli, a: int) -> tuple:
-    # (wclass, in_A), 1 <= a <= n; the reversal's statistics at a read at n - a
-    m = moduli[-1] - a
-    # positive weight: no part after the first equals 1
-    in_A = 1 not in parts[1:] and _theta_minus(moduli, m) == 0
-    if 1 in parts:
-        return WClass.NOT_W, in_A
-    if parts[0] > _theta_plus(moduli, m):
-        return WClass.W_GT, in_A
-    return WClass.W_LE, in_A
+def _in_w_gt(parts, moduli, a: int) -> bool:
+    # 1 <= a <= n: no part 1, and i_1 above the reversal's undershoot at a (at n - a)
+    return 1 not in parts and parts[0] > _theta_plus(moduli, moduli[-1] - a)
+
+
+def _in_A(parts, moduli, a: int) -> bool:
+    # 1 <= a <= n: the reversal's overshoot at a (at n - a) is 0, and w_I > 0
+    return _theta_minus(moduli, moduli[-1] - a) == 0 and 1 not in parts[1:]
 
 
 def _fiber_parts(parts, p: int, q: int) -> List[tuple]:
@@ -248,7 +247,10 @@ def classify(I: Composition, a: int) -> Classification:
     suffix of modulus exactly a.
     """
     _check_range("threshold", a, 1, I.modulus, I)
-    return Classification(*_classify_parts(I.parts, I.prefix_moduli, a))
+    parts, moduli = I.parts, I.prefix_moduli
+    wclass = (WClass.NOT_W if 1 in parts
+              else WClass.W_GT if _in_w_gt(parts, moduli, a) else WClass.W_LE)
+    return Classification(wclass, _in_A(parts, moduli, a))
 
 
 def _check_clock(a: int, b: int) -> None:
@@ -267,7 +269,7 @@ def _check_fiber_params(I: Composition, a: int, b: int) -> None:
     _check_range("a", a, 1, I.modulus, I)
     _check_range("b", b, 1, I.modulus, I)
     _check_modulus(I, a + b + 1, "a+b+1")
-    if _classify_parts(I.parts, I.prefix_moduli, a)[0] is not WClass.W_GT:
+    if not _in_w_gt(I.parts, I.prefix_moduli, a):
         raise ValueError(f"fiber requires a composition in W_>, got {I}")
 
 

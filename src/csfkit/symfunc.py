@@ -15,7 +15,6 @@ one-part basis element.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
@@ -27,8 +26,11 @@ from .compositions import Partition, _Frozen, _check_ints
 def _check_exact(what: str, value) -> None:
     # an int (not a bool) or a Fraction: a float would bring its binary
     # rounding into exact arithmetic, and a string would be parsed
-    if type(value) is not int and not isinstance(value, Fraction):
-        raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+    if type(value) is not int:
+        from fractions import Fraction  # imported here: an int never needs it
+
+        if not isinstance(value, Fraction):
+            raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
 def _decimal(what: str, text) -> int:
@@ -177,6 +179,8 @@ class BasisVector(_Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BasisVector":
+        from fractions import Fraction
+
         basis = Basis(data["basis"])
         terms = {}
         for entry in data["terms"]:
@@ -243,6 +247,8 @@ def _e_to_p_terms(n: int, width: int) -> Dict[int, Fraction]:
     Cached per degree and width; recomputation is idempotent so concurrent
     readers are safe.
     """
+    from fractions import Fraction
+
     if n == 0:
         return {0: Fraction(1)}
     acc: Dict[int, Fraction] = {}

@@ -12,10 +12,13 @@ tuples (``compositions._composition_tuples``) with their moduli computed once,
 or as ``_weight_positive_terms`` (c-doubleprime, positivity); it evaluates the
 private kernel of :mod:`csfkit.coefficients` on them and holds, for all
 parameters of that n, only Fibonacci-sized lists: positive weight
-(lemma-bounds, c-doubleprime) and parts >= 2 (fiber).  Clock routes build D_I
-= ``_theta_coeff(a, b, 2, False)`` once per pair; c-doubleprime stores the
-pair's D_I * w_I by parts, and its clock sum and every c'' sum read them.
-Messages print compositions by ``format_parts``, as ``str(Composition)`` does.
+(lemma-bounds, c-doubleprime) and parts >= 2 (fiber).  W_> and A are the bool
+tests ``_in_w_gt`` and ``_in_A`` (only ``classify`` builds a ``WClass``);
+fiber splits its list by ``_in_w_gt`` once per pair and looks fiber elements
+and psi images up in the two halves.  Clock routes build D_I =
+``_theta_coeff(a, b, 2, False)`` once per pair; c-doubleprime stores the
+pair's D_I * w_I by parts, read by its clock sum and every c'' sum.  Messages
+print compositions by ``format_parts``, as ``str(Composition)`` does.
 
 c-doubleprime and positivity run one task per n; positivity sums every clock
 and cycle-chord of n (theta at c = 2 and c = 1) in one pass.  Tasks are pure,
@@ -35,8 +38,8 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
-    WClass, _c_doubleprime_parts, _check_clock, _check_theta, _classify_parts, _delta_parts,
-    _fiber_parts, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut, _theta_coeff,
+    _c_doubleprime_parts, _check_clock, _check_theta, _delta_parts, _fiber_parts, _in_A,
+    _in_w_gt, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut, _theta_coeff,
 )
 from .compositions import (
     _check_degree, _check_ints, _composition_tuples, _moduli, _theta_minus, _theta_plus, _weight,
@@ -118,7 +121,7 @@ def run_phi_involution(ns: Sequence[int]) -> SuiteResult:
                     result.fail(f"phi changed the partition at I={format_parts(parts)}, a={a}")
                 if not same_weight:
                     result.fail(f"phi changed the weight at I={format_parts(parts)}, a={a}")
-                if _classify_parts(parts, moduli, a)[1] and not _classify_parts(J, j_moduli, a)[1]:
+                if _in_A(parts, moduli, a) and not _in_A(J, j_moduli, a):
                     result.fail(
                         f"phi left the exact-suffix family at I={format_parts(parts)}, a={a}"
                     )
@@ -136,8 +139,8 @@ def run_theta_duality(ns: Sequence[int]) -> SuiteResult:
             moduli = _moduli(parts)
             # the real reversal, with its own moduli
             rev_moduli = _moduli(parts[::-1])
+            result.checked += n + 1
             for a in range(0, n + 1):
-                result.checked += 1
                 if _theta_minus(moduli, a) != _theta_plus(rev_moduli, n - a):
                     result.fail(
                         f"undershoot/overshoot duality fails at I={format_parts(parts)}, a={a}"
@@ -179,9 +182,10 @@ def _check_solver_identities(
 
 def _check_gt_bounds(
     result: SuiteResult, parts: tuple, moduli: tuple, a: int, b: int,
-    sol: tuple, in_A: bool, D: Callable[[tuple, tuple], int], counts: Dict[str, int],
+    sol: tuple, D: Callable[[tuple, tuple], int], counts: Dict[str, int],
 ) -> None:
     n = moduli[-1]
+    in_A = _in_A(parts, moduli, a)
     i1 = parts[0]
     p, _, q, _ = sol
     I = format_parts(parts)
@@ -252,10 +256,9 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
                 if D(parts, moduli) < 0:
                     result.fail(f"first-part-1 coefficient negative at I={format_parts(parts)}")
             for parts, moduli in all_ge_2:
-                wclass, in_A = _classify_parts(parts, moduli, a)
                 sol = _solve_psqt_parts(parts, moduli, b)
-                if wclass is WClass.W_GT:
-                    _check_gt_bounds(result, parts, moduli, a, b, sol, in_A, D, counts)
+                if _in_w_gt(parts, moduli, a):
+                    _check_gt_bounds(result, parts, moduli, a, b, sol, D, counts)
                 else:
                     _check_le_closed_form(result, parts, a, b, sol, D(parts, moduli), counts)
         # lower bound of the phi-twisted coefficient by its delta term on the
@@ -263,8 +266,7 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
         for a, b, c in theta_triples(n, min_c=2):
             c_prime = _theta_coeff(a, b, c, True)
             for parts, moduli in positive:
-                # exact-suffix family: theta_plus(reversed I, a) = 0
-                if _theta_minus(moduli, n - a) != 0:
+                if not _in_A(parts, moduli, a):
                     continue
                 result.checked += 1
                 sol = _solve_psqt_parts(parts, moduli, b + c - 2)
@@ -305,13 +307,11 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
                     if pairs else [])
         for pa, pb in pairs:
             D = _theta_coeff(pa, pb, 2, False)
-            greater: List[Tuple[tuple, tuple]] = []
-            lesser: List[Tuple[tuple, tuple]] = []
-            for entry in all_ge_2:
-                kind = _classify_parts(*entry, pa)[0]
-                (greater if kind is WClass.W_GT else lesser).append(entry)
+            greater, lesser = {}, {}
+            for parts, moduli in all_ge_2:
+                (greater if _in_w_gt(parts, moduli, pa) else lesser)[parts] = moduli
             seen: Dict[tuple, tuple] = {}
-            for parts, moduli in greater:
+            for parts, moduli in greater.items():
                 p, _, q, _ = _solve_psqt_parts(parts, moduli, pb)
                 preimages = _fiber_parts(parts, p, q)
                 rho = sorted(parts)
@@ -322,7 +322,7 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
                     if _psi_parts(H, h_moduli, pa) != parts:
                         result.fail(f"fiber element {format_parts(H)} does not map back to "
                                     f"{format_parts(parts)}")
-                    if _classify_parts(H, h_moduli, pa)[0] is not WClass.W_LE:
+                    if H not in lesser:
                         result.fail(f"fiber element {format_parts(H)} of {format_parts(parts)} "
                                     f"is not in W_<=")
                     if sorted(H) != rho:
@@ -341,10 +341,10 @@ def run_fiber(ns: Sequence[int], a: Optional[int] = None, b: Optional[int] = Non
                     if got != expected:
                         result.fail(f"fixture fiber mismatch at I={format_parts(parts)}: "
                                     f"got {got}, want {expected}")
-            for J, moduli in lesser:
+            for J, moduli in lesser.items():
                 result.checked += 1
                 image = _psi_parts(J, moduli, pa)
-                if _classify_parts(image, _moduli(image), pa)[0] is not WClass.W_GT:
+                if image not in greater:
                     result.fail(
                         f"psi image {format_parts(image)} of {format_parts(J)} is not in W_>")
                 if J not in seen:
@@ -372,16 +372,16 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
         for parts, moduli, lam, _ in positive:
             direct[lam] = direct.get(lam, 0) + terms[parts]
             value = terms[parts] if parts[0] == 1 else 0  # W_<= counts in c'' of its image
-            if _classify_parts(parts, moduli, a)[0] is WClass.W_GT:
+            if _in_w_gt(parts, moduli, a):
                 p, _, q, _ = _solve_psqt_parts(parts, moduli, b)
                 value = _c_doubleprime_parts(parts, p, q, terms.__getitem__)
                 checked += 1
-                if value < 0:
+                if value < 0 and len(violations) <= MAX_REPORTED_VIOLATIONS:
                     violations.append(f"fiber-grouped coefficient {value} < 0 at "
                                       f"I={format_parts(parts)}, (a,b)=({a},{b})")
             grouped[lam] = grouped.get(lam, 0) + value
         checked += 1
-        if grouped != direct:
+        if grouped != direct and len(violations) <= MAX_REPORTED_VIOLATIONS:
             from .symfunc import Basis, BasisVector, first_difference  # to word the message
 
             diff = first_difference(*(BasisVector(Basis.E, n, sums) for sums in (grouped, direct)))
@@ -434,7 +434,7 @@ def _positivity_task(n: int) -> Tuple[int, List[str], List[Optional[int]]]:
                 sums[lam] = sums.get(lam, 0) + term * weight
                 if family == "cycle-chord":
                     checked += 1
-                    if term < 0:
+                    if term < 0 and len(negative) <= MAX_REPORTED_VIOLATIONS:
                         negative.append(parts)
     violations: List[str] = []
     minima = []
@@ -449,7 +449,7 @@ def _positivity_task(n: int) -> Tuple[int, List[str], List[Optional[int]]]:
                 f"negative grouped coefficient for {family} (a,b)=({a},{b}): {negatives}"
             )
         minima.append(min(sums.values(), default=None))
-    return checked, violations, minima
+    return checked, violations[:MAX_REPORTED_VIOLATIONS + 1], minima
 
 
 def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:

@@ -271,7 +271,8 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 
     src = str(Path(cli.__file__).resolve().parents[1])
     # a command loads only what it runs: no command here needs the process
-    # pool, JSON, CSV or dataclasses, and each loads only its own modules
+    # pool, CSV or dataclasses, only --format json needs JSON, and each loads
+    # only its own modules
     probe = ("import sys, csfkit.cli\n"
              "unused = ('multiprocessing', 'concurrent.futures.process',\n"
              "          'dataclasses', 'json', 'csv')\n"
@@ -284,7 +285,7 @@ def test_cli_import_leaves_multiprocessing_unloaded():
              "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('csfkit.'))))\n"
              "print('fractions' in sys.modules)")
     composition = "cli coefficients compositions errors"
-    # only the commands that load symfunc load fractions
+    # no command loads fractions: only a Fraction coefficient needs it
     for argv, loaded in (
         (("--help",), "cli errors"),
         (("fibers", "--I", "7,2,2", "--a", "6", "--b", "4"), composition),
@@ -293,14 +294,17 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         (("verify", "--suite", "c-doubleprime", "--a-max", "3", "--b-max", "3"),
          f"{composition} verify"),
         (("oracle-check", "--family", "path", "--n", "5"), f"{composition} graphs symfunc"),
+        (("expand", "--family", "clock", "--a", "6", "--b", "4", "--format", "json"),
+         f"{composition} graphs symfunc"),
     ):
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                              capture_output=True, text=True, check=True).stdout
         lines = out.splitlines()
-        assert lines[0] == lines[-3] == "[]", (argv, out)
+        assert lines[0] == "[]", (argv, out)
+        assert lines[-3] == ("['json']" if "json" in argv else "[]"), (argv, out)
         assert lines[-2] == loaded, (argv, out)
-        assert lines[-1] == str("symfunc" in loaded), (argv, out)
+        assert lines[-1] == "False", (argv, out)
         if argv[0] == "oracle-check":
             assert lines[1].startswith("OK path (5,)")
 
@@ -608,6 +612,18 @@ def test_violations_past_the_cap_are_suppressed_in_one_line():
     assert result.violations[:-1] == [f"v{k}" for k in range(50)]
     assert result.violations[-1] == "... further violations suppressed"
     assert not result.ok
+
+
+def test_pooled_tasks_format_at_most_one_message_past_the_cap(monkeypatch):
+    # a task's messages past the cap would only be suppressed on merging
+    import csfkit.verify as verify
+
+    monkeypatch.setattr(verify, "_theta_coeff", lambda a, b, c, twisted: lambda parts, moduli: -1)
+    monkeypatch.setattr(verify, "_c_doubleprime_parts", lambda parts, p, q, term: -1)
+    checked, violations, _ = verify._positivity_task(20)
+    assert checked > 0 and len(violations) == MAX_REPORTED_VIOLATIONS + 1
+    checked, violations = verify._cdp_task((14, tuple(verify.clock_pairs(14))))
+    assert checked > 0 and len(violations) == MAX_REPORTED_VIOLATIONS + 1
 
 
 def test_library_suites_fail_a_range_that_checks_nothing():

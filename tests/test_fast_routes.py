@@ -24,9 +24,10 @@ from csfkit.coefficients import (
     solve_qt,
     split_LR,
     _c_doubleprime_parts,
-    _classify_parts,
     _delta_parts,
     _fiber_parts,
+    _in_A,
+    _in_w_gt,
     _phi_parts,
     _psi_parts,
     _solve_psqt_parts,
@@ -51,7 +52,7 @@ from csfkit.compositions import (
 from csfkit.graphs import (
     closed_form_clock, closed_form_cycle_chord, e_positivity_report, expansion_closed_form,
 )
-from csfkit.verify import clock_pairs, run_c_doubleprime, run_positivity, theta_triples
+from csfkit.verify import clock_pairs, run_c_doubleprime, run_fiber, run_positivity, theta_triples
 
 
 def assert_validated(J):
@@ -412,8 +413,10 @@ def check_kernel(I):
         assert _theta_minus(moduli, a) == I.theta_minus(a) == a - max(m for m in moduli if m <= a)
     for a in range(1, n + 1):
         assert _phi_parts(parts, moduli, a) == phi(I, a).parts == ref_phi(I, a)[0], (I, a)
-        got = _classify_parts(parts, moduli, a)
-        assert Classification(*got) == classify(I, a) == ref_classify(I, a), (I, a)
+        ref = ref_classify(I, a)
+        assert _in_w_gt(parts, moduli, a) is (ref.wclass is WClass.W_GT), (I, a)
+        assert _in_A(parts, moduli, a) is ref.in_A, (I, a)
+        assert classify(I, a) == ref, (I, a)
     for a in range(1, n):
         cut = _split_cut(moduli, a)
         assert (parts[:cut], parts[cut:]) == tuple(half.parts for half in split_LR(I, a))
@@ -434,7 +437,7 @@ def check_kernel(I):
     for a, b in clock_pairs(n):
         D = _theta_coeff(a, b, 2, False)
         assert D(parts, moduli) == coeff_D(I, a, b)
-        if _classify_parts(parts, moduli, a)[0] is not WClass.W_GT:
+        if not _in_w_gt(parts, moduli, a):
             continue
         p, _, q, _ = _solve_psqt_parts(parts, moduli, b)
         fiber_parts = _fiber_parts(parts, p, q)
@@ -527,6 +530,17 @@ def test_fiber_elements_lie_in_w_le_and_map_back_to_n30(I):
 @given(compositions(n_max=30))
 def test_kernel_matches_wrappers_and_references_to_n30(I):
     check_kernel(I)
+
+
+def test_fiber_classifies_each_composition_once_per_pair():
+    # fiber elements and psi images are looked up in the pair's W_> / W_<=
+    # split, not classified again
+    with mock.patch("csfkit.verify._in_w_gt", wraps=_in_w_gt) as spy:
+        result = run_fiber(range(5, 19))
+    expected = sum(len(clock_pairs(n)) * len(list(_composition_tuples(n, 2)))
+                   for n in range(5, 19))
+    assert spy.call_count == expected == 26686
+    assert (result.checked, result.violations) == (13972, [])
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
