@@ -38,7 +38,10 @@ class Graph(_Frozen):
             raise ValueError(f"vertex count must be >= 1, got {vertex_count}")
         canon = []
         seen = set()
-        for u, v in edges:
+        for edge in edges:
+            if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+                raise ValueError(f"edge must be a pair of vertices, got {edge!r}")
+            u, v = edge
             _check_ints("edge end", u, v)
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
@@ -86,7 +89,7 @@ class Graph(_Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        return cls(data["n"], [tuple(e) for e in data["edges"]])
+        return cls(data["n"], data["edges"])
 
 
 def build_path(n: int) -> Graph:

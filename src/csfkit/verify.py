@@ -15,10 +15,12 @@ parameters of that n, only Fibonacci-sized lists: positive weight
 (lemma-bounds, c-doubleprime) and parts >= 2 (fiber).  W_> and A are the bool
 tests ``_in_w_gt`` and ``_in_A`` (only ``classify`` builds a ``WClass``);
 fiber splits its list by ``_in_w_gt`` once per pair and looks fiber elements
-and psi images up in the two halves.  Clock routes build D_I =
-``_theta_coeff(a, b, 2, False)`` once per pair; c-doubleprime stores the
-pair's D_I * w_I by parts, read by its clock sum and every c'' sum.  Messages
-print compositions by ``format_parts``, as ``str(Composition)`` does.
+and psi images up in the two halves; lemma-bounds walks its list once per
+clock pair.  Clock routes build D_I = ``_theta_coeff(a, b, 2, False)`` once
+per pair; c-doubleprime stores the pair's D_I * w_I by parts, read by its
+clock sum and every c'' sum.  Messages print compositions by
+``format_parts``, as ``str(Composition)`` does, and only on failure: no
+passing sweep formats a composition.
 
 c-doubleprime and positivity run one task per n; positivity sums every clock
 and cycle-chord of n (theta at c = 2 and c = 1) in one pass.  Tasks are pure,
@@ -152,87 +154,6 @@ def run_theta_duality(ns: Sequence[int]) -> SuiteResult:
 # lemma-bounds
 
 
-def _check_solver_identities(
-    result: SuiteResult, parts: tuple, moduli: tuple, rev_moduli: tuple
-) -> None:
-    # every split n = a + b + 1; rev_moduli are those of the real reversal,
-    # so this check stays independent of theta-duality
-    n = moduli[-1]
-    z = len(parts)
-    i1 = parts[0]
-    for b in range(1, n - 1):
-        a = n - 1 - b
-        p, s, q, t = _solve_psqt_parts(parts, moduli, b)
-        ip_minus_s = parts[p - 1] - s
-        result.checked += 1
-        if ip_minus_s != _theta_minus(rev_moduli, a):
-            result.fail(f"i_p - s mismatch with reversed undershoot at "
-                        f"I={format_parts(parts)}, a={a}")
-        if q < p - 1:
-            result.fail(f"q < p - 1 at I={format_parts(parts)}, b={b}")
-        if q >= p and moduli[q] - moduli[p - 1] != i1 + s - t:
-            result.fail(f"|i_p..i_q| != i_1 + s - t at I={format_parts(parts)}, b={b}")
-        if (q == p - 1) != (i1 <= ip_minus_s):
-            result.fail(f"q = p - 1 branch condition fails at I={format_parts(parts)}, b={b}")
-        if a - i1 != n - moduli[q] - t:
-            result.fail(f"a - i_1 != |i_(q+1)..i_z| - t at I={format_parts(parts)}, b={b}")
-        if (q == z) != (i1 > a):
-            result.fail(f"q = z iff i_1 > a fails at I={format_parts(parts)}, a={a}")
-
-
-def _check_gt_bounds(
-    result: SuiteResult, parts: tuple, moduli: tuple, a: int, b: int,
-    sol: tuple, D: Callable[[tuple, tuple], int], counts: Dict[str, int],
-) -> None:
-    n = moduli[-1]
-    in_A = _in_A(parts, moduli, a)
-    i1 = parts[0]
-    p, _, q, _ = sol
-    I = format_parts(parts)
-    value = D(parts, moduli)
-    result.checked += 1
-    if value < i1 - 2:
-        result.fail(f"D below i_1 - 2 on W_> at I={I}, (a,b)=({a},{b})")
-    # q - p equals the largest j <= z - p whose suffix after position p + j
-    # still has modulus above a - i_1
-    best = max(
-        (j for j in range(0, len(parts) - p + 1) if n - moduli[p + j] > a - i1),
-        default=None,
-    )
-    if best != q - p:
-        result.fail(f"suffix characterization of q - p fails at I={I}, a={a}")
-    if q == p:
-        counts["W> q=p"] += 1
-    elif in_A:
-        counts["W> q>p exact-suffix"] += 1
-        if i1 < 3 or value < 2 * i1 - 3:
-            result.fail(f"exact-suffix W_> bound fails at I={I}, (a,b)=({a},{b})")
-    else:
-        counts["W> q>p no-exact-suffix"] += 1
-        if i1 < 4 or value < i1 + 2:
-            result.fail(f"no-exact-suffix W_> bound fails at I={I}, (a,b)=({a},{b})")
-    for r, H in enumerate(_fiber_parts(parts, p, q), start=1):
-        if D(H, _moduli(H)) < 0:
-            result.checked += 1
-            if not (r == q - p or (in_A and r == 1)):
-                result.fail(f"negative fiber coefficient at interior index r={r}, I={I}")
-
-
-def _check_le_closed_form(
-    result: SuiteResult, parts: tuple, a: int, b: int,
-    sol: tuple, D: int, counts: Dict[str, int],
-) -> None:
-    counts["W<="] += 1
-    i1 = parts[0]
-    p, s, _, _ = sol
-    ip = parts[p - 1]
-    result.checked += 1
-    if D != (s - 1) * (ip - s - i1) - 2 or D < -2:
-        result.fail(f"W_<= closed form fails at I={format_parts(parts)}, (a,b)=({a},{b})")
-    if D < 0 and s not in (1, 2, ip - i1):
-        result.fail(f"negative W_<= coefficient with s={s} at I={format_parts(parts)}")
-
-
 def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
     result = SuiteResult("lemma-bounds")
     counts: Dict[str, int] = {
@@ -243,24 +164,82 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
     }
     for n in ns:
         # solver identities hold for every split n = a + b + 1, not only the
-        # clock-parameter range
+        # clock-parameter range; rev_moduli are those of the real reversal, so
+        # this check stays independent of theta-duality
         for parts in _composition_tuples(n):
-            _check_solver_identities(result, parts, _moduli(parts), _moduli(parts[::-1]))
+            moduli, rev_moduli = _moduli(parts), _moduli(parts[::-1])
+            z, i1 = len(parts), parts[0]
+            result.checked += len(range(1, n - 1))
+            for b in range(1, n - 1):
+                a = n - 1 - b
+                p, s, q, t = _solve_psqt_parts(parts, moduli, b)
+                ip_minus_s = parts[p - 1] - s
+                if ip_minus_s != _theta_minus(rev_moduli, a):
+                    result.fail(f"i_p - s mismatch with reversed undershoot at "
+                                f"I={format_parts(parts)}, a={a}")
+                if q < p - 1:
+                    result.fail(f"q < p - 1 at I={format_parts(parts)}, b={b}")
+                if q >= p and moduli[q] - moduli[p - 1] != i1 + s - t:
+                    result.fail(f"|i_p..i_q| != i_1 + s - t at I={format_parts(parts)}, b={b}")
+                if (q == p - 1) != (i1 <= ip_minus_s):
+                    result.fail(f"q = p - 1 branch condition fails at I={format_parts(parts)}, "
+                                f"b={b}")
+                if a - i1 != n - moduli[q] - t:
+                    result.fail(f"a - i_1 != |i_(q+1)..i_z| - t at I={format_parts(parts)}, "
+                                f"b={b}")
+                if (q == z) != (i1 > a):
+                    result.fail(f"q = z iff i_1 > a fails at I={format_parts(parts)}, a={a}")
         positive = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)]
-        first_part_1 = [entry for entry in positive if entry[0][0] == 1]
-        all_ge_2 = positive[len(first_part_1):]  # first part 1 comes first
         for a, b in clock_pairs(n):
             D = _theta_coeff(a, b, 2, False)
-            for parts, moduli in first_part_1:
-                result.checked += 1
-                if D(parts, moduli) < 0:
-                    result.fail(f"first-part-1 coefficient negative at I={format_parts(parts)}")
-            for parts, moduli in all_ge_2:
-                sol = _solve_psqt_parts(parts, moduli, b)
-                if _in_w_gt(parts, moduli, a):
-                    _check_gt_bounds(result, parts, moduli, a, b, sol, D, counts)
+            result.checked += len(positive)
+            for parts, moduli in positive:
+                value, i1 = D(parts, moduli), parts[0]
+                if i1 == 1:
+                    if value < 0:
+                        result.fail(f"first-part-1 coefficient negative at "
+                                    f"I={format_parts(parts)}")
+                    continue
+                p, s, q, _ = _solve_psqt_parts(parts, moduli, b)
+                if not _in_w_gt(parts, moduli, a):
+                    counts["W<="] += 1
+                    ip = parts[p - 1]
+                    if value != (s - 1) * (ip - s - i1) - 2 or value < -2:
+                        result.fail(f"W_<= closed form fails at I={format_parts(parts)}, "
+                                    f"(a,b)=({a},{b})")
+                    if value < 0 and s not in (1, 2, ip - i1):
+                        result.fail(f"negative W_<= coefficient with s={s} at "
+                                    f"I={format_parts(parts)}")
+                    continue
+                in_A = _in_A(parts, moduli, a)
+                if value < i1 - 2:
+                    result.fail(f"D below i_1 - 2 on W_> at I={format_parts(parts)}, "
+                                f"(a,b)=({a},{b})")
+                # q - p equals the largest j <= z - p whose suffix after
+                # position p + j still has modulus above a - i_1
+                best = max((j for j in range(0, len(parts) - p + 1)
+                            if n - moduli[p + j] > a - i1), default=None)
+                if best != q - p:
+                    result.fail(f"suffix characterization of q - p fails at "
+                                f"I={format_parts(parts)}, a={a}")
+                if q == p:
+                    counts["W> q=p"] += 1
+                elif in_A:
+                    counts["W> q>p exact-suffix"] += 1
+                    if i1 < 3 or value < 2 * i1 - 3:
+                        result.fail(f"exact-suffix W_> bound fails at I={format_parts(parts)}, "
+                                    f"(a,b)=({a},{b})")
                 else:
-                    _check_le_closed_form(result, parts, a, b, sol, D(parts, moduli), counts)
+                    counts["W> q>p no-exact-suffix"] += 1
+                    if i1 < 4 or value < i1 + 2:
+                        result.fail(f"no-exact-suffix W_> bound fails at "
+                                    f"I={format_parts(parts)}, (a,b)=({a},{b})")
+                for r, H in enumerate(_fiber_parts(parts, p, q), start=1):
+                    if D(H, _moduli(H)) < 0:
+                        result.checked += 1
+                        if not (r == q - p or (in_A and r == 1)):
+                            result.fail(f"negative fiber coefficient at interior index r={r}, "
+                                        f"I={format_parts(parts)}")
         # lower bound of the phi-twisted coefficient by its delta term on the
         # exact-suffix family, for every three-path parameter choice
         for a, b, c in theta_triples(n, min_c=2):

@@ -604,6 +604,89 @@ def test_every_suite_reports_a_broken_kernel(capsys, monkeypatch, suite, argv, m
     assert lines[-1 - len(reported):-1] == reported
 
 
+def test_no_passing_sweep_formats_a_composition(monkeypatch):
+    # a composition is formatted only inside a failure message
+    import csfkit.verify as verify
+
+    calls = []
+    real = verify.format_parts
+    monkeypatch.setattr(verify, "format_parts", lambda parts: calls.append(parts) or real(parts))
+    for sweep in (lambda: verify.run_phi_involution([8]), lambda: verify.run_theta_duality([8]),
+                  lambda: run_lemma_bounds(range(3, 11)), lambda: run_fiber(range(5, 11)),
+                  lambda: run_c_doubleprime(6, 6, 13), lambda: run_positivity(10),
+                  lambda: run_triple_deletion(3, 1)):
+        result = sweep()
+        assert result.ok and calls == [], result.name
+
+
+def _c2_minus(theta_coeff, shift):
+    # every c = 2 kernel, twisted or not, less shift(parts)
+    def broken(a, b, c, twisted):
+        kernel = theta_coeff(a, b, c, twisted)
+        return kernel if c != 2 else lambda parts, moduli: kernel(parts, moduli) - shift(parts)
+    return broken
+
+
+def _q_plus_1(solve):
+    def broken(parts, moduli, b):
+        p, s, q, t = solve(parts, moduli, b)
+        return p, s, min(q + 1, len(parts)), t
+    return broken
+
+
+# Each lemma-bounds branch under one broken kernel, pinned at n = 7 and 8:
+# (checked, violations, sha256 of the joined violations, first violation).
+# Each entry maps the kernel in csfkit.verify to its broken version.
+LEMMA_BOUNDS_MUTATIONS = {
+    "c2-kernel-minus-4": ("_theta_coeff", lambda theta: _c2_minus(theta, lambda parts: 4), {
+        7: (357, 31, "6a60aefe96c17820bba4ed5b7fd65a85d0b09d47f33304a57d1ed428bae7ed41",
+            "first-part-1 coefficient negative at I=1222"),
+        8: (833, 46, "e1066b34e6ca6c5af1c539b5e522a3b76559a1ab48f140ded2cc2efadf00636d",
+            "first-part-1 coefficient negative at I=1223"),
+    }),
+    "first-part-1-minus-9": ("_theta_coeff",
+                             lambda theta: _c2_minus(theta, lambda parts: 9 * (parts[0] == 1)), {
+        7: (357, 13, "c92ca9ef8630dd77a09907996a0b607f745afeaa6a506fa7ba42c4a91bc3aa07",
+            "first-part-1 coefficient negative at I=1222"),
+        8: (832, 19, "3554634ee72b8046b0b11ea290ef24e14df46e19fe3fe227272a6c637d1faf70",
+            "first-part-1 coefficient negative at I=1223"),
+    }),
+    "delta-plus-1": ("_delta_parts", lambda delta: lambda parts, sol: delta(parts, sol) + 1, {
+        7: (357, 1, "38df4962bcd82c6334f7d91fdfe3e8733958557261756f886435c092a24f8dac",
+            "c' below its delta term at I=223, (a,b,c)=(3,3,2)"),
+        8: (832, 4, "dea5b22ab2259969704fab2d01857c52d2e12cae853bba9827525d8f37f443e7",
+            "c' below its delta term at I=1223, (a,b,c)=(3,3,3)"),
+    }),
+    "q-plus-1": ("_solve_psqt_parts", _q_plus_1, {
+        7: (357, 51, "b863ee0d2cd86c73336877c525401c0f55c7041c19fc57f968bfe9468fed981f",
+            "|i_p..i_q| != i_1 + s - t at I=1111111, b=1"),
+        8: (832, 51, "46b121151e106df8b299c6a9e562c6d78be7f50713feb086602b394bb7cdd0ab",
+            "|i_p..i_q| != i_1 + s - t at I=11111111, b=1"),
+    }),
+}
+
+
+@pytest.mark.parametrize("mutation", LEMMA_BOUNDS_MUTATIONS)
+def test_lemma_bounds_failing_output_is_pinned_per_branch(monkeypatch, mutation):
+    import hashlib
+
+    import csfkit.verify as verify
+
+    name, broken, pins = LEMMA_BOUNDS_MUTATIONS[mutation]
+    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    for n, (checked, count, digest, first) in pins.items():
+        result = run_lemma_bounds([n])
+        assert (result.checked, len(result.violations)) == (checked, count), n
+        assert hashlib.sha256("\n".join(result.violations).encode()).hexdigest() == digest, n
+        assert result.violations[0] == first, n
+
+
+def test_lemma_bounds_counts_one_solver_check_per_split():
+    # n = 1 and 2 have no split n = a + b + 1 with a, b >= 1
+    assert run_lemma_bounds([1]).checked == 0
+    assert run_lemma_bounds([1, 2, 3, 4]).checked == 20
+
+
 def test_violations_past_the_cap_are_suppressed_in_one_line():
     result = SuiteResult("x")
     for k in range(60):

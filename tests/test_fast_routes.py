@@ -458,8 +458,8 @@ def test_kernel_matches_wrappers_and_references_to_n12():
 
 
 def test_weight_positive_tuples_are_first_part_1_then_parts_ge_2_in_order_to_n20():
-    # lemma-bounds slices one weight-positive list per degree into these two
-    # blocks
+    # one weight-positive list per degree is its first-part-1 block, then the
+    # parts >= 2 list, both in lexicographic order
     for n in range(1, 21):
         positive = list(_weight_positive_tuples(n))
         head = [parts for parts in positive if parts[0] == 1]

@@ -62,6 +62,12 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(0, [])
+    # an edge that is not a pair is refused by shape, not by unpacking
+    for bad, edges in [("5", [5]), (r"\(0, 1, 2\)", [(0, 1, 2)])]:
+        with pytest.raises(ValueError, match=f"^edge must be a pair of vertices, got {bad}$"):
+            Graph(3, edges)
+    with pytest.raises(ValueError, match="^edge must be a pair of vertices, got 5$"):
+        Graph.from_json_dict({"n": 3, "edges": [5]})
 
 
 def test_path_and_cycle_shapes():
