@@ -211,7 +211,7 @@ def phi(I: Composition, a: int) -> Composition:
     """
     _check_range("threshold", a, 1, I.modulus, I)
     J = _phi_parts(I.parts, I.prefix_moduli, a)
-    return I if J is I.parts else Composition._from_valid(J)
+    return I if J is I.parts else Composition(J)
 
 
 def split_LR(I: Composition, a: int) -> Tuple[Composition, Composition]:
@@ -222,7 +222,7 @@ def split_LR(I: Composition, a: int) -> Tuple[Composition, Composition]:
     """
     _check_range("threshold", a, 1, I.modulus - 1, I)
     cut = _split_cut(I.prefix_moduli, a)
-    return Composition._from_valid(I.parts[:cut]), Composition._from_valid(I.parts[cut:])
+    return Composition(I.parts[:cut]), Composition(I.parts[cut:])
 
 
 def psi(I: Composition, a: int) -> Composition:
@@ -234,7 +234,7 @@ def psi(I: Composition, a: int) -> Composition:
     if not I.parts or min(I.parts) < 2:
         raise ValueError(f"psi requires all parts >= 2, got {I}")
     _check_range("threshold", a, 1, I.modulus - 1, I)
-    return Composition._from_valid(_psi_parts(I.parts, I.prefix_moduli, a))
+    return Composition(_psi_parts(I.parts, I.prefix_moduli, a))
 
 
 def classify(I: Composition, a: int) -> Classification:
@@ -283,7 +283,7 @@ def fiber(I: Composition, a: int, b: int) -> List[Composition]:
     """
     _check_fiber_params(I, a, b)
     p, _, q, _ = _solve_psqt_parts(I.parts, I.prefix_moduli, b)
-    return [Composition._from_valid(H) for H in _fiber_parts(I.parts, p, q)]
+    return [Composition(H) for H in _fiber_parts(I.parts, p, q)]
 
 
 def _coeff(I: Composition, a: int, b: int, c: int, twisted: bool) -> int:

@@ -13,8 +13,7 @@ wraps a private kernel on the parts and prefix-moduli tuples (``_moduli``,
 ``_composition_tuples``, and ``_weight_positive_terms``: each weight-positive
 tuple with its moduli, rho and weight) that checks nothing.  The sweeps of
 :mod:`csfkit.verify` and the closed forms of :mod:`csfkit.graphs` call the
-kernel directly.  Derived compositions (the enumerators, ``reversed`` and the
-maps of :mod:`csfkit.coefficients`) skip re-checking parts already known valid.
+kernel directly; every ``Composition`` is built by its checking constructor.
 
 The enumerators yield lexicographic order by the successor rule (Stanley,
 EC1 1.2; Knuth, TAOCP 4A 7.2.1) on one list: pop the last part t, add 1 to
@@ -159,15 +158,6 @@ class Composition(_Frozen):
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "prefix_moduli", moduli)
 
-    @classmethod
-    def _from_valid(cls, parts: tuple) -> "Composition":
-        # Parts already known valid: a slice or reordering of a checked
-        # composition, or an enumerator's output.  Skips the per-part checks.
-        self = object.__new__(cls)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "prefix_moduli", _moduli(parts))
-        return self
-
     def __reduce__(self):
         # pickle and copy rebuild through __init__, not by setting slots
         return Composition, (self.parts,)
@@ -204,7 +194,7 @@ class Composition(_Frozen):
 
     def reversed(self) -> "Composition":
         """The composition with the same parts in opposite order."""
-        return Composition._from_valid(self.parts[::-1])
+        return Composition(self.parts[::-1])
 
     def rho(self) -> Partition:
         """The partition obtained by sorting the parts decreasingly."""
@@ -306,7 +296,7 @@ def compositions_of(n: int, min_part: int = 1) -> Iterator[Composition]:
     The stream is generated lazily so full sweeps stay memory-flat.
     """
     for parts in _composition_tuples(n, min_part):
-        yield Composition._from_valid(parts)
+        yield Composition(parts)
 
 
 def weight_positive_compositions(n: int) -> Iterator[Composition]:
@@ -317,4 +307,4 @@ def weight_positive_compositions(n: int) -> Iterator[Composition]:
     lexicographic, matching :func:`compositions_of`.
     """
     for parts in _weight_positive_tuples(n):
-        yield Composition._from_valid(parts)
+        yield Composition(parts)

@@ -89,6 +89,8 @@ class Graph(_Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
+        if not (isinstance(data, dict) and "n" in data and isinstance(data.get("edges"), list)):
+            raise ValueError("a graph document is a dict with an 'n' and a list 'edges'")
         return cls(data["n"], data["edges"])
 
 

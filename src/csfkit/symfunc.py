@@ -181,6 +181,12 @@ class BasisVector(_Frozen):
     def from_json_dict(cls, data: dict) -> "BasisVector":
         from fractions import Fraction
 
+        if not (isinstance(data, dict) and {"basis", "degree"} <= data.keys()
+                and isinstance(data.get("terms"), list)
+                and all(isinstance(t, dict) and {"num", "den"} <= t.keys()
+                        and isinstance(t.get("partition"), list) for t in data["terms"])):
+            raise ValueError("a basis vector document is a dict with a 'basis', a 'degree' and a"
+                             " list 'terms' of dicts with a list 'partition', a 'num' and a 'den'")
         basis = Basis(data["basis"])
         terms = {}
         for entry in data["terms"]:

@@ -361,12 +361,9 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
             grouped[lam] = grouped.get(lam, 0) + value
         checked += 1
         if grouped != direct and len(violations) <= MAX_REPORTED_VIOLATIONS:
-            from .symfunc import Basis, BasisVector, first_difference  # to word the message
-
-            diff = first_difference(*(BasisVector(Basis.E, n, sums) for sums in (grouped, direct)))
-            violations.append(
-                f"fiber regrouping disagrees with the clock expansion at (a,b)=({a},{b}): {diff}"
-            )
+            lam = max(key for key in grouped if grouped[key] != direct[key])
+            violations.append(f"fiber regrouping disagrees with the clock expansion at "
+                              f"(a,b)=({a},{b}): {(lam, grouped[lam], direct[lam])}")
     return checked, violations
 
 

@@ -19,6 +19,7 @@ from csfkit.verify import (
     run_triple_deletion,
 )
 from csfkit.graphs import EExpansion
+from csfkit.coefficients import _in_w_gt
 from csfkit.compositions import Composition
 
 
@@ -307,6 +308,29 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         assert lines[-1] == "False", (argv, out)
         if argv[0] == "oracle-check":
             assert lines[1].startswith("OK path (5,)")
+
+
+def test_failing_c_doubleprime_run_leaves_symfunc_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # a failed regrouping is worded from the task's own two sums
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "from unittest import mock\n"
+             "import csfkit.verify as verify\n"
+             "body = verify._c_doubleprime_parts\n"
+             "with mock.patch.object(verify, '_c_doubleprime_parts',\n"
+             "                       lambda *args: body(*args) + 1):\n"
+             "    result = verify.run_c_doubleprime(5, 3, 20)\n"
+             "print(len(result.violations), result.violations[-1].split(':')[0])\n"
+             "print('csfkit.symfunc' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "7 fiber regrouping disagrees with the clock expansion at (a,b)=(5,3)", "False"]
 
 
 def test_bad_clock_pair_is_usage_error_before_any_output(capsys):
@@ -679,6 +703,74 @@ def test_lemma_bounds_failing_output_is_pinned_per_branch(monkeypatch, mutation)
         assert (result.checked, len(result.violations)) == (checked, count), n
         assert hashlib.sha256("\n".join(result.violations).encode()).hexdigest() == digest, n
         assert result.violations[0] == first, n
+
+
+def _fiber_patch(change):
+    # every fiber the sweep computes, changed by change(I, fiber)
+    return "_fiber_parts", lambda fiber_parts: (
+        lambda parts, p, q: change(parts, fiber_parts(parts, p, q)))
+
+
+def _q_minus_2(solve):
+    def broken(parts, moduli, b):
+        p, s, q, t = solve(parts, moduli, b)
+        return p, s, q - 2, t
+    return broken
+
+
+def _negative_on_w_le(theta_coeff):
+    # each pair's kernel reads -1 on W_<=: first part >= 2 and not in W_>
+    def broken(a, b, c, twisted):
+        kernel = theta_coeff(a, b, c, twisted)
+        return lambda parts, moduli: (-1 if parts[0] >= 2 and not _in_w_gt(parts, moduli, a)
+                                      else kernel(parts, moduli))
+    return broken
+
+
+# One patch in csfkit.<module> per failure message that no passing run
+# reaches: (module, name, patch, run, checked, violation count, one message).
+FAILURE_MESSAGES = {
+    "fiber not in W_<=": ("verify", *_fiber_patch(lambda I, fiber: fiber + [I]),
+                          lambda: run_fiber([11]), 278, 51,
+                          "fiber element 22223 of 22223 is not in W_<="),
+    "fiber changes the partition": (
+        "verify", *_fiber_patch(lambda I, fiber: [H[:-1] + (H[-1] + 1,) for H in fiber]),
+        lambda: run_fiber([11]), 114, 51, "fiber element 23223 changes the partition of 32222"),
+    "fiber wrong suffix split": (
+        "verify", "_split_cut", lambda cut: lambda moduli, a: cut(moduli, a) + 1,
+        lambda: run_fiber([11]), 114, 42, "fiber element 23222 has the wrong suffix split"),
+    "fiber appears twice": ("verify", *_fiber_patch(lambda I, fiber: fiber * 2),
+                            lambda: run_fiber([11]), 170, 51,
+                            "23222 appears in two fibers: 32222 and 32222"),
+    "fiber fixture mismatch": (
+        "verify", "_theta_coeff", lambda theta: _c2_minus(theta, lambda parts: 1),
+        lambda: run_fiber([11]), 114, 2,
+        "fixture fiber mismatch at I=5222: got (((2, 5, 2, 2), -3), ((2, 2, 5, 2), -3)), "
+        "want (((2, 5, 2, 2), -2), ((2, 2, 5, 2), -2))"),
+    "fiber missing element": ("verify", *_fiber_patch(lambda I, fiber: fiber[:-1]),
+                              lambda: run_fiber([11]), 63, 51,
+                              "23222 missing from the fiber of its image 32222"),
+    "lemma-bounds q < p - 1": ("verify", "_solve_psqt_parts", _q_minus_2,
+                               lambda: run_lemma_bounds([7]), 353, 51,
+                               "q < p - 1 at I=1111111, b=1"),
+    "lemma-bounds negative W_<=": (
+        "verify", "_theta_coeff", _negative_on_w_le, lambda: run_lemma_bounds([9]), 1949, 15,
+        "negative W_<= coefficient with s=3 at I=27"),
+    "triple-deletion four-graph identity": (
+        "graphs", "build_tadpole", lambda tadpole: lambda a, l: tadpole(a + 1, l - 1),
+        lambda: run_triple_deletion(0, 1), 2, 1,
+        "four-graph deletion identity fails at (3,3,3)"),
+}
+
+
+@pytest.mark.parametrize("kind", FAILURE_MESSAGES)
+def test_every_verify_failure_message_is_reached(monkeypatch, kind):
+    module, name, broken, run_suite_once, checked, count, message = FAILURE_MESSAGES[kind]
+    module = importlib.import_module(f"csfkit.{module}")
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    result = run_suite_once()
+    assert (result.checked, len(result.violations)) == (checked, count)
+    assert message in result.violations
 
 
 def test_lemma_bounds_counts_one_solver_check_per_split():

@@ -218,3 +218,30 @@ def test_composition_fields_cannot_be_rebound_or_deleted():
         # pickle and copy rebuild the value rather than setting its fields
         assert pickle.loads(pickle.dumps(I)) == I == copy.copy(I)
         assert copy.deepcopy(I).prefix_moduli == I.prefix_moduli
+
+
+def test_every_composition_is_built_by_the_checking_constructor(capsys):
+    from unittest import mock
+
+    import csfkit.cli as cli
+    from csfkit.coefficients import fiber
+
+    init = Composition.__init__
+    built = []
+
+    def counted(self, parts=()):
+        built.append(parts)
+        init(self, parts)
+
+    I = Composition((5, 2, 2, 2))
+    for build, count in (
+        (lambda: list(compositions_of(6)), 32),
+        (lambda: fiber(I, 6, 4), 2),
+        # the parsed --I and its two fiber elements
+        (lambda: cli.main(["fibers", "--I", "5,2,2,2", "--a", "6", "--b", "4"]), 3),
+    ):
+        built.clear()
+        with mock.patch.object(Composition, "__init__", counted):
+            build()
+        assert len(built) == count, built
+    assert "c'' = 23" in capsys.readouterr().out

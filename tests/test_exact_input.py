@@ -221,23 +221,33 @@ def test_each_modulus_rule_holds_at_n_and_refuses_its_neighbours():
     EExpansion(N).add_term(I, 1)
 
 
-@pytest.mark.parametrize("n, edge", [
-    (3.9, [0, 1]), (3.0, [0, 1]), (True, [0, 1]), ("3", [0, 1]), (3, [0, 1.0]), (3, [0, True]),
+@pytest.mark.parametrize("document", [
+    *(pytest.param({"n": n, "edges": [edge]}, id=f"{n!r}-{edge!r}") for n, edge in (
+        (3.9, [0, 1]), (3.0, [0, 1]), (True, [0, 1]), ("3", [0, 1]), (3, [0, 1.0]),
+        (3, [0, True]))),
+    # a malformed document: not a dict, a field missing, edges not a list
+    {"n": 3}, {"edges": [[0, 1]]}, {"n": 3, "edges": 5}, [1, 2],
 ], ids=repr)
-def test_graph_loader_refuses_inexact_json(n, edge):
-    _refused(Graph.from_json_dict, {"n": n, "edges": [edge]})
+def test_graph_loader_refuses_inexact_json(document):
+    _refused(Graph.from_json_dict, document)
 
 
-def _vector_json(degree=2, num="3", den="2"):
-    return {"basis": "e", "degree": degree,
-            "terms": [{"partition": [2], "num": num, "den": den}]}
+def _vector_json(degree=2, num="3", den="2", partition=[2], terms=None):
+    # a field given as ... is left out of the document
+    def present(fields):
+        return {key: value for key, value in fields.items() if value is not ...}
+    term = present({"partition": partition, "num": num, "den": den})
+    return present({"basis": "e", "degree": degree, "terms": [term] if terms is None else terms})
 
 
 @pytest.mark.parametrize("field, value", [
-    *(("degree", d) for d in (2.5, 2.0, True, "2")),
+    *(("degree", d) for d in (2.5, 2.0, True, "2", ...)),
     *(("num", num) for num in (2.5, 2, True, None, "2.5", " 2", "+2", "02", "2_0", "-0", "",
                                "-", "--2", "None", "\u0662", "\u00b2")),
-    *(("den", den) for den in ("0", "-1", 2, 1.0, True, "1.0", "01")),
+    *(("den", den) for den in ("0", "-1", 2, 1.0, True, "1.0", "01", ...)),
+    # a malformed document: terms missing or not a list of dicts, partition not a list
+    *(("terms", terms) for terms in (..., 5, [5], {"partition": [2]})),
+    *(("partition", partition) for partition in (2, ..., {2: 1})),
 ], ids=repr)
 def test_vector_loader_refuses_what_to_json_does_not_write(field, value):
     _refused(BasisVector.from_json_dict, _vector_json(**{field: value}))

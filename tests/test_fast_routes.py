@@ -1,4 +1,4 @@
-"""Cross-checks of the derived (unvalidated) compositions and of the
+"""Cross-checks of the derived compositions and of the
 statistics read through theta-duality against the validated constructor and
 reversal-based reference formulas."""
 

@@ -425,8 +425,7 @@ def test_closed_forms_construct_no_composition():
     def refuse(*args, **kwargs):
         raise AssertionError("a closed form constructed a Composition")
 
-    with mock.patch.object(Composition, "__init__", refuse), \
-            mock.patch.object(Composition, "_from_valid", refuse):
+    with mock.patch.object(Composition, "__init__", refuse):
         for (family, form), vector in expected.items():
             got = expansion_closed_form(family, form, **SMALL_PARAMS[family]).grouped_by_rho()
             assert got == vector and not got.is_zero(), (family, form)
