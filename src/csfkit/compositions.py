@@ -24,6 +24,7 @@ or merge the two parts when 0 < t - 1 < min_part.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterable, Mapping
 from itertools import accumulate
 from typing import Iterator
 
@@ -38,6 +39,13 @@ def _check_ints(what: str, *values) -> None:
     for value in values:
         if type(value) is not int:
             raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_container(what: str, value, kind: type = Iterable) -> None:
+    # parts and edges are never a mapping, which would be read by its keys
+    if not isinstance(value, kind) or kind is Iterable and isinstance(value, Mapping):
+        name = "an iterable, not a mapping" if kind is Iterable else f"a {kind.__name__.lower()}"
+        raise ValueError(f"{what} must be {name}, got {value!r}")
 
 
 def _check_range(what: str, value, lo: int, hi: int, I: Composition) -> None:
@@ -106,8 +114,11 @@ def _rho(parts: tuple) -> Partition:
 
 
 class _Frozen:
-    # the base of the kit's immutable classes: __init__ writes each field
-    # with object.__setattr__, and nothing can set or delete one afterwards
+    # the kit's one value protocol: __init__ writes each field with
+    # object.__setattr__ and nothing can set or delete one afterwards; ==,
+    # hash, pickle and copy read only the constructor arguments that _args()
+    # names, so equal values share a class and arguments, and a copy is
+    # rebuilt through __init__, not by setting slots
     __slots__ = ()
 
     def __setattr__(self, name: str, value) -> None:
@@ -116,11 +127,23 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._args() == other._args()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
+
 
 class Partition(tuple):
     """Weakly decreasing positive parts; the index of an e- or p-basis term."""
 
     def __new__(cls, parts=()) -> "Partition":
+        _check_container("partition parts", parts)
         parts = tuple(parts)
         _check_parts("partition", parts)
         return super().__new__(cls, sorted(parts, reverse=True))
@@ -148,6 +171,7 @@ class Composition(_Frozen):
     __slots__ = ("parts", "prefix_moduli")
 
     def __init__(self, parts=()):
+        _check_container("composition parts", parts)
         parts = tuple(parts)
         _check_parts("composition", parts)
         moduli = _moduli(parts)
@@ -157,10 +181,6 @@ class Composition(_Frozen):
             )
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "prefix_moduli", moduli)
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, not by setting slots
-        return Composition, (self.parts,)
 
     @property
     def modulus(self) -> int:
@@ -178,13 +198,8 @@ class Composition(_Frozen):
     def __bool__(self) -> bool:
         return bool(self.parts)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Composition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+    def _args(self) -> tuple:
+        return (self.parts,)
 
     def __repr__(self) -> str:
         return f"Composition({list(self.parts)})"
@@ -243,6 +258,7 @@ def format_parts(parts) -> str:
 
 def parse_composition(text: str) -> Composition:
     """Parse a comma-separated part list such as '7,2,2'."""
+    _check_container("composition text", text, str)
     try:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:

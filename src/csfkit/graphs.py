@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import (
-    Composition, Partition, _Frozen, _check_degree, _check_ints, _check_modulus, _theta_plus,
-    _theta_plus_sum, _weight_positive_terms,
+    MAX_MODULUS, Composition, Partition, _Frozen, _check_container, _check_degree, _check_ints,
+    _check_modulus, _theta_plus, _theta_plus_sum, _weight_positive_terms,
 )
 from .coefficients import _check_clock, _check_theta, _theta_coeff
 from .errors import ResourceLimitError
@@ -36,6 +36,7 @@ class Graph(_Frozen):
         _check_ints("vertex count", vertex_count)
         if vertex_count < 1:
             raise ValueError(f"vertex count must be >= 1, got {vertex_count}")
+        _check_container("edges", edges)
         canon = []
         seen = set()
         for edge in edges:
@@ -56,22 +57,13 @@ class Graph(_Frozen):
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "edge_set", frozenset(seen))
 
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, not by setting slots
-        return Graph, (self.vertex_count, self.edges)
-
     # edge_set, the lookup index of has_edge, is derived from edges, so
-    # repr, == and hash read (vertex_count, edges) only
+    # repr, ==, hash and pickle read (vertex_count, edges) only
+    def _args(self) -> tuple:
+        return (self.vertex_count, self.edges)
+
     def __repr__(self) -> str:
         return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -200,10 +192,15 @@ def _frontier_order(graph: Graph) -> List[Tuple[int, int]]:
     )
 
 
-def _check_edges(graph: Graph) -> None:
+def _check_oracle_size(graph: Graph) -> None:
+    # the edge cap bounds the subsets and states, the vertex cap the codes
     if graph.edge_count > MAX_ORACLE_EDGES:
         raise ResourceLimitError(
             f"oracle budget exceeded: {graph.edge_count} edges > limit {MAX_ORACLE_EDGES}"
+        )
+    if graph.vertex_count > MAX_MODULUS:
+        raise ResourceLimitError(
+            f"oracle budget exceeded: {graph.vertex_count} vertices > limit {MAX_MODULUS}"
         )
 
 
@@ -231,7 +228,7 @@ def _frontier_move(labels: tuple, grown: int, pu: int, pv: int, leaving: set) ->
 def _pbasis_codes(graph: Graph) -> Dict[int, int]:
     """:func:`csf_pbasis` as {partition code: count}, in the codes of
     :mod:`csfkit.symfunc` at width ``_width(n)``."""
-    _check_edges(graph)
+    _check_oracle_size(graph)
     n = graph.vertex_count
     edges = _frontier_order(graph)
     last: Dict[int, int] = {}
@@ -298,7 +295,8 @@ def csf_pbasis(graph: Graph) -> BasisVector:
 
     The frontier never holds more states than there are subsets, so the
     cap of ``MAX_ORACLE_EDGES`` edges (a :class:`ResourceLimitError` above
-    it) still bounds the cost.  :func:`csf_pbasis_subsets` keeps the plain
+    it) still bounds the cost; the cap of ``MAX_MODULUS`` vertices bounds
+    the size of a partition code.  :func:`csf_pbasis_subsets` keeps the plain
     subset sum on partition tuples as an independent cross-check.
     """
     width = _width(graph.vertex_count)
@@ -314,9 +312,9 @@ def csf_pbasis_subsets(graph: Graph) -> BasisVector:
     program.  Components are tracked by a size-ranked union-find that is
     unwound on backtrack, so each subset costs amortized near-constant work
     on top of the leaf bookkeeping.  Cost is Theta(2^|E|): guarded by the
-    same cap of ``MAX_ORACLE_EDGES`` edges.
+    same caps of ``MAX_ORACLE_EDGES`` edges and ``MAX_MODULUS`` vertices.
     """
-    _check_edges(graph)
+    _check_oracle_size(graph)
     m = graph.edge_count
     n = graph.vertex_count
     parent = list(range(n))

@@ -14,13 +14,14 @@ one-part basis element.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
-from .compositions import Partition, _Frozen, _check_ints
+from .compositions import Partition, _Frozen, _check_container, _check_ints
 
 
 def _check_exact(what: str, value) -> None:
@@ -64,8 +65,10 @@ class BasisVector(_Frozen):
         _check_ints("degree", degree)
         if degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
+        terms = {} if terms is None else terms
+        _check_container("terms", terms, Mapping)
         clean: Dict[Partition, object] = {}
-        for key, value in (terms or {}).items():
+        for key, value in terms.items():
             lam = key if isinstance(key, Partition) else Partition(key)
             if lam.modulus != degree:
                 raise ValueError(
@@ -79,21 +82,14 @@ class BasisVector(_Frozen):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: a mappingproxy cannot pickle
-        return BasisVector, (self.basis, self.degree, dict(self.terms))
+    def _args(self) -> tuple:
+        # terms as a dict, since a mappingproxy cannot pickle
+        return (self.basis, self.degree, dict(self.terms))
+
+    __hash__ = None  # unhashable, like the dict of its terms
 
     def __repr__(self) -> str:
         return f"BasisVector({self.basis.value}, degree={self.degree}, terms={len(self.terms)})"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BasisVector):
-            return (
-                self.basis is other.basis
-                and self.degree == other.degree
-                and self.terms == other.terms
-            )
-        return NotImplemented
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -1,5 +1,8 @@
 """Composition enumeration and prefix-statistic tests."""
 
+import copy
+import pickle
+
 import pytest
 
 from csfkit.compositions import (
@@ -10,6 +13,8 @@ from csfkit.compositions import (
     parse_composition,
     weight_positive_compositions,
 )
+from csfkit.graphs import Graph
+from csfkit.symfunc import Basis, BasisVector
 
 
 def test_enumeration_of_three_is_complete_and_lexicographic():
@@ -245,3 +250,29 @@ def test_every_composition_is_built_by_the_checking_constructor(capsys):
             build()
         assert len(built) == count, built
     assert "c'' = 23" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cls, args, others", [
+    (Composition, ((3, 2),), (Partition((3, 2)), (3, 2))),
+    (Graph, (3, ((0, 1),)), ()),
+    (BasisVector, (Basis.E, 2, {(2,): 1}), ()),
+], ids=["Composition", "Graph", "BasisVector"])
+def test_one_identity_rule_for_the_three_values(cls, args, others):
+    # equal exactly when of one class with equal constructor arguments; a
+    # copy is rebuilt through the constructor and keeps the hash
+    value, equal = cls(*args), cls(*args)
+    hashable = cls is not BasisVector
+    assert value == equal and not value != equal
+    if hashable:
+        assert hash(value) == hash(equal)
+    else:
+        with pytest.raises(TypeError, match=rf"^unhashable type: '{cls.__name__}'$"):
+            hash(value)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value
+        if hashable:
+            assert hash(twin) == hash(value)
+    # a subclass built from the same arguments is another class
+    sub = type(f"Sub{cls.__name__}", (cls,), {"__slots__": ()})
+    for other in (sub(*args), args, *others):
+        assert value != other and other != value and not value == other

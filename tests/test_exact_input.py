@@ -5,7 +5,8 @@ A float, a bool or a string in any integer position raises the kit's own
 ``ValueError`` (or ``ResourceLimitError``) with a one-line message and never
 returns a value; each range of the composition layer, the instance count and
 the worker count are pinned at their ends, and the graph, vector and deletion
-parameters at their lower ends.
+parameters at their lower ends.  The constructors refuse a container of the
+wrong kind the same way.
 """
 
 from unittest import mock
@@ -18,7 +19,7 @@ from csfkit.coefficients import (
     solve_ps, solve_psqt, solve_qt, split_LR,
 )
 from csfkit.compositions import (
-    Composition, Partition, compositions_of, weight_positive_compositions,
+    Composition, Partition, compositions_of, parse_composition, weight_positive_compositions,
 )
 from csfkit.errors import ResourceLimitError
 from csfkit.graphs import (
@@ -230,6 +231,23 @@ def test_each_modulus_rule_holds_at_n_and_refuses_its_neighbours():
 ], ids=repr)
 def test_graph_loader_refuses_inexact_json(document):
     _refused(Graph.from_json_dict, document)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Composition(5), "composition parts must be an iterable, not a mapping, got 5"),
+    (lambda: Partition(5), "partition parts must be an iterable, not a mapping, got 5"),
+    (lambda: Graph(3, 5), "edges must be an iterable, not a mapping, got 5"),
+    (lambda: BasisVector(Basis.E, 2, [(2,)]), "terms must be a mapping, got [(2,)]"),
+    (lambda: parse_composition(5), "composition text must be a str, got 5"),
+    # a dict would be read by its keys
+    (lambda: Composition({7: 0, 2: 0}),
+     "composition parts must be an iterable, not a mapping, got {7: 0, 2: 0}"),
+    (lambda: Partition({2: 1}), "partition parts must be an iterable, not a mapping, got {2: 1}"),
+    (lambda: Graph(3, {(0, 1): 5}), "edges must be an iterable, not a mapping, got {(0, 1): 5}"),
+], ids=["Composition", "Partition", "Graph", "BasisVector", "parse_composition",
+        "Composition-dict", "Partition-dict", "Graph-dict"])
+def test_constructors_refuse_what_is_not_their_container(call, message):
+    assert _refused(call) == message
 
 
 def _vector_json(degree=2, num="3", den="2", partition=[2], terms=None):

@@ -258,6 +258,17 @@ def test_oracle_edge_budget():
             oracle(wide)
 
 
+def test_oracle_vertex_budget():
+    # the vertex cap is MAX_MODULUS = 64, the bound of a partition code's parts
+    for oracle in (csf_pbasis, csf_pbasis_subsets,
+                   lambda graph: verify_triple_deletion(graph, (0, 1, 2))):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^oracle budget exceeded: 65 vertices > limit 64$"):
+            oracle(Graph(65, []))
+    for oracle in (csf_pbasis, csf_pbasis_subsets):
+        assert oracle(Graph(64, [])).terms == {Partition((1,) * 64): 1}
+
+
 @st.composite
 def simple_graphs(draw):
     # at most 8 vertices and 14 edges, so that the subset sum stays quick;
