@@ -92,23 +92,17 @@ def _solve_psqt_parts(parts, moduli, b: int) -> tuple:
     return p, v - moduli[p - 1], q, w - moduli[q]
 
 
-def _e2(values) -> int:
-    # second elementary symmetric polynomial; zero on fewer than 2 variables
-    total = 0
-    square = 0
-    for v in values:
-        total += v
-        square += v * v
-    return (total * total - square) // 2
-
-
 def _delta_parts(parts, sol) -> int:
-    # delta at the equation value that sol = (p, s, q, t) solves
+    # delta at the equation value that sol = (p, s, q, t) solves; else e2 of
+    # x = (i_p - s, i_{p+1}, ..., i_q, t), which sums to i_1 as |i_p..i_q| = i_1 + s - t
     p, s, q, t = sol
     leftover = parts[p - 1] - s
     if parts[0] <= leftover:
         return s * (leftover - parts[0])
-    return _e2((leftover, *parts[p:q], t))
+    square = leftover * leftover + t * t
+    for part in parts[p:q]:
+        square += part * part
+    return (parts[0] * parts[0] - square) // 2
 
 
 def _phi_parts(parts, moduli, a: int) -> tuple:

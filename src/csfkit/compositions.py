@@ -7,13 +7,13 @@ are immutable and all functions are pure, so sweeps may share them freely
 across workers.
 
 Two layers: the public API validates, through the range, degree, parts and
-modulus checks that this module owns for the whole composition layer, and
-wraps a private kernel on the parts and prefix-moduli tuples (``_moduli``,
-``_theta_plus``, ``_theta_plus_sum``, ``_theta_minus``, ``_weight``, ``_rho``,
-``_composition_tuples``, and ``_weight_positive_terms``: each weight-positive
-tuple with its moduli, rho and weight) that checks nothing.  The sweeps of
-:mod:`csfkit.verify` and the closed forms of :mod:`csfkit.graphs` call the
-kernel directly; every ``Composition`` is built by its checking constructor.
+modulus checks that it owns for the whole composition layer, and wraps a
+kernel that checks nothing: ``_moduli``, ``_theta_plus``, ``_theta_plus_sum``,
+``_theta_minus``, ``_weight`` and ``_composition_tuples`` on parts and moduli
+tuples, ``_weight_positive_terms`` (each weight-positive tuple with its moduli,
+the code of its rho and its weight), and ``_width``, ``_pack`` and ``_unpack``
+of the partition codes, the one partition key inside the kit.  The sweeps and
+closed forms call the kernel; every value is built by its checking constructor.
 
 The enumerators yield lexicographic order by the successor rule (Stanley,
 EC1 1.2; Knuth, TAOCP 4A 7.2.1) on one list: pop the last part t, add 1 to
@@ -108,11 +108,6 @@ def _weight(parts: tuple) -> int:
     return w
 
 
-def _rho(parts: tuple) -> Partition:
-    # sorted without Partition's checks
-    return tuple.__new__(Partition, sorted(parts, reverse=True))
-
-
 class _Frozen:
     # the kit's one value protocol: __init__ writes each field with
     # object.__setattr__ and nothing can set or delete one afterwards; ==,
@@ -154,6 +149,36 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
+
+
+# Partition codes.  A partition of degree at most n packs into one int with
+# width = n.bit_length() bits per part size: the multiplicity of the part s
+# sits in the bits [width * (s - 1), width * s).  A multiplicity is at most
+# n < 2^width, so the product of two partitions of total degree at most n,
+# the multiset union of their parts, is the sum of their codes.
+
+
+def _width(n: int) -> int:
+    return n.bit_length()
+
+
+def _pack(parts, width: int) -> int:
+    code = 0
+    for part in parts:
+        code += 1 << (width * (part - 1))
+    return code
+
+
+def _unpack(code: int, width: int) -> tuple:
+    # the parts in decreasing order
+    mask = (1 << width) - 1
+    parts: list = []
+    part = 0
+    while code:
+        part += 1
+        parts += [part] * (code & mask)
+        code >>= width
+    return tuple(reversed(parts))
 
 
 class Composition(_Frozen):
@@ -215,7 +240,7 @@ class Composition(_Frozen):
         """The partition obtained by sorting the parts decreasingly."""
         if not self.parts:
             raise ValueError("the empty composition has no partition image")
-        return _rho(self.parts)
+        return Partition(self.parts)
 
     @property
     def weight(self) -> int:
@@ -300,9 +325,11 @@ def _weight_positive_tuples(n: int) -> Iterator[tuple]:
 
 
 def _weight_positive_terms(n: int) -> Iterator[tuple]:
-    # (parts, moduli, rho, weight) of each weight-positive tuple, in its order
+    # (parts, moduli, the code of rho at width _width(n), weight), in order
+    _check_degree(n)
+    width = _width(n)
     for parts in _weight_positive_tuples(n):
-        yield parts, _moduli(parts), _rho(parts), _weight(parts)
+        yield parts, _moduli(parts), _pack(parts, width), _weight(parts)
 
 
 def compositions_of(n: int, min_part: int = 1) -> Iterator[Composition]:

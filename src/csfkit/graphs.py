@@ -16,11 +16,11 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import (
     MAX_MODULUS, Composition, Partition, _Frozen, _check_container, _check_degree, _check_ints,
-    _check_modulus, _theta_plus, _theta_plus_sum, _weight_positive_terms,
+    _check_modulus, _pack, _theta_plus, _theta_plus_sum, _weight_positive_terms, _width,
 )
 from .coefficients import _check_clock, _check_theta, _theta_coeff
 from .errors import ResourceLimitError
-from .symfunc import Basis, BasisVector, _pack, _unpack, _width
+from .symfunc import Basis, BasisVector, _from_codes
 
 # Hard API bound on oracle size: each extra edge doubles the subset count,
 # which also bounds the number of frontier states.
@@ -91,6 +91,7 @@ def build_path(n: int) -> Graph:
     _check_ints("path parameter", n)
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
+    _check_degree(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -112,6 +113,7 @@ def build_tadpole(a: int, l: int) -> Graph:
         raise ValueError(f"tadpole cycle length must be >= 3, got {a}")
     if l < 0:
         raise ValueError(f"tail length must be >= 0, got {l}")
+    _check_degree(a + l)
     edges = [(i, (i + 1) % a) for i in range(a)]
     prev = 0
     for i in range(l):
@@ -123,6 +125,7 @@ def build_tadpole(a: int, l: int) -> Graph:
 def _two_hub_graph(lengths: Tuple[int, ...]) -> Graph:
     # hubs 0 and 1 joined by paths with the given numbers of edges, in order;
     # interior vertices are numbered from 2 upward along each path
+    _check_degree(2 + sum(lengths) - len(lengths))
     edges: List[Tuple[int, int]] = []
     cursor = 2
     for length in lengths:
@@ -227,7 +230,7 @@ def _frontier_move(labels: tuple, grown: int, pu: int, pv: int, leaving: set) ->
 
 def _pbasis_codes(graph: Graph) -> Dict[int, int]:
     """:func:`csf_pbasis` as {partition code: count}, in the codes of
-    :mod:`csfkit.symfunc` at width ``_width(n)``."""
+    :mod:`csfkit.compositions` at width ``_width(n)``."""
     _check_oracle_size(graph)
     n = graph.vertex_count
     edges = _frontier_order(graph)
@@ -286,7 +289,7 @@ def csf_pbasis(graph: Graph) -> BasisVector:
     A state holds the component labels of the active vertices, relabelled
     in order of first appearance, the sizes of the open components, and the
     multiset of closed component sizes as one partition code (see
-    :mod:`csfkit.symfunc`); it maps to a signed count.  A component closes
+    :mod:`csfkit.compositions`); it maps to a signed count.  A component closes
     when its last active vertex has seen its last edge; isolated vertices
     seed closed parts of size 1.  An edge inside one component adds the
     same partition with both signs, so such states drop out.  What an edge
@@ -299,10 +302,7 @@ def csf_pbasis(graph: Graph) -> BasisVector:
     the size of a partition code.  :func:`csf_pbasis_subsets` keeps the plain
     subset sum on partition tuples as an independent cross-check.
     """
-    width = _width(graph.vertex_count)
-    return BasisVector(Basis.P, graph.vertex_count, {
-        _unpack(code, width): count for code, count in _pbasis_codes(graph).items()
-    })
+    return _from_codes(Basis.P, graph.vertex_count, _pbasis_codes(graph))
 
 
 def csf_pbasis_subsets(graph: Graph) -> BasisVector:
@@ -356,33 +356,33 @@ def csf_pbasis_subsets(graph: Graph) -> BasisVector:
 
 class EExpansion:
     """An expansion sum(coeff_I * w_I * e_I) over compositions I, kept as its
-    sums over the classes rho(I); the terms one by one are ``coeff_c``,
-    ``coeff_c_prime``, ``coeff_D`` and ``delta`` of :mod:`csfkit.coefficients`."""
+    sums over the classes rho(I), by partition code; the terms one by one are
+    ``coeff_c``, ``coeff_c_prime``, ``coeff_D`` and ``delta`` of :mod:`csfkit.coefficients`."""
 
     def __init__(self, degree: int) -> None:
         _check_degree(degree)
         self.degree = degree
-        self._sums: Dict[Partition, int] = {}
+        self._sums: Dict[int, int] = {}
 
     def add_term(self, I: Composition, coeff: int) -> None:
         _check_modulus(I, self.degree)
         _check_ints("coefficient", coeff)
-        lam = I.rho()
-        self._sums[lam] = self._sums.get(lam, 0) + coeff * I.weight
+        code = _pack(I.parts, _width(self.degree))
+        self._sums[code] = self._sums.get(code, 0) + coeff * I.weight
 
     def grouped_by_rho(self) -> BasisVector:
         """The sums by partition, as an e-basis vector (a copy)."""
-        return BasisVector(Basis.E, self.degree, self._sums)
+        return _from_codes(Basis.E, self.degree, self._sums)
 
 
 def _assemble(n: int, coeff_fn) -> EExpansion:
     # one pass over the kernel tuples, each term summed onto its partition
     expansion = EExpansion(n)
     sums = expansion._sums
-    for parts, moduli, lam, weight in _weight_positive_terms(n):
+    for parts, moduli, code, weight in _weight_positive_terms(n):
         coeff = coeff_fn(parts, moduli)
         if coeff:
-            sums[lam] = sums.get(lam, 0) + coeff * weight
+            sums[code] = sums.get(code, 0) + coeff * weight
     return expansion
 
 

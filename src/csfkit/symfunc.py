@@ -8,8 +8,8 @@ vector over with integers only.  The e -> p direction
 (:func:`e_partition_to_p`, :func:`evector_to_p`) stays as the independent
 route; its coefficients are exact ``Fraction`` values because the images of
 e_n acquire denominators up to n!.  Both directions share one grouped
-conversion on packed partition codes and differ only in the image of a
-one-part basis element.
+conversion on the partition codes of :mod:`csfkit.compositions` and differ
+only in the image of a one-part basis element.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
-from .compositions import Partition, _Frozen, _check_container, _check_ints
+from .compositions import Partition, _Frozen, _check_container, _check_ints, _pack, _unpack, _width
 
 
 def _check_exact(what: str, value) -> None:
@@ -199,36 +199,6 @@ class BasisVector(_Frozen):
         return cls.from_json_dict(json.loads(text))
 
 
-# Partition codes.  A partition of degree at most n packs into one int with
-# width = n.bit_length() bits per part size: the multiplicity of the part s
-# sits in the bits [width * (s - 1), width * s).  A multiplicity is at most
-# n < 2^width, so the product of two partitions of total degree at most n,
-# the multiset union of their parts, is the sum of their codes.
-
-
-def _width(n: int) -> int:
-    return n.bit_length()
-
-
-def _pack(parts, width: int) -> int:
-    code = 0
-    for part in parts:
-        code += 1 << (width * (part - 1))
-    return code
-
-
-def _unpack(code: int, width: int) -> tuple:
-    # the parts in decreasing order
-    mask = (1 << width) - 1
-    parts: list = []
-    part = 0
-    while code:
-        part += 1
-        parts += [part] * (code & mask)
-        code >>= width
-    return tuple(reversed(parts))
-
-
 def _multiply_into(acc: Dict, left: Dict, right: Dict) -> Dict:
     # add left * right to acc over codes of one width, in a basis where the
     # index partition of a product is the multiset union of the factors'
@@ -305,13 +275,17 @@ def _vector_codes(vector: BasisVector) -> Dict[int, object]:
     return {_pack(lam, width): coef for lam, coef in vector.terms.items()}
 
 
+def _from_codes(basis: Basis, n: int, codes: Dict[int, object]) -> BasisVector:
+    # the vector of degree n with coefficients by codes of width _width(n)
+    width = _width(n)
+    return BasisVector(basis, n, {_unpack(code, width): coef for code, coef in codes.items()})
+
+
 def _convert(codes: Dict[int, object], n: int, target: Basis) -> BasisVector:
     """The vector of degree n in the basis ``target`` whose coefficients in
     the other basis are ``codes``, keyed by codes of width ``_width(n)``."""
-    width = _width(n)
     image = _p_to_e_terms if target is Basis.E else _e_to_p_terms
-    terms = _change_basis(codes, width, image)
-    return BasisVector(target, n, {_unpack(code, width): coef for code, coef in terms.items()})
+    return _from_codes(target, n, _change_basis(codes, _width(n), image))
 
 
 def e_partition_to_p(lam) -> BasisVector:

@@ -22,11 +22,11 @@ clock sum and every c'' sum.  Messages print compositions by
 ``format_parts``, as ``str(Composition)`` does, and only on failure: no
 passing sweep formats a composition.
 
-c-doubleprime and positivity run one task per n; positivity sums every clock
-and cycle-chord of n (theta at c = 2 and c = 1) in one pass.  Tasks are pure,
-so these suites optionally fan out over a process pool, highest n first, and
-merge in task order: output does not depend on the worker count.  Only
-triple-deletion loads graphs.
+c-doubleprime and positivity run one pure task per n and sum by partition
+code, decoded only in a failure message; positivity sums every clock and
+cycle-chord of n (theta at c = 2 and c = 1) in one pass.  Both optionally fan
+out over a process pool, highest n first, and merge in task order: output
+does not depend on the worker count.  Only triple-deletion loads graphs.
 
 ``SUITE_TABLE`` maps each suite to a runner whose parameters after the budget
 are the ``verify`` flags it reads (``suite_flags``); ``run_suite`` rejects any
@@ -44,8 +44,8 @@ from .coefficients import (
     _in_w_gt, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut, _theta_coeff,
 )
 from .compositions import (
-    _check_degree, _check_ints, _composition_tuples, _moduli, _theta_minus, _theta_plus, _weight,
-    _weight_positive_terms, _weight_positive_tuples, format_parts,
+    Partition, _check_degree, _check_ints, _composition_tuples, _moduli, _theta_minus, _theta_plus,
+    _unpack, _weight, _weight_positive_terms, _weight_positive_tuples, _width, format_parts,
 )
 from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
 
@@ -348,8 +348,8 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
         # the first-part-1 terms plus c'' on W_> must reassemble the clock sum;
         # both sums get the same keys, so != compares them exactly
         grouped, direct = {}, {}
-        for parts, moduli, lam, _ in positive:
-            direct[lam] = direct.get(lam, 0) + terms[parts]
+        for parts, moduli, code, _ in positive:
+            direct[code] = direct.get(code, 0) + terms[parts]
             value = terms[parts] if parts[0] == 1 else 0  # W_<= counts in c'' of its image
             if _in_w_gt(parts, moduli, a):
                 p, _, q, _ = _solve_psqt_parts(parts, moduli, b)
@@ -358,12 +358,13 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
                 if value < 0 and len(violations) <= MAX_REPORTED_VIOLATIONS:
                     violations.append(f"fiber-grouped coefficient {value} < 0 at "
                                       f"I={format_parts(parts)}, (a,b)=({a},{b})")
-            grouped[lam] = grouped.get(lam, 0) + value
+            grouped[code] = grouped.get(code, 0) + value
         checked += 1
         if grouped != direct and len(violations) <= MAX_REPORTED_VIOLATIONS:
-            lam = max(key for key in grouped if grouped[key] != direct[key])
+            code = max(key for key in grouped if grouped[key] != direct[key])
+            lam = Partition(_unpack(code, _width(n)))
             violations.append(f"fiber regrouping disagrees with the clock expansion at "
-                              f"(a,b)=({a},{b}): {(lam, grouped[lam], direct[lam])}")
+                              f"(a,b)=({a},{b}): {(lam, grouped[code], direct[code])}")
     return checked, violations
 
 
@@ -403,11 +404,11 @@ def _positivity_task(n: int) -> Tuple[int, List[str], List[Optional[int]]]:
     sweeps += [("cycle-chord", a, n - a, _theta_coeff(a, n - a, 1, False), {}, [])
                for a in range(2, n - 1)]
     checked = 0
-    for parts, moduli, lam, weight in _weight_positive_terms(n):
+    for parts, moduli, code, weight in _weight_positive_terms(n):
         for family, _, _, coeff, sums, negative in sweeps:
             term = coeff(parts, moduli)
             if term:
-                sums[lam] = sums.get(lam, 0) + term * weight
+                sums[code] = sums.get(code, 0) + term * weight
                 if family == "cycle-chord":
                     checked += 1
                     if term < 0 and len(negative) <= MAX_REPORTED_VIOLATIONS:
@@ -417,9 +418,10 @@ def _positivity_task(n: int) -> Tuple[int, List[str], List[Optional[int]]]:
     for family, a, b, _, sums, negative in sweeps:
         violations += [f"negative {family} term at I={format_parts(parts)}, (a,b)=({a},{b})"
                        for parts in negative]
-        sums = {lam: value for lam, value in sums.items() if value}
+        sums = {code: value for code, value in sums.items() if value}
         checked += len(sums)
-        negatives = [format_parts(lam) for lam in sorted(sums, reverse=True) if sums[lam] < 0]
+        negatives = [format_parts(_unpack(code, _width(n)))
+                     for code in sorted(sums, reverse=True) if sums[code] < 0]
         if negatives:
             violations.append(
                 f"negative grouped coefficient for {family} (a,b)=({a},{b}): {negatives}"

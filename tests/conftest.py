@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from csfkit.compositions import weight_positive_compositions
+from csfkit.compositions import _pack, _width, weight_positive_compositions
 
 
 def _closed_form_terms(build, n):
@@ -20,7 +20,7 @@ def _closed_form_terms(build, n):
     terms = {}
     with mock.patch("csfkit.graphs._weight_positive_terms", stream):
         for I in weight_positive_compositions(n):
-            current[:] = [(I.parts, I.prefix_moduli, I.rho(), I.weight)]
+            current[:] = [(I.parts, I.prefix_moduli, _pack(I.parts, _width(n)), I.weight)]
             grouped = build().grouped_by_rho()
             assert set(grouped.terms) <= {I.rho()}, (I, grouped.terms)
             coeff, rest = divmod(grouped.coefficient(I.rho()), I.weight)

@@ -8,6 +8,9 @@ import pytest
 from csfkit.compositions import (
     Composition,
     Partition,
+    _pack,
+    _unpack,
+    _width,
     compositions_of,
     format_parts,
     parse_composition,
@@ -114,6 +117,28 @@ def test_rho_sorts_parts_decreasingly():
     assert Composition((2, 3, 2)).rho() == Partition((3, 2, 2))
     assert Composition((5,)).rho() == Partition((5,))
     assert Composition((2, 2, 5, 2)).rho() == Partition((5, 2, 2, 2))
+
+
+def _partitions(n, largest):
+    # the partitions of n with parts <= largest, as tuples
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_partition_codes_sort_as_their_partitions_to_n18():
+    # the sweeps sort and take the max of codes where they would partitions:
+    # the largest part's multiplicity sits in the top field
+    for n in range(1, 19):
+        width = _width(n)
+        partitions = [Partition(lam) for lam in _partitions(n, n)]
+        codes = [_pack(lam, width) for lam in partitions]
+        for lam, code in zip(partitions, codes):
+            assert _unpack(code, width) == lam, lam
+            for mu, other in zip(partitions, codes):
+                assert (code < other) is (lam < mu), (lam, mu)
 
 
 def test_reversal_examples_and_involution():

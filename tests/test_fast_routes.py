@@ -3,6 +3,7 @@ statistics read through theta-duality against the validated constructor and
 reversal-based reference formulas."""
 
 import bisect
+import hashlib
 from unittest import mock
 
 import pytest
@@ -41,18 +42,22 @@ from csfkit.compositions import (
     weight_positive_compositions,
     _composition_tuples,
     _moduli,
-    _rho,
+    _pack,
     _theta_minus,
     _theta_plus,
     _theta_plus_sum,
+    _unpack,
     _weight,
     _weight_positive_terms,
     _weight_positive_tuples,
+    _width,
 )
 from csfkit.graphs import (
     closed_form_clock, closed_form_cycle_chord, e_positivity_report, expansion_closed_form,
 )
-from csfkit.verify import clock_pairs, run_c_doubleprime, run_fiber, run_positivity, theta_triples
+from csfkit.verify import (
+    _positivity_task, clock_pairs, run_c_doubleprime, run_fiber, run_positivity, theta_triples,
+)
 
 
 def assert_validated(J):
@@ -280,6 +285,25 @@ def test_c_doubleprime_regrouping_is_checked_against_the_clock_closed_form():
     assert result.violations == expected
 
 
+def test_positivity_messages_keep_their_order_and_text():
+    # every term whose first part is 2 lowered by 3: the messages of n = 8 and
+    # 11, grouped lists of up to four partitions among them, pinned as they
+    # were when the sums were keyed by Partition
+    factory = _theta_coeff
+
+    def lowered(a, b, c, twisted):
+        coeff = factory(a, b, c, twisted)
+        return lambda parts, moduli: coeff(parts, moduli) - 3 * (parts[0] == 2)
+
+    with mock.patch("csfkit.verify._theta_coeff", lowered):
+        messages = [m for n in (8, 11) for m in _positivity_task(n)[1]]
+    assert len(messages) == 80
+    assert ("negative grouped coefficient for cycle-chord (a,b)=(2,9): "
+            "['722', '5222', '4322', '32222']") in messages
+    assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
+        "6cbf7d4cd679aedd1a8e3e1d45af30059a5ab0a94bd79653d07ffcda210e4202")
+
+
 def test_c_doubleprime_builds_one_clock_kernel_per_pair():
     # D is built once per (a, b) swept and handed to every fiber-grouped sum
     factory = _theta_coeff
@@ -339,7 +363,8 @@ def test_fast_routes_match_references_on_random_compositions(I):
     # evaluate the closed form on I alone rather than on all of degree n:
     # its grouped vector is then the one term at rho(I)
     with mock.patch("csfkit.graphs._weight_positive_terms",
-                    lambda degree: iter([(I.parts, I.prefix_moduli, I.rho(), I.weight)])):
+                    lambda degree: iter([(I.parts, I.prefix_moduli, _pack(I.parts, _width(n)),
+                                          I.weight)])):
         for b in range(2, n - 1):
             grouped = closed_form_cycle_chord(n - b, b, form="theta-sum").grouped_by_rho()
             term = ref_theta_sum(I, b) * I.weight
@@ -407,7 +432,7 @@ def check_kernel(I):
     n = I.modulus
     assert _moduli(parts) == moduli
     assert _weight(parts) == I.weight
-    assert _rho(parts) == I.rho() == Partition(parts) and type(_rho(parts)) is Partition
+    assert I.rho() == Partition(parts) and type(I.rho()) is Partition
     for a in range(0, n + 1):
         assert _theta_plus(moduli, a) == I.theta_plus(a) == min(m for m in moduli if m >= a) - a
         assert _theta_minus(moduli, a) == I.theta_minus(a) == a - max(m for m in moduli if m <= a)
@@ -469,12 +494,16 @@ def test_weight_positive_tuples_are_first_part_1_then_parts_ge_2_in_order_to_n20
 
 def test_weight_positive_terms_derive_each_tuple_in_order_to_n20():
     # the closed forms and the positivity and c-doubleprime sweeps read moduli,
-    # rho and weight of every weight-positive tuple from this one stream
+    # the code of rho and weight of every weight-positive tuple from this one stream
     for n in range(1, 21):
-        assert list(_weight_positive_terms(n)) == [
-            (parts, _moduli(parts), _rho(parts), _weight(parts))
+        width = _width(n)
+        terms = list(_weight_positive_terms(n))
+        assert terms == [
+            (parts, _moduli(parts), _pack(parts, width), _weight(parts))
             for parts in _weight_positive_tuples(n)
         ], n
+        for parts, _, code, _ in terms:
+            assert type(code) is int and Partition(_unpack(code, width)) == Partition(parts), parts
 
 
 def test_kernel_enumerators_keep_the_public_checks():
