@@ -9,16 +9,19 @@ across workers.
 Two layers: the public API validates, through the range, degree, parts and
 modulus checks that it owns for the whole composition layer, and wraps a
 kernel that checks nothing: ``_moduli``, ``_theta_plus``, ``_theta_plus_sum``,
-``_theta_minus``, ``_weight`` and ``_composition_tuples`` on parts and moduli
-tuples, ``_weight_positive_terms`` (each weight-positive tuple with its moduli,
-the code of its rho and its weight), and ``_width``, ``_pack`` and ``_unpack``
-of the partition codes, the one partition key inside the kit.  The sweeps and
-closed forms call the kernel; every value is built by its checking constructor.
+``_theta_minus``, ``_weight`` and ``_composition_tuples`` (the one enumerator)
+on parts and moduli tuples, ``_weight_positive_terms`` (each weight-positive
+tuple with its moduli, the code of its rho and its weight), and ``_width``,
+``_pack`` and ``_unpack`` of the partition codes, the one partition key inside
+the kit.  The sweeps and closed forms call the kernel; every value is built by
+its checking constructor.
 
 The enumerators yield lexicographic order by the successor rule (Stanley,
-EC1 1.2; Knuth, TAOCP 4A 7.2.1) on one list: pop the last part t, add 1 to
-the part before it, refill t - 1 with the smallest run of parts >= min_part,
-or merge the two parts when 0 < t - 1 < min_part.
+EC1 1.2; Knuth, TAOCP 4A 7.2.1) on one list, from the least composition with
+first part >= first: pop the last part t, add 1 to the part before it, refill
+t - 1 with the smallest run of parts >= min_part, or merge the two parts when
+0 < t - 1 < min_part.  The first part only ever rises, so first = 1 with
+min_part = 2 walks exactly the weight-positive compositions.
 """
 
 from __future__ import annotations
@@ -291,16 +294,17 @@ def parse_composition(text: str) -> Composition:
     return Composition(parts)
 
 
-def _composition_tuples(n: int, min_part: int = 1) -> Iterator[tuple]:
-    # the lexicographic successor rule of the module docstring, on one list
+def _composition_tuples(n: int, min_part: int = 1, first: int | None = None) -> Iterator[tuple]:
+    # the module docstring's successor rule; first part >= first (None: min_part)
     _check_degree(n)
     _check_ints("min_part", min_part)
     if min_part < 1:
         raise ValueError(f"min_part must be >= 1, got {min_part}")
-    if n < min_part:
+    first = min_part if first is None else first
+    if n < first:
         return
-    parts = [min_part] * (n // min_part)
-    parts[-1] += n % min_part
+    parts = [first] + [min_part] * ((n - first) // min_part)
+    parts[-1] += (n - first) % min_part
     while True:
         yield tuple(parts)
         if len(parts) == 1:
@@ -314,21 +318,11 @@ def _composition_tuples(n: int, min_part: int = 1) -> Iterator[tuple]:
         parts[-1] += (t - 1) % min_part
 
 
-def _weight_positive_tuples(n: int) -> Iterator[tuple]:
-    # any first part, every later part >= 2, in lexicographic order; n is
-    # checked here, since the inner enumerator only sees n - first
-    _check_degree(n)
-    for first in range(1, n):
-        for tail in _composition_tuples(n - first, 2):
-            yield (first,) + tail
-    yield (n,)
-
-
 def _weight_positive_terms(n: int) -> Iterator[tuple]:
     # (parts, moduli, the code of rho at width _width(n), weight), in order
     _check_degree(n)
     width = _width(n)
-    for parts in _weight_positive_tuples(n):
+    for parts in _composition_tuples(n, 2, 1):
         yield parts, _moduli(parts), _pack(parts, width), _weight(parts)
 
 
@@ -347,7 +341,8 @@ def weight_positive_compositions(n: int) -> Iterator[Composition]:
 
     These are the compositions whose parts after the first are all >= 2, so
     the stream is Fibonacci-sized rather than 2^(n-1)-sized.  Order is
-    lexicographic, matching :func:`compositions_of`.
+    lexicographic, matching :func:`compositions_of`: the same walk as
+    ``compositions_of(n, 2)``, started at first part 1.
     """
-    for parts in _weight_positive_tuples(n):
+    for parts in _composition_tuples(n, 2, 1):
         yield Composition(parts)

@@ -45,7 +45,7 @@ from .coefficients import (
 )
 from .compositions import (
     Partition, _check_degree, _check_ints, _composition_tuples, _moduli, _theta_minus, _theta_plus,
-    _unpack, _weight, _weight_positive_terms, _weight_positive_tuples, _width, format_parts,
+    _unpack, _weight, _weight_positive_terms, _width, format_parts,
 )
 from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
 
@@ -189,7 +189,7 @@ def run_lemma_bounds(ns: Sequence[int]) -> SuiteResult:
                                 f"b={b}")
                 if (q == z) != (i1 > a):
                     result.fail(f"q = z iff i_1 > a fails at I={format_parts(parts)}, a={a}")
-        positive = [(parts, _moduli(parts)) for parts in _weight_positive_tuples(n)]
+        positive = [(parts, _moduli(parts)) for parts in _composition_tuples(n, 2, 1)]
         for a, b in clock_pairs(n):
             D = _theta_coeff(a, b, 2, False)
             result.checked += len(positive)

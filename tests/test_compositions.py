@@ -8,6 +8,7 @@ import pytest
 from csfkit.compositions import (
     Composition,
     Partition,
+    _composition_tuples,
     _pack,
     _unpack,
     _width,
@@ -73,6 +74,17 @@ def test_weight_positive_stream_matches_filtered_full_stream():
         expected = [c.parts for c in compositions_of(n, 1) if c.weight > 0]
         got = [c.parts for c in weight_positive_compositions(n)]
         assert got == expected
+    # the one enumerator against every composition built from the cut bits of
+    # an (n-1)-bit mask, filtered by the lowest first part and the lowest part
+    for n in range(1, 15):
+        every = []
+        for mask in range(2 ** (n - 1)):
+            cuts = [0] + [k for k in range(1, n) if mask >> (k - 1) & 1] + [n]
+            every.append(tuple(hi - lo for lo, hi in zip(cuts, cuts[1:])))
+        for m in (1, 2, 3):
+            for f in range(1, n + 1):
+                expected = sorted(I for I in every if I[0] >= f and min(I[1:], default=m) >= m)
+                assert list(_composition_tuples(n, m, f)) == expected, (n, m, f)
 
 
 def test_composition_rejects_bad_parts():

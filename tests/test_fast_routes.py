@@ -49,7 +49,6 @@ from csfkit.compositions import (
     _unpack,
     _weight,
     _weight_positive_terms,
-    _weight_positive_tuples,
     _width,
 )
 from csfkit.graphs import (
@@ -340,7 +339,7 @@ def test_c_doubleprime_evaluates_each_clock_term_once():
         result = run_c_doubleprime(10, 10, 20)
     assert result.checked == 15505 and result.ok
     assert len(calls) == len(set(calls)) == 34440
-    assert len(calls) == sum(len(list(_weight_positive_tuples(a + b + 1)))
+    assert len(calls) == sum(len(list(_composition_tuples(a + b + 1, 2, 1)))
                              for a in range(2, 11) for b in range(2, a + 1) if a + b + 1 <= 20)
 
 
@@ -475,18 +474,18 @@ def check_kernel(I):
 def test_kernel_matches_wrappers_and_references_to_n12():
     for n in range(1, 13):
         assert list(_composition_tuples(n)) == [I.parts for I in compositions_of(n)]
-        assert list(_weight_positive_tuples(n)) == [
+        assert list(_composition_tuples(n, 2, 1)) == [
             I.parts for I in weight_positive_compositions(n)
         ]
         for I in compositions_of(n):
             check_kernel(I)
 
 
-def test_weight_positive_tuples_are_first_part_1_then_parts_ge_2_in_order_to_n20():
+def test_weight_positive_walk_is_first_part_1_then_parts_ge_2_in_order_to_n20():
     # one weight-positive list per degree is its first-part-1 block, then the
     # parts >= 2 list, both in lexicographic order
     for n in range(1, 21):
-        positive = list(_weight_positive_tuples(n))
+        positive = list(_composition_tuples(n, 2, 1))
         head = [parts for parts in positive if parts[0] == 1]
         assert positive[:len(head)] == head, n
         assert positive[len(head):] == list(_composition_tuples(n, 2)), n
@@ -500,7 +499,7 @@ def test_weight_positive_terms_derive_each_tuple_in_order_to_n20():
         terms = list(_weight_positive_terms(n))
         assert terms == [
             (parts, _moduli(parts), _pack(parts, width), _weight(parts))
-            for parts in _weight_positive_tuples(n)
+            for parts in _composition_tuples(n, 2, 1)
         ], n
         for parts, _, code, _ in terms:
             assert type(code) is int and Partition(_unpack(code, width)) == Partition(parts), parts
@@ -509,7 +508,7 @@ def test_weight_positive_terms_derive_each_tuple_in_order_to_n20():
 def test_kernel_enumerators_keep_the_public_checks():
     for bad in (0, -1, 65):
         for stream in (_composition_tuples(bad), compositions_of(bad),
-                       _weight_positive_tuples(bad), _weight_positive_terms(bad),
+                       _composition_tuples(bad, 2, 1), _weight_positive_terms(bad),
                        weight_positive_compositions(bad)):
             with pytest.raises(ValueError):
                 next(stream)

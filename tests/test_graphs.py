@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csfkit.coefficients import coeff_c, delta
-from csfkit.compositions import Composition, Partition, weight_positive_compositions
+from csfkit.compositions import (
+    Composition, Partition, _pack, _width, weight_positive_compositions,
+)
 from csfkit.errors import ResourceLimitError
 from csfkit.graphs import (
     FAMILY_TABLE,
@@ -37,7 +39,7 @@ from csfkit.graphs import (
     family_degree,
     verify_triple_deletion,
 )
-from csfkit.symfunc import Basis, BasisVector, _pack, _width, evector_to_p, pvector_to_e
+from csfkit.symfunc import Basis, BasisVector, evector_to_p, pvector_to_e
 from csfkit.verify import run_triple_deletion, theta_deletion_instance, theta_triples
 
 
