@@ -30,7 +30,7 @@ MAX_ORACLE_EDGES = 30
 class Graph(_Frozen):
     """An immutable simple undirected graph on vertices 0 .. vertex_count-1."""
 
-    __slots__ = ("vertex_count", "edges", "edge_set")
+    __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: Iterable[Tuple[int, int]]):
         _check_ints("vertex count", vertex_count)
@@ -55,10 +55,7 @@ class Graph(_Frozen):
             canon.append(pair)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "edge_set", frozenset(seen))
 
-    # edge_set, the lookup index of has_edge, is derived from edges, so
-    # repr, ==, hash and pickle read (vertex_count, edges) only
     def _args(self) -> tuple:
         return (self.vertex_count, self.edges)
 
@@ -70,8 +67,7 @@ class Graph(_Frozen):
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        pair = (u, v) if u < v else (v, u)
-        return pair in self.edge_set
+        return (min(u, v), max(u, v)) in self.edges
 
     def with_edges(self, extra: Iterable[Tuple[int, int]]) -> "Graph":
         return Graph(self.vertex_count, list(self.edges) + list(extra))

@@ -21,7 +21,9 @@ from math import comb
 from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
-from .compositions import Partition, _Frozen, _check_container, _check_ints, _pack, _unpack, _width
+from .compositions import (
+    Partition, _Frozen, _check_container, _check_degree, _check_ints, _pack, _unpack, _width,
+)
 
 
 def _check_exact(what: str, value) -> None:
@@ -282,8 +284,9 @@ def _from_codes(basis: Basis, n: int, codes: Dict[int, object]) -> BasisVector:
 
 
 def _convert(codes: Dict[int, object], n: int, target: Basis) -> BasisVector:
-    """The vector of degree n in the basis ``target`` whose coefficients in
-    the other basis are ``codes``, keyed by codes of width ``_width(n)``."""
+    """The vector of degree n in the basis ``target`` whose coefficients in the
+    other basis are ``codes`` (width ``_width(n)``); n above MAX_MODULUS is refused."""
+    _check_degree(max(n, 1))  # before any image is built; degree 0 builds none
     image = _p_to_e_terms if target is Basis.E else _e_to_p_terms
     return _from_codes(target, n, _change_basis(codes, _width(n), image))
 

@@ -23,7 +23,8 @@ clock sum and every c'' sum.  Messages print compositions by
 passing sweep formats a composition.
 
 c-doubleprime and positivity run one pure task per n and sum by partition
-code, decoded only in a failure message; positivity sums every clock and
+code, decoded only in a failure message; c-doubleprime's task lists the
+``clock_pairs(n)`` inside its box, and positivity sums every clock and
 cycle-chord of n (theta at c = 2 and c = 1) in one pass.  Both optionally fan
 out over a process pool, highest n first, and merge in task order: output
 does not depend on the worker count.  Only triple-deletion loads graphs.
@@ -373,23 +374,21 @@ def run_c_doubleprime(
 ) -> SuiteResult:
     _check_ints("c-doubleprime bound", a_max, b_max, n_cap)
     result = SuiteResult("c-doubleprime")
-    # the pairs a >= b >= 2 with a <= a_max, b <= b_max and a + b + 1 <= n_cap;
-    # those above the budget are counted, not listed, so no bound costs memory
-    pairs = [(a, b) for a in range(2, min(a_max, n_cap - 3) + 1)
-             for b in range(2, min(a, b_max, n_cap - 1 - a) + 1)]
+    # one task per n <= n_cap: its clock_pairs with a <= a_max and b <= b_max, a ascending;
+    # clock_pairs refuses n > 64 before any task runs, and no pair above n_cap is listed
     top = min(a_max, b_max)
+    tasks = [(n, tuple((a, b) for a, b in reversed(clock_pairs(n)) if a <= a_max and b <= b_max))
+             for n in range(5, min(n_cap, a_max + top + 1) + 1)] if top >= 2 else []
+    swept = sum(len(pairs) for _, pairs in tasks)
     requested = (top - 1) * (2 * a_max - top) // 2 if top >= 2 else 0
-    if len(pairs) < requested:
-        result.stderr_notes.append(f"skipped {requested - len(pairs)} pair(s) "
+    if swept < requested:
+        result.stderr_notes.append(f"skipped {requested - swept} pair(s) "
                                    f"with a+b+1 above the degree budget {n_cap}")
-    # one task per n, so that each task enumerates the compositions of n once
-    tasks = [(n, tuple(p for p in pairs if sum(p) + 1 == n))
-             for n in sorted({sum(p) + 1 for p in pairs})]
     for checked, violations in _run_tasks(_cdp_task, tasks, workers):
         result.checked += checked
         for message in violations:
             result.fail(message)
-    result.notes.append(f"pairs swept: {len(pairs)}")
+    result.notes.append(f"pairs swept: {swept}")
     return result
 
 

@@ -381,7 +381,7 @@ def test_c_doubleprime_notes_dropped_pairs_on_stderr(capsys, monkeypatch):
     assert (code, err) == (0, "")
 
 
-def test_c_doubleprime_counts_the_pairs_above_the_budget_without_listing_them():
+def test_c_doubleprime_counts_the_pairs_above_the_budget_without_listing_them(monkeypatch):
     # a million-wide request at budget 5 sweeps (2, 2) alone, at once
     result = run_c_doubleprime(10**6, 10**6, 5)
     assert result.notes == ["pairs swept: 1"] and result.ok
@@ -395,6 +395,35 @@ def test_c_doubleprime_counts_the_pairs_above_the_budget_without_listing_them():
             notes = run_c_doubleprime(a_max, b_max, 7).stderr_notes
             assert notes == ([f"skipped {skipped} pair(s) with a+b+1 above the degree budget 7"]
                              if skipped else []), (a_max, b_max)
+    # each task holds the clock pairs of its degree inside the box, a ascending:
+    # the grid a >= b >= 2, a <= a_max, b <= b_max, a + b + 1 <= n_cap, by degree
+    import csfkit.verify as verify
+
+    tasks = []
+    monkeypatch.setattr(verify, "_cdp_task", lambda task: tasks.append(task) or (0, []))
+    for a_max in range(-1, 11):
+        for b_max in range(-1, 11):
+            for n_cap in range(3, 15):
+                pairs = [(a, b) for a in range(2, min(a_max, n_cap - 3) + 1)
+                         for b in range(2, min(a, b_max, n_cap - 1 - a) + 1)]
+                grid = [(n, tuple(p for p in pairs if sum(p) + 1 == n))
+                        for n in sorted({sum(p) + 1 for p in pairs})]
+                tasks.clear()
+                notes = run_c_doubleprime(a_max, b_max, n_cap).notes
+                assert (tasks, notes) == (grid, [f"pairs swept: {len(pairs)}"]), (
+                    a_max, b_max, n_cap)
+
+    # a box that reaches degree 65 is refused before any pair is swept
+    def unreachable(task):
+        raise AssertionError(f"task {task[0]} ran before the degree check")
+
+    monkeypatch.setattr(verify, "_cdp_task", unreachable)
+    for bound in (100, 10**5):
+        with pytest.raises(ValueError, match=r"^n 65 exceeds the supported bound 64$"):
+            run_c_doubleprime(bound, bound, bound)
+    monkeypatch.undo()
+    assert run_c_doubleprime(3, 100, 100).notes == ["pairs swept: 3"]
+    assert run_c_doubleprime(5, 3, 100).notes == ["pairs swept: 7"]
 
 
 def test_workers_clamped_to_cpu_count(capsys, monkeypatch):

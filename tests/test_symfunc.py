@@ -58,6 +58,24 @@ def test_e_partition_rejects_empty():
         e_partition_to_p(())
 
 
+def test_conversions_refuse_a_degree_above_the_bound_before_building_images():
+    # one ValueError line, as every other degree check, not a RecursionError;
+    # p_1^65 is refused too, though its image e_1^65 needs no recursion
+    refused = r"^n 3000 exceeds the supported bound 64$"
+    with pytest.raises(ValueError, match=refused):
+        e_partition_to_p((3000,))
+    with pytest.raises(ValueError, match=refused):
+        evector_to_p(BasisVector(Basis.E, 3000, {(3000,): 1}))
+    with pytest.raises(ValueError, match=refused):
+        pvector_to_e(BasisVector(Basis.P, 3000, {(3000,): 1}))
+    with pytest.raises(ValueError, match=r"^n 65 exceeds the supported bound 64$"):
+        pvector_to_e(BasisVector(Basis.P, 65, {(1,) * 65: 1}))
+    # degree 0 has no image to build and still round-trips
+    three = BasisVector(Basis.E, 0, {(): 3})
+    assert evector_to_p(three).terms == {Partition(()): 3}
+    assert pvector_to_e(evector_to_p(three)) == three
+
+
 def test_linearity_of_vector_conversion():
     two_e2 = BasisVector(Basis.E, 2, {(2,): 2})
     assert evector_to_p(two_e2).terms == {
