@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, budgets, determinism."""
 
+import bisect
 import importlib
 import json
 
@@ -10,6 +11,7 @@ from csfkit.errors import ResourceLimitError
 from csfkit.verify import (
     MAX_INSTANCE_COUNT,
     MAX_REPORTED_VIOLATIONS,
+    SUITES,
     SuiteResult,
     run_c_doubleprime,
     run_fiber,
@@ -19,7 +21,7 @@ from csfkit.verify import (
     run_triple_deletion,
 )
 from csfkit.graphs import EExpansion
-from csfkit.coefficients import _in_w_gt
+from csfkit.coefficients import _in_w_gt, _theta_coeff
 from csfkit.compositions import Composition
 
 
@@ -232,8 +234,8 @@ def test_fibers_known_example(capsys):
     assert lines[0].startswith("I = 722")
     assert "class = W>" in lines[1]
     assert "q - p = 2" in lines[2]
-    assert "H_1 = 272   w = 12   D = 2" in out
-    assert "H_2 = 227   w = 12   D = -2" in out
+    assert "H_1 = 272   w = 12   D = 2" in lines
+    assert "H_2 = 227   w = 12   D = -2" in lines
     assert lines[-1] == "c'' = 147"
 
 
@@ -241,7 +243,10 @@ def test_fibers_reports_c_doubleprime_for_exact_suffix_example(capsys):
     code, out, _ = run(capsys, "fibers", "--I", "5,2,2,2", "--a", "6", "--b", "4")
     assert code == 0
     assert "in_A = yes" in out
-    assert out.splitlines()[-1] == "c'' = 23"
+    lines = out.splitlines()
+    for line in ("H_1 = 2522   w = 8   D = -2", "H_2 = 2252   w = 8   D = -2"):
+        assert line in lines
+    assert lines[-1] == "c'' = 23"
 
 
 def test_fibers_low_class_prints_psi_image(capsys):
@@ -522,12 +527,24 @@ def test_verify_refuses_flags_it_would_have_ignored(capsys):
         assert err == "error: suite fiber reads --a and --b only together\n"
 
 
-def test_verify_defaults_equal_the_documented_values(capsys):
-    for suite, defaults in (("phi-involution", ("--n-max", "10")),
-                            ("triple-deletion", ("--count", "25", "--seed", "2024"))):
-        implicit = run(capsys, "verify", "--suite", suite)
-        assert implicit[0] == 0
-        assert implicit == run(capsys, "verify", "--suite", suite, *defaults)
+# each suite's defaults as README's suite table gives them
+DOCUMENTED_DEFAULTS = {
+    "phi-involution": ("--n-max", "10"),
+    "theta-duality": ("--n-max", "10"),
+    "lemma-bounds": ("--n-max", "10"),
+    "fiber": ("--n-max", "10"),
+    "c-doubleprime": ("--a-max", "8", "--b-max", "8", "--workers", "1"),
+    "positivity": ("--n-max", "14", "--workers", "1"),
+    "triple-deletion": ("--count", "25", "--seed", "2024"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_defaults_equal_the_documented_values(capsys, suite):
+    # every suite at its defaults exits 0 and finds no violation
+    implicit = run(capsys, "verify", "--suite", suite)
+    assert implicit[0] == 0 and implicit[1].endswith(" VIOLATIONS 0\n"), implicit
+    assert implicit == run(capsys, "verify", "--suite", suite, *DOCUMENTED_DEFAULTS[suite])
 
 
 def test_budget_env_is_bounded_by_the_largest_modulus(capsys, monkeypatch):
@@ -623,30 +640,59 @@ def test_verify_refuses_a_range_that_checks_nothing(capsys, monkeypatch):
     assert (code, out, len(err.splitlines())) == (3, "", 1)
 
 
-# (suite, verify flags, module and name of the kernel it reads, a broken stand-in)
+def _phi_rotating_the_interior(parts, moduli, a):
+    # keeps the partition, the first part, the weight, the suffix Q and so
+    # A-membership, but a second rotation does not undo the first
+    cut = max(bisect.bisect_right(moduli, moduli[-1] - a) - 1, 1)
+    interior = parts[1:cut]
+    return parts[:1] + interior[1:] + interior[:1] + parts[cut:]
+
+
+# (suite, verify flags, module and name of the kernel it reads, a broken
+# stand-in, the start of its first violation); the last two rows each trip one
+# check alone: the involution check, and the grouped clock sum at exactly -1
 BROKEN_KERNELS = [
-    ("phi-involution", ("--n", "4"), "csfkit.verify", "_phi_parts",
-     lambda parts, moduli, a: (1, *parts)),
-    ("theta-duality", ("--n", "4"), "csfkit.verify", "_theta_plus", lambda moduli, a: -1),
-    ("lemma-bounds", ("--n", "5"), "csfkit.verify", "_theta_minus", lambda moduli, a: -1),
-    ("fiber", ("--n", "7"), "csfkit.verify", "_psi_parts", lambda parts, moduli, a: parts),
-    ("c-doubleprime", ("--a-max", "2", "--b-max", "2", "--workers", "1"), "csfkit.verify",
-     "_c_doubleprime_parts", lambda parts, p, q, term: -1),
-    ("positivity", ("--n-max", "4", "--workers", "1"), "csfkit.verify", "_theta_coeff",
-     lambda a, b, c, twisted: lambda parts, moduli: -1),
-    ("triple-deletion", ("--count", "2"), "csfkit.graphs", "verify_triple_deletion",
-     lambda graph, triple: False),
+    pytest.param("phi-involution", ("--n", "4"), "csfkit.verify", "_phi_parts",
+                 lambda parts, moduli, a: (1, *parts), "phi not an involution at I=1111, a=1",
+                 id="phi-involution"),
+    pytest.param("theta-duality", ("--n", "4"), "csfkit.verify", "_theta_plus",
+                 lambda moduli, a: -1, "undershoot/overshoot duality fails at I=1111, a=0",
+                 id="theta-duality"),
+    pytest.param("lemma-bounds", ("--n", "5"), "csfkit.verify", "_theta_minus",
+                 lambda moduli, a: -1, "i_p - s mismatch with reversed undershoot at I=11111",
+                 id="lemma-bounds"),
+    pytest.param("fiber", ("--n", "7"), "csfkit.verify", "_psi_parts",
+                 lambda parts, moduli, a: parts, "fiber element 232 does not map back to 322",
+                 id="fiber"),
+    pytest.param("c-doubleprime", ("--a-max", "2", "--b-max", "2", "--workers", "1"),
+                 "csfkit.verify", "_c_doubleprime_parts", lambda parts, p, q, term: -1,
+                 "fiber-grouped coefficient -1 < 0 at I=32, (a,b)=(2,2)", id="c-doubleprime"),
+    pytest.param("positivity", ("--n-max", "4", "--workers", "1"), "csfkit.verify",
+                 "_theta_coeff", lambda a, b, c, twisted: lambda parts, moduli: -1,
+                 "negative cycle-chord term at I=13, (a,b)=(2,2)", id="positivity"),
+    pytest.param("triple-deletion", ("--count", "2"), "csfkit.graphs", "verify_triple_deletion",
+                 lambda graph, triple: False, "deletion identities fail on instance 0",
+                 id="triple-deletion"),
+    pytest.param("phi-involution", ("--n", "6"), "csfkit.verify", "_phi_parts",
+                 _phi_rotating_the_interior, "phi not an involution at I=11121, a=1",
+                 id="phi-involution-not-an-involution"),
+    pytest.param("positivity", ("--n-max", "5", "--workers", "1"), "csfkit.verify",
+                 "_theta_coeff",
+                 lambda a, b, c, twisted: (_theta_coeff(a, b, c, twisted) if c == 1
+                                           else lambda parts, moduli: -(parts == (1, 2, 2))),
+                 "negative grouped coefficient for clock (a,b)=(2,2): ['221']",
+                 id="positivity-one-grouped-clock-coefficient-minus-1"),
 ]
 
 
-@pytest.mark.parametrize("suite, argv, module, name, broken", BROKEN_KERNELS,
-                         ids=[entry[0] for entry in BROKEN_KERNELS])
+@pytest.mark.parametrize("suite, argv, module, name, broken, first", BROKEN_KERNELS)
 def test_every_suite_reports_a_broken_kernel(capsys, monkeypatch, suite, argv, module, name,
-                                             broken):
+                                             broken, first):
     monkeypatch.setattr(importlib.import_module(module), name, broken)
     flags = {argv[k][2:].replace("-", "_"): int(argv[k + 1]) for k in range(0, len(argv), 2)}
     result = run_suite(suite, 20, **flags)
     assert result.checked > 0 and result.violations and not result.ok
+    assert result.violations[0].startswith(first), result.violations[0]
     code, out, err = run(capsys, "verify", "--suite", suite, *argv)
     assert (code, err) == (1, "")
     lines = out.splitlines()
@@ -800,6 +846,34 @@ def test_every_verify_failure_message_is_reached(monkeypatch, kind):
     result = run_suite_once()
     assert (result.checked, len(result.violations)) == (checked, count)
     assert message in result.violations
+
+
+def test_lemma_bounds_refuses_a_w_le_value_below_minus_2_that_equals_its_closed_form(
+        monkeypatch):
+    # at (a,b) = (4,2), I = 232 is in W_<= with (p, s) = (2, 1) and D = -2; with
+    # s = 2 and D = -3, D equals (s - 1)(i_p - s - i_1) - 2 = -3, so only the
+    # bound D >= -2 can fail
+    import csfkit.verify as verify
+
+    solve, theta_coeff = verify._solve_psqt_parts, verify._theta_coeff
+
+    def solve_with_s_2(parts, moduli, b):
+        p, s, q, t = solve(parts, moduli, b)
+        return (p, 2, q, t) if (parts, b) == ((2, 3, 2), 2) else (p, s, q, t)
+
+    def minus_3_at_232(a, b, c, twisted):
+        kernel = theta_coeff(a, b, c, twisted)
+        if (a, b, c, twisted) != (4, 2, 2, False):
+            return kernel
+        return lambda parts, moduli: -3 if parts == (2, 3, 2) else kernel(parts, moduli)
+
+    assert solve((2, 3, 2), (0, 2, 5, 7), 2)[:2] == (2, 1)
+    assert theta_coeff(4, 2, 2, False)((2, 3, 2), (0, 2, 5, 7)) == -2
+    monkeypatch.setattr(verify, "_solve_psqt_parts", solve_with_s_2)
+    monkeypatch.setattr(verify, "_theta_coeff", minus_3_at_232)
+    violations = run_lemma_bounds([7]).violations
+    assert "W_<= closed form fails at I=232, (a,b)=(4,2)" in violations
+    assert not [v for v in violations if v.startswith("negative W_<= coefficient")]
 
 
 def test_lemma_bounds_counts_one_solver_check_per_split():

@@ -272,20 +272,31 @@ def test_oracle_vertex_budget():
 
 
 def test_builders_refuse_a_degree_above_the_bound_before_building():
-    # each builder, as its closed form, refuses degree 65 with the one line
-    # of the degree check; degree 64 still builds
-    over = [(build_path, "path", {"n": 65}), (build_cycle, "cycle", {"n": 65}),
+    import tracemalloc
+
+    # each builder, as its closed form, refuses degree 65 (and a path of ten
+    # million vertices) with the one line of the degree check, before it
+    # allocates any edge list; degree 64 still builds
+    over = [(build_path, "path", {"n": 65}), (build_path, "path", {"n": 10**7}),
+            (build_cycle, "cycle", {"n": 65}),
             (build_tadpole, "tadpole", {"a": 60, "l": 5}),
             (build_theta, "theta", {"a": 30, "b": 30, "c": 6}),
             (build_cycle_chord, "cycle-chord", {"a": 40, "b": 25}),
             (build_clock, "clock", {"a": 40, "b": 24})]
-    for build, family, params in over:
-        for call in (lambda: build(*params.values()),
-                     lambda: build_family_graph(family, **params),
-                     lambda: expansion_closed_form(family, **params)):
-            with pytest.raises(ValueError) as err:
-                call()
-            assert str(err.value) == "n 65 exceeds the supported bound 64", family
+    tracemalloc.start()
+    try:
+        for build, family, params in over:
+            n = params.get("n", 65)
+            for call in (lambda: build(*params.values()),
+                         lambda: build_family_graph(family, **params),
+                         lambda: expansion_closed_form(family, **params)):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == f"n {n} exceeds the supported bound 64", family
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
     assert build_path(64).edge_count == 63
     for graph in (build_theta(30, 30, 5), build_cycle_chord(40, 24), build_clock(40, 23)):
         assert graph.vertex_count == 64
