@@ -19,9 +19,10 @@ private functions on the parts and prefix-moduli tuples that check nothing
 (``_solve_psqt_parts``, ``_delta_parts``, ``_phi_parts``, ``_psi_parts``,
 ``_in_w_gt``, ``_in_A``, ``_fiber_parts``, ``_theta_coeff``,
 ``_c_doubleprime_parts``); only ``classify`` builds a ``WClass``.  The sweeps
-of :mod:`csfkit.verify` and the closed forms of :mod:`csfkit.graphs` call the
-kernel directly; ``_theta_coeff`` is the one body of c_I, c'_I, D_I and delta
-at c = 1; c'' sums looked-up D_H w_H.
+of :mod:`csfkit.verify` and the c' closed form of :mod:`csfkit.graphs` call
+the kernel directly (the other closed forms sum the same coefficients by a
+window DP there); ``_theta_coeff`` is the one body of c_I, c'_I, D_I and
+delta at c = 1; c'' sums looked-up D_H w_H.
 
 Statistics of a reversal are read from the composition itself through
 theta-duality, theta_minus(reversed I, k) = theta_plus(I, n - k) and
@@ -35,8 +36,8 @@ from enum import Enum
 from typing import List, NamedTuple, Tuple
 
 from .compositions import (
-    Composition, _check_ints, _check_modulus, _check_range, _moduli, _theta_minus, _theta_plus,
-    _theta_plus_sum, _weight,
+    Composition, _check_clock, _check_modulus, _check_range, _check_theta, _moduli, _theta_minus,
+    _theta_plus, _theta_plus_sum, _weight,
 )
 
 
@@ -245,18 +246,6 @@ def classify(I: Composition, a: int) -> Classification:
     wclass = (WClass.NOT_W if 1 in parts
               else WClass.W_GT if _in_w_gt(parts, moduli, a) else WClass.W_LE)
     return Classification(wclass, _in_A(parts, moduli, a))
-
-
-def _check_clock(a: int, b: int) -> None:
-    _check_ints("clock parameter", a, b)
-    if not (a >= b >= 2):
-        raise ValueError(f"clock needs a >= b >= 2, got {(a, b)}")
-
-
-def _check_theta(a: int, b: int, c: int) -> None:
-    _check_ints("theta parameter", a, b, c)
-    if not (a >= b >= c >= 1 and b >= 2):
-        raise ValueError(f"theta needs a >= b >= c >= 1 with b >= 2, got {(a, b, c)}")
 
 
 def _check_fiber_params(I: Composition, a: int, b: int) -> None:

@@ -7,7 +7,8 @@ are immutable and all functions are pure, so sweeps may share them freely
 across workers.
 
 Two layers: the public API validates, through the range, degree, parts and
-modulus checks that it owns for the whole composition layer, and wraps a
+modulus checks that it owns for the whole composition layer (and the theta
+and clock parameter checks of the closed forms and sweeps), and wraps a
 kernel that checks nothing: ``_moduli``, ``_theta_plus``, ``_theta_plus_sum``,
 ``_theta_minus``, ``_weight`` and ``_composition_tuples`` (the one enumerator)
 on parts and moduli tuples, ``_weight_positive_terms`` (each weight-positive
@@ -79,6 +80,18 @@ def _check_modulus(I: Composition, n: int, rule: str = "") -> None:
     if I.modulus != n:
         expected = f"{rule} = {n}" if rule else n
         raise ValueError(f"composition {I} has modulus {I.modulus}, expected {expected}")
+
+
+def _check_clock(a: int, b: int) -> None:
+    _check_ints("clock parameter", a, b)
+    if not (a >= b >= 2):
+        raise ValueError(f"clock needs a >= b >= 2, got {(a, b)}")
+
+
+def _check_theta(a: int, b: int, c: int) -> None:
+    _check_ints("theta parameter", a, b, c)
+    if not (a >= b >= c >= 1 and b >= 2):
+        raise ValueError(f"theta needs a >= b >= c >= 1 with b >= 2, got {(a, b, c)}")
 
 
 def _moduli(parts: tuple) -> tuple:

@@ -3,11 +3,14 @@
 The oracle computes the chromatic symmetric function of any small simple
 graph with exact integer power-sum coefficients, by a frontier dynamic
 program over the edges; the plain edge-subset sum is kept beside it as an
-independent cross-check.  The closed forms sum composition-indexed terms
-onto their partitions in one pass, for paths, cycles, tadpoles, cycle-chords,
-three-path (theta) graphs and clocks; comparing a grouped closed form with
-the oracle mapped to the e-basis is the master correctness check for
-everything in this package.
+independent cross-check.  The closed forms for paths, cycles, tadpoles,
+cycle-chords, three-path (theta) graphs and clocks sum w_I * c_I onto the
+partitions rho(I) by one window dynamic program over the prefix moduli
+(:func:`_window_sums`), which walks no composition; only the phi-twisted
+theta form c' still sums its terms one composition at a time
+(``_weight_positive_terms``).  Comparing a grouped closed form with the
+oracle mapped to the e-basis is the master correctness check for everything
+in this package.
 """
 
 from __future__ import annotations
@@ -15,16 +18,20 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import (
-    MAX_MODULUS, Composition, Partition, _Frozen, _check_container, _check_degree, _check_ints,
-    _check_modulus, _pack, _theta_plus, _theta_plus_sum, _weight_positive_terms, _width,
+    MAX_MODULUS, Composition, Partition, _Frozen, _check_clock, _check_container, _check_degree,
+    _check_ints, _check_modulus, _check_theta, _pack, _weight_positive_terms, _width,
 )
-from .coefficients import _check_clock, _check_theta, _theta_coeff
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector, _from_codes
 
 # Hard API bound on oracle size: each extra edge doubles the subset count,
 # which also bounds the number of frontier states.
 MAX_ORACLE_EDGES = 30
+
+# Degree bound of the window DP under the closed forms: its states grow with
+# the partitions of n, and at n = 48 its slowest form (the cycle-chord delta
+# with b near 38) takes about 1.6 s and a peak RSS near 105 MB.
+MAX_WINDOW_DEGREE = 48
 
 
 class Graph(_Frozen):
@@ -372,7 +379,8 @@ class EExpansion:
 
 
 def _assemble(n: int, coeff_fn) -> EExpansion:
-    # one pass over the kernel tuples, each term summed onto its partition
+    # one pass over the kernel tuples, each term summed onto its partition;
+    # only the c' form, which no window DP reaches, still walks them
     expansion = EExpansion(n)
     sums = expansion._sums
     for parts, moduli, code, weight in _weight_positive_terms(n):
@@ -382,12 +390,93 @@ def _assemble(n: int, coeff_fn) -> EExpansion:
     return expansion
 
 
+def _window_sums(n: int, v: int = 0, windows: tuple = (), const: int = 0) -> EExpansion:
+    """Sums of w_I * c_I over the weight-positive compositions I of n by rho(I),
+    with c_I = const + delta(I, v) (no delta when v = 0) + the sum over the
+    windows (sign, lo, hi) of sign * sum_{k=lo..hi} theta_plus(I, k).
+
+    A transfer-matrix DP (Stanley, EC1 4.7) over the path expansion
+    sum w_I e_rho(I) (Shareshian-Wachs 2016): w_I = i_1 * prod (p - 1) is a
+    product over the parts, the code of rho(I) a sum, and 2 c_I a sum of
+    shares of the parts, with f = i_1.  A part p after the prefix modulus m
+    spans (m, m + p]; it adds m + p - k to theta_plus(I, k) for each k of a
+    window in (m, m + p].  delta(I, v) is e_2 of the pieces that the parts
+    cut from the window (v, v + f], where wrap = max(0, v + f - n) wraps into
+    i_1, or s * (leftover - f) when one part holds the whole window
+    (``coefficients._delta_parts``).  In integers, with ov a part's piece,
+    2 delta = f^2 - wrap^2 - sum ov^2 + 2 corr, where corr = (v - m) *
+    (m + p - v - f) for the part that holds the window and 0 otherwise.
+
+    A state is (m, key, code) and holds (sum w, sum 2 c w) over the prefixes
+    that reach it.  While the window is open the key is min(f, n - v): every
+    f >= n - v reads (v, n], so those share one key.  The key drops to 0 once
+    m >= v + key, and is 0 throughout without delta.  The sums halve exactly
+    at the end.  Degrees above ``MAX_WINDOW_DEGREE`` are refused.
+    """
+    expansion = EExpansion(n)
+    if n > MAX_WINDOW_DEGREE:
+        raise ResourceLimitError(
+            f"closed-form budget exceeded: n {n} > limit {MAX_WINDOW_DEGREE}")
+    width = _width(n)
+    unit = [0] + [_pack((s,), width) for s in range(1, n + 1)]
+    # shares[m][p]: twice the windows' share of the part p after modulus m
+    shares = []
+    for m in range(n):
+        row = [0] * (n - m + 1)
+        for p in range(1, n - m + 1):
+            top = m + p
+            for sign, lo, hi in windows:
+                first, last = max(lo, m + 1), min(hi, top)
+                if first <= last:
+                    row[p] += sign * (last - first + 1) * (2 * top - first - last)
+        shares.append(row)
+    # layers[m]: {key: {code: [sum w, sum 2 c w]}}
+    layers: List[Optional[dict]] = [{} for _ in range(n + 1)]
+    for f in range(1, n + 1):
+        twice, key = 2 * const + shares[0][f], 0
+        if v:
+            wrap, own = max(0, v + f - n), max(0, f - v)
+            twice += f * f - wrap * wrap - own * own
+            key = min(f, n - v)
+        layers[f][key] = {unit[f]: [f, f * twice]}
+    for m in range(1, n):
+        row = shares[m]
+        for key, sums in layers[m].items():
+            for p in range(2, n - m + 1):
+                top, twice, nxt = m + p, row[p], 0
+                if key:
+                    ov = min(top, v + key) - max(m, v)
+                    if ov > 0:
+                        twice -= ov * ov
+                        if m < v and v + key <= top:
+                            twice += 2 * (v - m) * (top - v - key)
+                    if top < v + key:
+                        nxt = key
+                target = layers[top].setdefault(nxt, {})
+                k, u = p - 1, unit[p]
+                for code, (w, s) in sums.items():
+                    code += u
+                    entry = target.get(code)
+                    if entry is None:
+                        target[code] = [w * k, (s + w * twice) * k]
+                    else:
+                        entry[0] += w * k
+                        entry[1] += (s + w * twice) * k
+        layers[m] = None
+    # every 2 c_I is even, so each sum halves exactly
+    total = expansion._sums
+    for sums in layers[n].values():
+        for code, (_, s) in sums.items():
+            total[code] = total.get(code, 0) + s // 2
+    return expansion
+
+
 def closed_form_path(n: int) -> EExpansion:
     """Every positive-weight composition contributes with coefficient 1."""
     _check_ints("path parameter", n)
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    return _assemble(n, lambda parts, moduli: 1)
+    return _window_sums(n, const=1)
 
 
 def closed_form_cycle(n: int) -> EExpansion:
@@ -410,8 +499,7 @@ def closed_form_tadpole(a: int, l: int) -> EExpansion:
         raise ValueError(f"tadpole expansion needs cycle length >= 2, got {a}")
     if l < 0:
         raise ValueError(f"tail length must be >= 0, got {l}")
-    n = a + l
-    return _assemble(n, lambda parts, moduli: _theta_plus(moduli, l + 1))
+    return _window_sums(a + l, windows=((1, l + 1, l + 1),))
 
 
 def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
@@ -426,11 +514,9 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
     if a < 2 or b < 2:
         raise ValueError(f"cycle-chord needs a, b >= 2, got {(a, b)}")
     _check_form("cycle-chord", form)
-    n = a + b
     if form == "delta":
-        return _assemble(n, _theta_coeff(a, b, 1, False))
-    return _assemble(n, lambda parts, moduli: (
-        _theta_plus_sum(moduli, 1, b) - _theta_plus_sum(moduli, n - b + 1, n - 1)))
+        return _window_sums(a + b, b)
+    return _window_sums(a + b, windows=((1, 1, b), (-1, a + 1, a + b - 1)))
 
 
 def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
@@ -439,7 +525,14 @@ def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
     theta_plus(J, k), with J = phi(I, a) for c'_I and J = I for c_I."""
     _check_form("theta", variant)
     _check_theta(a, b, c)
-    return _assemble(a + b + c - 1, _theta_coeff(a, b, c, variant == "c-prime"))
+    n = a + b + c - 1
+    if variant == "c-prime":
+        # phi moves a prefix whose end depends on the part that crosses n - a,
+        # so c'_I is no sum of shares of the parts: it walks the compositions
+        from .coefficients import _theta_coeff
+
+        return _assemble(n, _theta_coeff(a, b, c, True))
+    return _window_sums(n, b + c - 1, ((1, 2, c), (-1, n - a - c + 2, n - a)))
 
 
 def closed_form_clock(a: int, b: int) -> EExpansion:
@@ -461,9 +554,9 @@ class Family(NamedTuple):
     forms: Dict[str, Callable[..., EExpansion]]
 
 
-# Path keeps its own kernel, since no tadpole has n = 1.  The cycle-chord
-# ``delta`` form runs the theta coefficient body at c = 1 for every a, b,
-# a < b included.
+# Path keeps its own form, the constant 1, since no tadpole has n = 1.  The
+# cycle-chord ``delta`` form is the window DP's delta at v = b, the theta
+# coefficient at c = 1, for every a, b, a < b included.
 FAMILY_TABLE: Dict[str, Family] = {
     "path": Family(("n",), 0, build_path, {"closed-form": closed_form_path}),
     "cycle": Family(("n",), 0, build_cycle, {"closed-form": closed_form_cycle}),

@@ -41,12 +41,13 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import (
-    _c_doubleprime_parts, _check_clock, _check_theta, _delta_parts, _fiber_parts, _in_A,
-    _in_w_gt, _phi_parts, _psi_parts, _solve_psqt_parts, _split_cut, _theta_coeff,
+    _c_doubleprime_parts, _delta_parts, _fiber_parts, _in_A, _in_w_gt, _phi_parts, _psi_parts,
+    _solve_psqt_parts, _split_cut, _theta_coeff,
 )
 from .compositions import (
-    Partition, _check_degree, _check_ints, _composition_tuples, _moduli, _theta_minus, _theta_plus,
-    _unpack, _weight, _weight_positive_terms, _width, format_parts,
+    Partition, _check_clock, _check_degree, _check_ints, _check_theta, _composition_tuples,
+    _moduli, _theta_minus, _theta_plus, _unpack, _weight, _weight_positive_terms, _width,
+    format_parts,
 )
 from .errors import MAX_INSTANCE_COUNT, ResourceLimitError, _check_budget
 

@@ -9,8 +9,11 @@ from csfkit.compositions import _pack, _width, weight_positive_compositions
 
 def _closed_form_terms(build, n):
     # The closed forms keep only partition sums, so the term of each
-    # composition I is read from a run of build() on I alone: its grouped
-    # vector is coeff_I * w_I at rho(I), or zero.
+    # composition I is read from a run of build() on I alone, with the window
+    # DP swapped for its enumerated reference: its grouped vector is
+    # coeff_I * w_I at rho(I), or zero.
+    from test_fast_routes import enumerated_window_sums
+
     current = []
 
     def stream(degree):
@@ -18,7 +21,8 @@ def _closed_form_terms(build, n):
         return iter(current)
 
     terms = {}
-    with mock.patch("csfkit.graphs._weight_positive_terms", stream):
+    with mock.patch("csfkit.graphs._weight_positive_terms", stream), \
+            mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
         for I in weight_positive_compositions(n):
             current[:] = [(I.parts, I.prefix_moduli, _pack(I.parts, _width(n)), I.weight)]
             grouped = build().grouped_by_rho()

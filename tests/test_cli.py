@@ -93,6 +93,18 @@ def test_expand_respects_budget_env(capsys, monkeypatch):
     assert code == 2
 
 
+def test_expand_refuses_a_degree_past_the_window_dp_at_once(capsys, monkeypatch):
+    import time
+
+    # the budget admits n = 64, which the closed forms' DP refuses before any work
+    monkeypatch.setenv("CSFKIT_MAX_N", "64")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", "--family", "path", "--n", "64")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "resource error: closed-form budget exceeded: n 64 > limit 48\n"
+
+
 def test_oracle_check_passes_for_known_families(capsys):
     assert run(capsys, "oracle-check", "--family", "clock",
                "--a", "2", "--b", "2")[0] == 0
@@ -291,7 +303,9 @@ def test_cli_import_leaves_multiprocessing_unloaded():
              "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('csfkit.'))))\n"
              "print('fractions' in sys.modules)")
     composition = "cli coefficients compositions errors"
-    # no command loads fractions: only a Fraction coefficient needs it
+    # no command loads fractions: only a Fraction coefficient needs it; the
+    # closed forms load coefficients only for theta's c-prime form
+    closed_form = "cli compositions errors graphs symfunc"
     for argv, loaded in (
         (("--help",), "cli errors"),
         (("fibers", "--I", "7,2,2", "--a", "6", "--b", "4"), composition),
@@ -299,9 +313,11 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         (("verify", "--suite", "positivity", "--n-max", "5"), f"{composition} verify"),
         (("verify", "--suite", "c-doubleprime", "--a-max", "3", "--b-max", "3"),
          f"{composition} verify"),
-        (("oracle-check", "--family", "path", "--n", "5"), f"{composition} graphs symfunc"),
+        (("oracle-check", "--family", "path", "--n", "5"), closed_form),
         (("expand", "--family", "clock", "--a", "6", "--b", "4", "--format", "json"),
-         f"{composition} graphs symfunc"),
+         closed_form),
+        (("expand", "--family", "theta", "--a", "4", "--b", "3", "--c", "2", "--variant",
+          "c-prime"), f"{composition} graphs symfunc"),
     ):
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,

@@ -1,6 +1,7 @@
 """Cross-checks of the derived compositions and of the
 statistics read through theta-duality against the validated constructor and
-reversal-based reference formulas."""
+reversal-based reference formulas, and of the closed forms' window DP against
+the enumeration it replaced."""
 
 import bisect
 import hashlib
@@ -51,6 +52,7 @@ from csfkit.compositions import (
     _weight_positive_terms,
     _width,
 )
+from csfkit import graphs
 from csfkit.graphs import (
     closed_form_clock, closed_form_cycle_chord, e_positivity_report, expansion_closed_form,
 )
@@ -359,11 +361,12 @@ def test_fast_routes_match_references_on_random_compositions(I):
     n = I.modulus
     if I.weight == 0:
         return
-    # evaluate the closed form on I alone rather than on all of degree n:
-    # its grouped vector is then the one term at rho(I)
+    # evaluate the closed form's enumerated reference on I alone rather than
+    # on all of degree n: its grouped vector is then the one term at rho(I)
     with mock.patch("csfkit.graphs._weight_positive_terms",
                     lambda degree: iter([(I.parts, I.prefix_moduli, _pack(I.parts, _width(n)),
-                                          I.weight)])):
+                                          I.weight)])), \
+            mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
         for b in range(2, n - 1):
             grouped = closed_form_cycle_chord(n - b, b, form="theta-sum").grouped_by_rho()
             term = ref_theta_sum(I, b) * I.weight
@@ -591,3 +594,73 @@ def test_theta_coeff_matches_the_reversal_based_reference_to_n30(I, data):
     for twisted in (False, True):
         assert _theta_coeff(a, b, c, twisted)(I.parts, I.prefix_moduli) \
             == ref_coeff(I, a, b, c, twisted), (I, a, b, c, twisted)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms' window DP (graphs._window_sums) against the enumeration it
+# replaced, which stays here as the written-out reference
+
+
+def enumerated_window_sums(n, v=0, windows=(), const=0):
+    """graphs._window_sums term by term: each weight-positive composition's
+    coefficient from the kernel, summed onto its partition by graphs._assemble."""
+    def coeff(parts, moduli):
+        total = const
+        if v:
+            total += _delta_parts(parts, _solve_psqt_parts(parts, moduli, v - 1))
+        for sign, lo, hi in windows:
+            total += sign * _theta_plus_sum(moduli, lo, hi)
+        return total
+    return graphs._assemble(n, coeff)
+
+
+# each form's coefficient body as the closed forms enumerated it before the DP
+ENUMERATED_BODIES = {
+    ("path", "closed-form"): lambda n: lambda parts, moduli: 1,
+    ("cycle", "closed-form"): lambda n: lambda parts, moduli: _theta_plus(moduli, 1),
+    ("tadpole", "closed-form"): lambda a, l: lambda parts, moduli: _theta_plus(moduli, l + 1),
+    ("cycle-chord", "delta"): lambda a, b: _theta_coeff(a, b, 1, False),
+    ("cycle-chord", "theta-sum"): lambda a, b: lambda parts, moduli: (
+        _theta_plus_sum(moduli, 1, b) - _theta_plus_sum(moduli, a + 1, a + b - 1)),
+    ("theta", "c"): lambda a, b, c: _theta_coeff(a, b, c, False),
+    ("clock", "closed-form"): lambda a, b: _theta_coeff(a, b, 2, False),
+}
+
+
+def window_instances(n):
+    """(family, form, params) for every form the DP runs and every parameter
+    tuple of degree n, the tadpole from cycle length 2 and the cycle-chord
+    with a < b too."""
+    found = [("path", "closed-form", {"n": n})]
+    if n >= 3:
+        found.append(("cycle", "closed-form", {"n": n}))
+    found += [("tadpole", "closed-form", {"a": n - l, "l": l}) for l in range(n - 1)]
+    found += [("cycle-chord", form, {"a": a, "b": n - a})
+              for a in range(2, n - 1) for form in ("delta", "theta-sum")]
+    found += [("theta", "c", dict(zip("abc", triple))) for triple in theta_triples(n)]
+    found += [("clock", "closed-form", dict(zip("ab", pair))) for pair in clock_pairs(n)]
+    return found
+
+
+def check_window_form(family, form, params):
+    n = graphs.family_degree(family, **params)
+    dp = expansion_closed_form(family, form=form, **params).grouped_by_rho()
+    body = ENUMERATED_BODIES[family, form](*params.values())
+    assert dp == graphs._assemble(n, body).grouped_by_rho(), (family, form, params)
+    with mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
+        assert dp == expansion_closed_form(family, form=form, **params).grouped_by_rho()
+
+
+def test_window_dp_equals_the_enumerated_bodies_for_every_form_to_n16():
+    forms = 0
+    for n in range(1, 17):
+        for family, form, params in window_instances(n):
+            check_window_form(family, form, params)
+            forms += 1
+    assert forms == 506
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.sampled_from(window_instances(n))))
+def test_window_dp_equals_the_enumerated_bodies_to_n24(instance):
+    check_window_form(*instance)

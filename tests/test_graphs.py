@@ -15,6 +15,7 @@ from csfkit.compositions import (
 from csfkit.errors import ResourceLimitError
 from csfkit.graphs import (
     FAMILY_TABLE,
+    MAX_WINDOW_DEGREE,
     EExpansion,
     Graph,
     build_clock,
@@ -423,6 +424,27 @@ def test_closed_forms_match_oracle_on_small_instances():
     ]
     for expansion, graph in cases:
         assert evector_to_p(expansion.grouped_by_rho()).equals(csf_pbasis(graph))
+
+
+def test_window_dp_runs_at_its_degree_bound_and_refuses_one_above():
+    n = MAX_WINDOW_DEGREE
+    # the path's grouped sums count its acyclic orientations by their sinks
+    # (Stanley 1995): 2^(n - 1) in all, and n with a single sink
+    grouped = closed_form_path(n).grouped_by_rho()
+    assert sum(grouped.terms.values()) == 2 ** (n - 1)
+    assert grouped.coefficient((n,)) == n
+    # every form the DP runs refuses n + 1 with one line
+    over = [("path", "closed-form", {"n": n + 1}), ("cycle", "closed-form", {"n": n + 1}),
+            ("tadpole", "closed-form", {"a": 40, "l": n - 39}),
+            ("cycle-chord", "delta", {"a": 9, "b": n - 8}),
+            ("cycle-chord", "theta-sum", {"a": n - 8, "b": 9}),
+            ("theta", "c", {"a": 17, "b": 17, "c": n - 32}),
+            ("clock", "closed-form", {"a": 24, "b": n - 24})]
+    for family, form, params in over:
+        assert family_degree(family, **params) == n + 1, family
+        with pytest.raises(ResourceLimitError) as err:
+            expansion_closed_form(family, form=form, **params)
+        assert str(err.value) == f"closed-form budget exceeded: n {n + 1} > limit {n}"
 
 
 def test_expansion_rejects_wrong_modulus_terms():
