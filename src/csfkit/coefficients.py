@@ -18,11 +18,11 @@ Two layers: each public function checks its parameters and wraps the kernel,
 private functions on the parts and prefix-moduli tuples that check nothing
 (``_solve_psqt_parts``, ``_delta_parts``, ``_phi_parts``, ``_psi_parts``,
 ``_in_w_gt``, ``_in_A``, ``_fiber_parts``, ``_theta_coeff``,
-``_c_doubleprime_parts``); only ``classify`` builds a ``WClass``.  The sweeps
-of :mod:`csfkit.verify` and the c' closed form of :mod:`csfkit.graphs` call
-the kernel directly (the other closed forms sum the same coefficients by a
-window DP there); ``_theta_coeff`` is the one body of c_I, c'_I, D_I and
-delta at c = 1; c'' sums looked-up D_H w_H.
+``_c_doubleprime_parts``); only ``classify`` builds a ``WClass``.  The kernel's
+callers are the sweeps of :mod:`csfkit.verify` and the public wrappers here
+(the closed forms of :mod:`csfkit.graphs` sum the same coefficients by a
+window DP and never load this module); ``_theta_coeff`` is the one body of
+c_I, c'_I, D_I and delta at c = 1; c'' sums looked-up D_H w_H.
 
 Statistics of a reversal are read from the composition itself through
 theta-duality, theta_minus(reversed I, k) = theta_plus(I, n - k) and

@@ -6,11 +6,10 @@ program over the edges; the plain edge-subset sum is kept beside it as an
 independent cross-check.  The closed forms for paths, cycles, tadpoles,
 cycle-chords, three-path (theta) graphs and clocks sum w_I * c_I onto the
 partitions rho(I) by one window dynamic program over the prefix moduli
-(:func:`_window_sums`), which walks no composition; only the phi-twisted
-theta form c' still sums its terms one composition at a time
-(``_weight_positive_terms``).  Comparing a grouped closed form with the
-oracle mapped to the e-basis is the master correctness check for everything
-in this package.
+(:func:`_window_sums`); no closed form walks the compositions, and the
+phi-twisted theta form c' runs the untwisted body, whose grouped sums it
+equals.  Comparing a grouped closed form with the oracle mapped to the
+e-basis is the master correctness check for everything in this package.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .compositions import (
     MAX_MODULUS, Composition, Partition, _Frozen, _check_clock, _check_container, _check_degree,
-    _check_ints, _check_modulus, _check_theta, _pack, _weight_positive_terms, _width,
+    _check_ints, _check_modulus, _check_theta, _pack, _width,
 )
 from .errors import ResourceLimitError
 from .symfunc import Basis, BasisVector, _from_codes
@@ -378,18 +377,6 @@ class EExpansion:
         return _from_codes(Basis.E, self.degree, self._sums)
 
 
-def _assemble(n: int, coeff_fn) -> EExpansion:
-    # one pass over the kernel tuples, each term summed onto its partition;
-    # only the c' form, which no window DP reaches, still walks them
-    expansion = EExpansion(n)
-    sums = expansion._sums
-    for parts, moduli, code, weight in _weight_positive_terms(n):
-        coeff = coeff_fn(parts, moduli)
-        if coeff:
-            sums[code] = sums.get(code, 0) + coeff * weight
-    return expansion
-
-
 def _window_sums(n: int, v: int = 0, windows: tuple = (), const: int = 0) -> EExpansion:
     """Sums of w_I * c_I over the weight-positive compositions I of n by rho(I),
     with c_I = const + delta(I, v) (no delta when v = 0) + the sum over the
@@ -522,23 +509,23 @@ def closed_form_cycle_chord(a: int, b: int, form: str = "delta") -> EExpansion:
 def closed_form_theta(a: int, b: int, c: int, variant: str = "c") -> EExpansion:
     """Three-path expansion with coefficients c_I or the phi-twisted c'_I:
     delta(I, b+c-1) + sum_{k=2..c} theta_plus(I, k) - sum_{k=n-a-c+2..n-a}
-    theta_plus(J, k), with J = phi(I, a) for c'_I and J = I for c_I."""
+    theta_plus(J, k), with J = phi(I, a) for c'_I and J = I for c_I.
+
+    The two variants group to one vector, so both run the c_I window DP.
+    phi(., a) is an involution on the weight-positive compositions that keeps
+    rho and w, and only the last sum reads J: substituting J = phi(I) there
+    turns sum w_I c'_I e_rho(I) into sum w_I c_I e_rho(I).
+    """
     _check_form("theta", variant)
     _check_theta(a, b, c)
     n = a + b + c - 1
-    if variant == "c-prime":
-        # phi moves a prefix whose end depends on the part that crosses n - a,
-        # so c'_I is no sum of shares of the parts: it walks the compositions
-        from .coefficients import _theta_coeff
-
-        return _assemble(n, _theta_coeff(a, b, c, True))
     return _window_sums(n, b + c - 1, ((1, 2, c), (-1, n - a - c + 2, n - a)))
 
 
 def closed_form_clock(a: int, b: int) -> EExpansion:
     """Clock expansion with coefficients D_I: the three-path expansion at
     c = 2 with the phi-twisted coefficients c'_I, which at c = 2 equal the
-    untwisted c_I term by term, so the untwisted body is run."""
+    untwisted c_I term by term."""
     _check_clock(a, b)
     return closed_form_theta(a, b, 2)
 

@@ -21,7 +21,7 @@ def _closed_form_terms(build, n):
         return iter(current)
 
     terms = {}
-    with mock.patch("csfkit.graphs._weight_positive_terms", stream), \
+    with mock.patch("test_fast_routes._weight_positive_terms", stream), \
             mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
         for I in weight_positive_compositions(n):
             current[:] = [(I.parts, I.prefix_moduli, _pack(I.parts, _width(n)), I.weight)]

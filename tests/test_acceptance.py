@@ -105,7 +105,13 @@ def test_acceptance_oracle_thetas():
         for a, b, c in theta_triples(n):
             oracle = csf_pbasis(build_theta(a, b, c))
             plain = closed_form_theta(a, b, c, variant="c").grouped_by_rho()
-            twisted = closed_form_theta(a, b, c, variant="c-prime").grouped_by_rho()
+            # the phi-twisted c'_I summed term by term, not the closed form,
+            # which runs the c_I body for both variants
+            twisted = {}
+            for I in weight_positive_compositions(n):
+                lam = I.rho()
+                twisted[lam] = twisted.get(lam, 0) + coeff_c_prime(I, a, b, c) * I.weight
+            twisted = BasisVector(Basis.E, n, twisted)
             assert plain.equals(twisted), f"variants differ at ({a},{b},{c})"
             assert evector_to_p(plain).equals(oracle), f"oracle differs at ({a},{b},{c})"
     _passed("oracle equivalence, thetas, both coefficient variants (n <= 12)")

@@ -98,11 +98,23 @@ def test_expand_refuses_a_degree_past_the_window_dp_at_once(capsys, monkeypatch)
 
     # the budget admits n = 64, which the closed forms' DP refuses before any work
     monkeypatch.setenv("CSFKIT_MAX_N", "64")
-    start = time.perf_counter()
-    code, out, err = run(capsys, "expand", "--family", "path", "--n", "64")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (3, "")
-    assert err == "resource error: closed-form budget exceeded: n 64 > limit 48\n"
+    for argv in (("--family", "path", "--n", "64"),
+                 ("--family", "theta", "--a", "22", "--b", "22", "--c", "21",
+                  "--variant", "c-prime")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (3, ""), argv
+        assert err == "resource error: closed-form budget exceeded: n 64 > limit 48\n", argv
+
+
+def test_expand_c_prime_prints_the_c_form_past_the_reach_of_a_walk(capsys, monkeypatch):
+    # n = 30: Fib(30) terms, which the c-prime form no longer walks
+    monkeypatch.setenv("CSFKIT_MAX_N", "30")
+    triple = ("--family", "theta", "--a", "11", "--b", "10", "--c", "10")
+    code, out, err = run(capsys, "expand", *triple, "--variant", "c-prime")
+    assert (code, err) == (0, "")
+    assert run(capsys, "expand", *triple, "--variant", "c") == (0, out, "")
 
 
 def test_oracle_check_passes_for_known_families(capsys):
@@ -303,8 +315,8 @@ def test_cli_import_leaves_multiprocessing_unloaded():
              "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('csfkit.'))))\n"
              "print('fractions' in sys.modules)")
     composition = "cli coefficients compositions errors"
-    # no command loads fractions: only a Fraction coefficient needs it; the
-    # closed forms load coefficients only for theta's c-prime form
+    # no command loads fractions: only a Fraction coefficient needs it; no
+    # closed form loads coefficients, theta's c-prime form included
     closed_form = "cli compositions errors graphs symfunc"
     for argv, loaded in (
         (("--help",), "cli errors"),
@@ -317,7 +329,7 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         (("expand", "--family", "clock", "--a", "6", "--b", "4", "--format", "json"),
          closed_form),
         (("expand", "--family", "theta", "--a", "4", "--b", "3", "--c", "2", "--variant",
-          "c-prime"), f"{composition} graphs symfunc"),
+          "c-prime"), closed_form),
     ):
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,

@@ -363,7 +363,7 @@ def test_fast_routes_match_references_on_random_compositions(I):
         return
     # evaluate the closed form's enumerated reference on I alone rather than
     # on all of degree n: its grouped vector is then the one term at rho(I)
-    with mock.patch("csfkit.graphs._weight_positive_terms",
+    with mock.patch("test_fast_routes._weight_positive_terms",
                     lambda degree: iter([(I.parts, I.prefix_moduli, _pack(I.parts, _width(n)),
                                           I.weight)])), \
             mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
@@ -601,9 +601,21 @@ def test_theta_coeff_matches_the_reversal_based_reference_to_n30(I, data):
 # replaced, which stays here as the written-out reference
 
 
+def enumerated_sums(n, body):
+    """sum w_I * body(I) onto rho(I) over the weight-positive compositions of
+    n, one term at a time, as an expansion."""
+    expansion = graphs.EExpansion(n)
+    sums = expansion._sums
+    for parts, moduli, code, weight in _weight_positive_terms(n):
+        coeff = body(parts, moduli)
+        if coeff:
+            sums[code] = sums.get(code, 0) + coeff * weight
+    return expansion
+
+
 def enumerated_window_sums(n, v=0, windows=(), const=0):
     """graphs._window_sums term by term: each weight-positive composition's
-    coefficient from the kernel, summed onto its partition by graphs._assemble."""
+    coefficient from the kernel, summed onto its partition."""
     def coeff(parts, moduli):
         total = const
         if v:
@@ -611,10 +623,11 @@ def enumerated_window_sums(n, v=0, windows=(), const=0):
         for sign, lo, hi in windows:
             total += sign * _theta_plus_sum(moduli, lo, hi)
         return total
-    return graphs._assemble(n, coeff)
+    return enumerated_sums(n, coeff)
 
 
-# each form's coefficient body as the closed forms enumerated it before the DP
+# each form's coefficient body as the closed forms enumerated it before the
+# DP; c-prime keeps its phi twist, so the DP's c_I sums are checked against it
 ENUMERATED_BODIES = {
     ("path", "closed-form"): lambda n: lambda parts, moduli: 1,
     ("cycle", "closed-form"): lambda n: lambda parts, moduli: _theta_plus(moduli, 1),
@@ -623,6 +636,7 @@ ENUMERATED_BODIES = {
     ("cycle-chord", "theta-sum"): lambda a, b: lambda parts, moduli: (
         _theta_plus_sum(moduli, 1, b) - _theta_plus_sum(moduli, a + 1, a + b - 1)),
     ("theta", "c"): lambda a, b, c: _theta_coeff(a, b, c, False),
+    ("theta", "c-prime"): lambda a, b, c: _theta_coeff(a, b, c, True),
     ("clock", "closed-form"): lambda a, b: _theta_coeff(a, b, 2, False),
 }
 
@@ -637,7 +651,8 @@ def window_instances(n):
     found += [("tadpole", "closed-form", {"a": n - l, "l": l}) for l in range(n - 1)]
     found += [("cycle-chord", form, {"a": a, "b": n - a})
               for a in range(2, n - 1) for form in ("delta", "theta-sum")]
-    found += [("theta", "c", dict(zip("abc", triple))) for triple in theta_triples(n)]
+    found += [("theta", form, dict(zip("abc", triple)))
+              for triple in theta_triples(n) for form in ("c", "c-prime")]
     found += [("clock", "closed-form", dict(zip("ab", pair))) for pair in clock_pairs(n)]
     return found
 
@@ -646,7 +661,7 @@ def check_window_form(family, form, params):
     n = graphs.family_degree(family, **params)
     dp = expansion_closed_form(family, form=form, **params).grouped_by_rho()
     body = ENUMERATED_BODIES[family, form](*params.values())
-    assert dp == graphs._assemble(n, body).grouped_by_rho(), (family, form, params)
+    assert dp == enumerated_sums(n, body).grouped_by_rho(), (family, form, params)
     with mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
         assert dp == expansion_closed_form(family, form=form, **params).grouped_by_rho()
 
@@ -657,7 +672,7 @@ def test_window_dp_equals_the_enumerated_bodies_for_every_form_to_n16():
         for family, form, params in window_instances(n):
             check_window_form(family, form, params)
             forms += 1
-    assert forms == 506
+    assert forms == 638
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

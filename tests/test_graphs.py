@@ -439,6 +439,7 @@ def test_window_dp_runs_at_its_degree_bound_and_refuses_one_above():
             ("cycle-chord", "delta", {"a": 9, "b": n - 8}),
             ("cycle-chord", "theta-sum", {"a": n - 8, "b": 9}),
             ("theta", "c", {"a": 17, "b": 17, "c": n - 32}),
+            ("theta", "c-prime", {"a": 17, "b": 17, "c": 16}),
             ("clock", "closed-form", {"a": 24, "b": n - 24})]
     for family, form, params in over:
         assert family_degree(family, **params) == n + 1, family
