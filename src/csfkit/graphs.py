@@ -358,8 +358,8 @@ def csf_pbasis_subsets(graph: Graph) -> BasisVector:
 
 class EExpansion:
     """An expansion sum(coeff_I * w_I * e_I) over compositions I, kept as its
-    sums over the classes rho(I), by partition code; the terms one by one are
-    ``coeff_c``, ``coeff_c_prime``, ``coeff_D`` and ``delta`` of :mod:`csfkit.coefficients`."""
+    sums over the classes rho(I), by partition code; the closed forms fill it
+    through :func:`_window_sums` and keep no term one by one."""
 
     def __init__(self, degree: int) -> None:
         _check_degree(degree)

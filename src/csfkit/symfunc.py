@@ -214,9 +214,10 @@ def _multiply_into(acc: Dict, left: Dict, right: Dict) -> Dict:
 
 
 @lru_cache(maxsize=None)
-def _e_to_p_terms(n: int, width: int) -> Dict[int, Fraction]:
+def _e_to_p_terms(n: int, width: int) -> Dict[int, object]:
     """Power-sum image of a single e_n, keyed by codes of the given width,
-    via the classical recursion n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i.
+    with ``Fraction`` coefficients, via the classical recursion
+    n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i.
 
     Cached per degree and width; recomputation is idempotent so concurrent
     readers are safe.
@@ -225,7 +226,7 @@ def _e_to_p_terms(n: int, width: int) -> Dict[int, Fraction]:
 
     if n == 0:
         return {0: Fraction(1)}
-    acc: Dict[int, Fraction] = {}
+    acc: Dict[int, object] = {}
     for i in range(1, n + 1):
         _multiply_into(acc, _e_to_p_terms(n - i, width),
                        {_pack((i,), width): Fraction(1 if i % 2 else -1, n)})

@@ -31,10 +31,7 @@ does not depend on the worker count.  Only triple-deletion loads graphs.
 Positivity's per-term walk is kept on purpose as the independent route to
 the clock and cycle-chord grouped vectors that the closed forms' window DP
 also builds; ``test_positivity_matches_the_per_pair_closed_form_route_to_n14``
-compares the two.  Routing its sums through the DP instead moved
-``verify --suite positivity --n-max 16`` from 0.119 to 0.140 s (loading graphs
-and symfunc, and DP set-up at small n) and ``--n-max 22`` from 1.65 to 1.20 s
-(2 cores, Python 3.11).
+compares the two.
 
 ``SUITE_TABLE`` maps each suite to a runner whose parameters after the budget
 are the ``verify`` flags it reads (``suite_flags``); ``run_suite`` rejects any
@@ -458,7 +455,8 @@ def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
 TRIPLE_MAX_VERTICES = 10
 
 
-def _random_stable_triple_instance(rng: random.Random) -> Tuple[Graph, Tuple[int, int, int]]:
+def _random_stable_triple_instance(rng) -> tuple:
+    # a Graph and a stable triple of it, drawn from the random.Random rng
     from .graphs import Graph
 
     # each instance costs six oracle calls at base_edges + up to 3 edges;

@@ -1,36 +1,19 @@
 """Shared fixtures."""
 
-from unittest import mock
-
 import pytest
 
-from csfkit.compositions import _pack, _width, weight_positive_compositions
+from csfkit.compositions import weight_positive_compositions
 
 
 def _closed_form_terms(build, n):
-    # The closed forms keep only partition sums, so the term of each
-    # composition I is read from a run of build() on I alone, with the window
-    # DP swapped for its enumerated reference: its grouped vector is
-    # coeff_I * w_I at rho(I), or zero.
-    from test_fast_routes import enumerated_window_sums
+    # The closed forms keep only partition sums, so each term is read from
+    # the window that build() hands to the DP, evaluated on I by the kernel.
+    from test_fast_routes import closed_form_window, window_body
 
-    current = []
-
-    def stream(degree):
-        assert degree == n, (degree, n)
-        return iter(current)
-
-    terms = {}
-    with mock.patch("test_fast_routes._weight_positive_terms", stream), \
-            mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
-        for I in weight_positive_compositions(n):
-            current[:] = [(I.parts, I.prefix_moduli, _pack(I.parts, _width(n)), I.weight)]
-            grouped = build().grouped_by_rho()
-            assert set(grouped.terms) <= {I.rho()}, (I, grouped.terms)
-            coeff, rest = divmod(grouped.coefficient(I.rho()), I.weight)
-            assert rest == 0, I
-            terms[I] = coeff
-    return terms
+    window = closed_form_window(build)
+    assert window[0] == n, (window, n)
+    body = window_body(*window)
+    return {I: body(I.parts, I.prefix_moduli) for I in weight_positive_compositions(n)}
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from csfkit.compositions import Composition, weight_positive_compositions
 from csfkit.graphs import (
     FAMILIES,
     FAMILY_TABLE,
+    MAX_ORACLE_EDGES,
     build_clock,
     build_cycle,
     build_cycle_chord,
@@ -50,6 +51,7 @@ from csfkit.verify import (
     run_triple_deletion,
     theta_triples,
 )
+from test_symfunc import partitions_of
 
 C = Composition
 
@@ -132,16 +134,24 @@ def _instance(family, n):
     return {"a": n // 2, "b": n - 1 - n // 2}  # clock
 
 
+# the degree at which each family's graph has MAX_ORACLE_EDGES edges
+CAP_DEGREE = {"path": 31, "cycle": 30, "tadpole": 30, "cycle-chord": 29, "theta": 29, "clock": 29}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_acceptance_oracle_e_basis_degrees_13_to_20(family):
-    for n in range(13, 21):
+    # one instance per n = 13..20, then the instance at the oracle's edge cap
+    for n in (*range(13, 21), CAP_DEGREE[family]):
         params = _instance(family, n)
         assert family_degree(family, **params) == n
-        oracle = pvector_to_e(csf_pbasis(build_family_graph(family, **params)))
+        graph = build_family_graph(family, **params)
+        oracle = pvector_to_e(csf_pbasis(graph))
         for form in FAMILY_TABLE[family].forms:
             grouped = expansion_closed_form(family, form=form, **params).grouped_by_rho()
             assert grouped.equals(oracle), (params, form)
-    _passed(f"oracle equivalence in the e-basis, {family}, one instance per n = 13..20")
+    assert graph.edge_count == MAX_ORACLE_EDGES, params
+    _passed(f"oracle equivalence in the e-basis, {family}, one instance per n = 13..20 "
+            f"and at {MAX_ORACLE_EDGES} edges")
 
 
 def test_acceptance_clock_e_positivity():
@@ -282,15 +292,6 @@ def test_acceptance_triple_deletion_on_the_held_out_seed():
 
 
 def test_acceptance_symfunc_specialization():
-    def partitions_of(n, cap=None):
-        cap = cap or n
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(cap, n), 0, -1):
-            for rest in partitions_of(n - first, first):
-                yield (first,) + rest
-
     from math import comb
     from csfkit.symfunc import e_partition_to_p
 

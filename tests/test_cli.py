@@ -117,13 +117,18 @@ def test_expand_c_prime_prints_the_c_form_past_the_reach_of_a_walk(capsys, monke
     assert run(capsys, "expand", *triple, "--variant", "c") == (0, out, "")
 
 
-def test_oracle_check_passes_for_known_families(capsys):
+def test_oracle_check_passes_for_known_families(capsys, monkeypatch):
     assert run(capsys, "oracle-check", "--family", "clock",
                "--a", "2", "--b", "2")[0] == 0
     assert run(capsys, "oracle-check", "--family", "theta",
                "--a", "3", "--b", "3", "--c", "3")[0] == 0
     assert run(capsys, "oracle-check", "--family", "tadpole",
                "--a", "4", "--l", "2")[0] == 0
+    # the packed oracle at n = 26, past the default budget: 27 edges
+    monkeypatch.setenv("CSFKIT_MAX_N", "26")
+    assert run(capsys, "oracle-check", "--family", "theta", "--a", "10", "--b", "9",
+               "--c", "8") == (
+        0, "OK theta (10, 9, 8): 2 form(s) match the oracle exactly (n=26)\n", "")
 
 
 def test_oracle_check_reports_first_differing_partition(capsys, monkeypatch):

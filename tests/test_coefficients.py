@@ -25,12 +25,9 @@ from csfkit.coefficients import (
     split_LR,
 )
 from csfkit.compositions import Composition, compositions_of, weight_positive_compositions
+from csfkit.verify import clock_pairs
 
 C = Composition
-
-
-def clock_pairs(n):
-    return [(n - 1 - b, b) for b in range(2, (n - 1) // 2 + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from csfkit.compositions import (
 )
 from csfkit.graphs import Graph
 from csfkit.symfunc import Basis, BasisVector
+from test_symfunc import partitions_of
 
 
 def test_enumeration_of_three_is_complete_and_lexicographic():
@@ -131,21 +132,12 @@ def test_rho_sorts_parts_decreasingly():
     assert Composition((2, 2, 5, 2)).rho() == Partition((5, 2, 2, 2))
 
 
-def _partitions(n, largest):
-    # the partitions of n with parts <= largest, as tuples
-    if n == 0:
-        yield ()
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
 def test_partition_codes_sort_as_their_partitions_to_n18():
     # the sweeps sort and take the max of codes where they would partitions:
     # the largest part's multiplicity sits in the top field
     for n in range(1, 19):
         width = _width(n)
-        partitions = [Partition(lam) for lam in _partitions(n, n)]
+        partitions = [Partition(lam) for lam in partitions_of(n)]
         codes = [_pack(lam, width) for lam in partitions]
         for lam, code in zip(partitions, codes):
             assert _unpack(code, width) == lam, lam

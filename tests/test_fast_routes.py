@@ -359,18 +359,10 @@ def test_fast_routes_match_references_on_random_compositions(I):
     check_derived_routes(I)
     check_coefficients(I)
     n = I.modulus
-    if I.weight == 0:
-        return
-    # evaluate the closed form's enumerated reference on I alone rather than
-    # on all of degree n: its grouped vector is then the one term at rho(I)
-    with mock.patch("test_fast_routes._weight_positive_terms",
-                    lambda degree: iter([(I.parts, I.prefix_moduli, _pack(I.parts, _width(n)),
-                                          I.weight)])), \
-            mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
-        for b in range(2, n - 1):
-            grouped = closed_form_cycle_chord(n - b, b, form="theta-sum").grouped_by_rho()
-            term = ref_theta_sum(I, b) * I.weight
-            assert grouped.terms == ({I.rho(): term} if term else {}), (I, b)
+    for b in range(2, n - 1):
+        body = window_body(*closed_form_window(
+            lambda: closed_form_cycle_chord(n - b, b, form="theta-sum")))
+        assert body(I.parts, I.prefix_moduli) == ref_theta_sum(I, b), (I, b)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +605,9 @@ def enumerated_sums(n, body):
     return expansion
 
 
-def enumerated_window_sums(n, v=0, windows=(), const=0):
-    """graphs._window_sums term by term: each weight-positive composition's
-    coefficient from the kernel, summed onto its partition."""
+def window_body(n, v=0, windows=(), const=0):
+    """c_I of one window of graphs._window_sums, read from the kernel for one
+    composition: body(parts, moduli)."""
     def coeff(parts, moduli):
         total = const
         if v:
@@ -623,7 +615,21 @@ def enumerated_window_sums(n, v=0, windows=(), const=0):
         for sign, lo, hi in windows:
             total += sign * _theta_plus_sum(moduli, lo, hi)
         return total
-    return enumerated_sums(n, coeff)
+    return coeff
+
+
+def closed_form_window(build):
+    """The (n, v, windows, const) that the closed form ``build()`` hands to
+    graphs._window_sums, which is not run."""
+    calls = []
+
+    def record(n, v=0, windows=(), const=0):
+        calls.append((n, v, windows, const))
+
+    with mock.patch("csfkit.graphs._window_sums", record):
+        build()
+    (window,) = calls
+    return window
 
 
 # each form's coefficient body as the closed forms enumerated it before the
@@ -662,8 +668,8 @@ def check_window_form(family, form, params):
     dp = expansion_closed_form(family, form=form, **params).grouped_by_rho()
     body = ENUMERATED_BODIES[family, form](*params.values())
     assert dp == enumerated_sums(n, body).grouped_by_rho(), (family, form, params)
-    with mock.patch("csfkit.graphs._window_sums", enumerated_window_sums):
-        assert dp == expansion_closed_form(family, form=form, **params).grouped_by_rho()
+    window = closed_form_window(lambda: expansion_closed_form(family, form=form, **params))
+    assert dp == enumerated_sums(n, window_body(*window)).grouped_by_rho(), (family, form, params)
 
 
 def test_window_dp_equals_the_enumerated_bodies_for_every_form_to_n16():

@@ -1,12 +1,16 @@
 """The package namespace: which names ``csfkit`` exports, where each one
-lives, that ``import csfkit`` loads no submodule, and that the README's
-library example runs and prints what its comments say."""
+lives, that ``import csfkit`` loads no submodule, that every annotation
+resolves, and that the README's library example runs and prints what its
+comments say."""
 
 import ast
 import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -92,6 +96,26 @@ def test_importing_the_package_loads_no_submodule():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_every_annotation_resolves():
+    # get_type_hints on every function and method that a csfkit module
+    # defines, through __wrapped__ for the lru_cache ones
+    modules = [csfkit, *(importlib.import_module(f"csfkit.{info.name}")
+                         for info in pkgutil.iter_modules(csfkit.__path__))]
+    checked, failures = 0, []
+    for module in modules:
+        for obj in vars(module).values():
+            for member in vars(obj).values() if isinstance(obj, type) else [obj]:
+                fn = inspect.unwrap(getattr(member, "__func__", getattr(member, "fget", member)))
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    checked += 1
+                    try:
+                        typing.get_type_hints(fn)
+                    except NameError as exc:
+                        failures.append(f"{module.__name__}.{fn.__qualname__}: {exc}")
+    assert not failures, failures
+    assert checked > 150, checked
 
 
 def _library_blocks():

@@ -19,19 +19,14 @@ from csfkit.symfunc import (
 )
 
 
-def partitions_of(n):
-    # auxiliary enumeration used only by tests
+def partitions_of(n, largest=None):
+    # the partitions of n with parts <= largest (default n), as tuples in
+    # decreasing lexicographic order: the one enumerator the tests share
     if n == 0:
         yield ()
-        return
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-    yield from rec(n, n)
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield (first,) + rest
 
 
 def test_e1_is_p1():
