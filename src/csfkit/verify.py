@@ -4,8 +4,9 @@ Each suite re-checks one family of structural facts used by the closed-form
 expansions: involution and preservation properties of phi, reversal duality
 of the prefix statistics, the solver identities and coefficient bounds, the
 fiber structure of the partial reversal, nonnegativity of the grouped
-expansions, and the deletion identities.  Suites report a checked count and
-a list of counterexample descriptions (empty means the sweep passed).
+expansions (an expansion whose grouped sums all vanish fails), and the
+deletion identities.  Suites report a checked count and a list of
+counterexample descriptions (empty means the sweep passed).
 
 Each composition suite enumerates the compositions of n once per n, as part
 tuples (``compositions._composition_tuples``) with their moduli computed once,
@@ -366,11 +367,16 @@ def _cdp_task(task: Tuple[int, Tuple[Tuple[int, int], ...]]) -> Tuple[int, List[
                                       f"I={format_parts(parts)}, (a,b)=({a},{b})")
             grouped[code] = grouped.get(code, 0) + value
         checked += 1
-        if grouped != direct and len(violations) <= MAX_REPORTED_VIOLATIONS:
+        if len(violations) > MAX_REPORTED_VIOLATIONS:
+            continue
+        if grouped != direct:
             code = max(key for key in grouped if grouped[key] != direct[key])
             lam = Partition(_unpack(code, _width(n)))
             violations.append(f"fiber regrouping disagrees with the clock expansion at "
                               f"(a,b)=({a},{b}): {(lam, grouped[code], direct[code])}")
+        elif not any(direct.values()):
+            # two vanished sums agree, and a c'' of 0 is not negative
+            violations.append(f"clock expansion vanishes at (a,b)=({a},{b})")
     return checked, violations
 
 
@@ -430,6 +436,8 @@ def _positivity_task(n: int) -> Tuple[int, List[str], List[Optional[int]]]:
             violations.append(
                 f"negative grouped coefficient for {family} (a,b)=({a},{b}): {negatives}"
             )
+        if not sums:
+            violations.append(f"{family} expansion vanishes at (a,b)=({a},{b})")
         minima.append(min(sums.values(), default=None))
     return checked, violations[:MAX_REPORTED_VIOLATIONS + 1], minima
 
@@ -445,7 +453,8 @@ def run_positivity(n_max: int, workers: int = 1) -> SuiteResult:
             result.fail(message)
         minima += lows
     result.notes.append(f"expansions swept: {len(minima)}")
-    result.notes.append(f"smallest grouped coefficient: {min(minima, default=None)}")
+    lowest = min((low for low in minima if low is not None), default=None)
+    result.notes.append(f"smallest grouped coefficient: {lowest}")
     return result
 
 

@@ -682,8 +682,9 @@ def _phi_rotating_the_interior(parts, moduli, a):
 
 
 # (suite, verify flags, module and name of the kernel it reads, a broken
-# stand-in, the start of its first violation); the last two rows each trip one
-# check alone: the involution check, and the grouped clock sum at exactly -1
+# stand-in, the start of its first violation); the last four rows each trip one
+# check alone: the involution check, the grouped clock sum at exactly -1, and a
+# clock expansion that vanishes, in positivity and in c-doubleprime
 BROKEN_KERNELS = [
     pytest.param("phi-involution", ("--n", "4"), "csfkit.verify", "_phi_parts",
                  lambda parts, moduli, a: (1, *parts), "phi not an involution at I=1111, a=1",
@@ -715,6 +716,14 @@ BROKEN_KERNELS = [
                                            else lambda parts, moduli: -(parts == (1, 2, 2))),
                  "negative grouped coefficient for clock (a,b)=(2,2): ['221']",
                  id="positivity-one-grouped-clock-coefficient-minus-1"),
+    pytest.param("positivity", ("--n-max", "5", "--workers", "1"), "csfkit.verify",
+                 "_theta_coeff",
+                 lambda a, b, c, twisted: (_theta_coeff(a, b, c, twisted) if c == 1
+                                           else lambda parts, moduli: 0),
+                 "clock expansion vanishes at (a,b)=(2,2)", id="positivity-clock-vanishes"),
+    pytest.param("c-doubleprime", ("--a-max", "2", "--b-max", "2", "--workers", "1"),
+                 "csfkit.verify", "_theta_coeff", lambda a, b, c, twisted: lambda *args: 0,
+                 "clock expansion vanishes at (a,b)=(2,2)", id="c-doubleprime-clock-vanishes"),
 ]
 
 

@@ -26,7 +26,7 @@ from csfkit.graphs import (
     EExpansion, Graph, build_clock, build_cycle, build_cycle_chord, build_family_graph,
     build_path, build_tadpole, build_theta, closed_form_clock, closed_form_cycle,
     closed_form_cycle_chord, closed_form_path, closed_form_tadpole, closed_form_theta,
-    expansion_closed_form, verify_triple_deletion,
+    expansion_closed_form, family_degree, verify_triple_deletion,
 )
 from csfkit.symfunc import Basis, BasisVector, e_partition_to_p
 from csfkit.verify import (
@@ -81,6 +81,8 @@ CALLS = [
     ("closed_form_clock", closed_form_clock, (3, 2)),
     ("build_family_graph", lambda a, b, c: build_family_graph("theta", a=a, b=b, c=c), (3, 3, 2)),
     ("expansion_closed_form", lambda a, l: expansion_closed_form("tadpole", a=a, l=l), (3, 1)),
+    ("expansion_closed_form_path", lambda n: expansion_closed_form("path", n=n), (5,)),
+    ("family_degree", lambda a, l: family_degree("tadpole", a=a, l=l), (3, 1)),
     ("verify_triple_deletion", lambda *t: verify_triple_deletion(PATH, t), (0, 2, 4)),
     ("BasisVector", lambda d, c: BasisVector(Basis.E, d, {(3,): c}), (3, 1)),
     ("BasisVector.from_json_dict",

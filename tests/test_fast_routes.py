@@ -3,7 +3,6 @@ statistics read through theta-duality against the validated constructor and
 reversal-based reference formulas, and of the closed forms' window DP against
 the enumeration it replaced."""
 
-import bisect
 import hashlib
 from unittest import mock
 
@@ -124,15 +123,8 @@ def ref_theta_sum(I, b):
     )
 
 
-def ref_solve_qt(I, b):
-    shifted = tuple(m - I.parts[0] for m in I.prefix_moduli[1:])
-    q = bisect.bisect_left(shifted, b + 1)
-    return q, b + 1 - shifted[q - 1]
-
-
 def check_derived_routes(I):
-    """Every derived composition of I equals its validated twin, and every
-    duality-read statistic equals its reversal-based reference."""
+    """Every derived composition of I equals its validated twin."""
     n = I.modulus
     assert_validated(I)
     rev = I.reversed()
@@ -142,26 +134,16 @@ def check_derived_routes(I):
     all_two = min(I.parts) >= 2
     for a in range(1, n + 1):
         assert_validated(phi(I, a))
-        assert classify(I, a) == ref_classify(I, a)
         if a < n:
             for half in split_LR(I, a):
                 assert_validated(half)
             if all_two:
                 assert_validated(psi(I, a))
-    for b in range(0, n):
-        assert solve_qt(I, b) == ref_solve_qt(I, b)
     for a in range(1, n - 1):
         b = n - 1 - a
         if classify(I, a).wclass is WClass.W_GT:
             for H in fiber(I, a, b):
                 assert_validated(H)
-
-
-def check_coefficients(I):
-    n = I.modulus
-    for a, b, c in theta_triples(n):
-        assert coeff_c(I, a, b, c) == ref_coeff(I, a, b, c, twisted=False)
-        assert coeff_c_prime(I, a, b, c) == ref_coeff(I, a, b, c, twisted=True)
 
 
 def test_enumerators_and_maps_match_the_validated_constructor_to_n12():
@@ -191,12 +173,6 @@ def test_phi_matches_the_written_out_rearrangement_to_n12():
                 assert J.parts == parts, (I, a)
                 # an interior of at most one part: phi returns I itself
                 assert (J is I) == (prefix_length <= 2), (I, a)
-
-
-def test_coefficients_match_reversal_based_references_to_n12():
-    for n in range(1, 13):
-        for I in compositions_of(n):
-            check_coefficients(I)
 
 
 def test_theta_sum_cycle_chord_matches_reversal_based_reference_to_n12(closed_form_terms):
@@ -357,7 +333,6 @@ def compositions(draw, n_max=20):
 @given(compositions())
 def test_fast_routes_match_references_on_random_compositions(I):
     check_derived_routes(I)
-    check_coefficients(I)
     n = I.modulus
     for b in range(2, n - 1):
         body = window_body(*closed_form_window(
@@ -447,6 +422,7 @@ def check_kernel(I):
         public = solve_psqt(I, b)
         assert sol == (public.p, public.s, public.q, public.t) \
             == ref_ps(parts, b + 1) + ref_qt(parts, b + 1), (I, b)
+        assert solve_qt(I, b) == ref_qt(parts, b + 1), (I, b)
         assert _delta_parts(parts, sol) == delta(I, b + 1) == ref_delta(parts, b + 1), (I, b)
     for a, b, c in theta_triples(n):
         assert _theta_coeff(a, b, c, False)(parts, moduli) == coeff_c(I, a, b, c) \

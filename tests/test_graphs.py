@@ -395,37 +395,6 @@ def test_single_partition_coefficient_of_the_smallest_clock():
     assert closed_form_clock(2, 2).grouped_by_rho().coefficient((5,)) == 35
 
 
-def test_tadpole_closed_form_interpolates_cycle_and_path():
-    for n in range(3, 11):
-        cycle_like = closed_form_tadpole(n, 0).grouped_by_rho()
-        assert cycle_like.equals(closed_form_cycle(n).grouped_by_rho())
-        path_like = closed_form_tadpole(2, n - 2).grouped_by_rho()
-        assert path_like.equals(closed_form_path(n).grouped_by_rho())
-
-
-def test_cycle_chord_forms_agree_with_each_other():
-    for a in range(2, 6):
-        for b in range(2, 6):
-            lhs = closed_form_cycle_chord(a, b, form="delta").grouped_by_rho()
-            rhs = closed_form_cycle_chord(a, b, form="theta-sum").grouped_by_rho()
-            assert lhs.equals(rhs)
-    with pytest.raises(ValueError):
-        closed_form_cycle_chord(2, 2, form="bogus")
-
-
-def test_closed_forms_match_oracle_on_small_instances():
-    cases = [
-        (closed_form_path(6), build_path(6)),
-        (closed_form_cycle(6), build_cycle(6)),
-        (closed_form_tadpole(4, 2), build_tadpole(4, 2)),
-        (closed_form_cycle_chord(3, 2), build_cycle_chord(3, 2)),
-        (closed_form_theta(3, 2, 2), build_theta(3, 2, 2)),
-        (closed_form_clock(3, 3), build_clock(3, 3)),
-    ]
-    for expansion, graph in cases:
-        assert evector_to_p(expansion.grouped_by_rho()).equals(csf_pbasis(graph))
-
-
 def test_window_dp_runs_at_its_degree_bound_and_refuses_one_above():
     n = MAX_WINDOW_DEGREE
     # the path's grouped sums count its acyclic orientations by their sinks
@@ -471,6 +440,8 @@ def test_family_dispatch(closed_form_terms):
     )
     with pytest.raises(ValueError):
         expansion_closed_form("theta", form="delta", a=3, b=3, c=2)
+    with pytest.raises(ValueError):
+        closed_form_cycle_chord(2, 2, form="bogus")
 
 
 SMALL_PARAMS = {
