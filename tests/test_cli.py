@@ -573,11 +573,21 @@ DOCUMENTED_DEFAULTS = {
 
 
 @pytest.mark.parametrize("suite", SUITES)
-def test_verify_defaults_equal_the_documented_values(capsys, suite):
-    # every suite at its defaults exits 0 and finds no violation
+def test_verify_defaults_equal_the_documented_values(capsys, monkeypatch, suite):
+    # every suite at its defaults exits 0, finds no violation and prints what the
+    # spelled-out defaults print.  Triple-deletion's stdout shows neither its seed
+    # nor its instances, so both runs record the (graph, triple) pairs handed to
+    # the deletion check, which passes them unchecked: the oracle checks the same
+    # 25 instances once, in test_acceptance_triple_deletion
+    drawn = []
+    monkeypatch.setattr("csfkit.graphs.verify_triple_deletion",
+                        lambda graph, triple: drawn.append((graph, triple)) or True)
     implicit = run(capsys, "verify", "--suite", suite)
     assert implicit[0] == 0 and implicit[1].endswith(" VIOLATIONS 0\n"), implicit
     assert implicit == run(capsys, "verify", "--suite", suite, *DOCUMENTED_DEFAULTS[suite])
+    # each run: 25 random instances and the (3,3,3) instance
+    half = 26 if suite == "triple-deletion" else 0
+    assert len(drawn) == 2 * half and drawn[:half] == drawn[half:]
 
 
 def test_budget_env_is_bounded_by_the_largest_modulus(capsys, monkeypatch):

@@ -1,8 +1,13 @@
 """Solver, transformation, and coefficient tests.
 
-Expected values were computed by hand from the defining equations and are
-cross-checked in bulk against the brute-force graph oracle in
-test_graphs.py and test_acceptance.py.
+Expected values were computed by hand from the defining equations.
+``test_fast_routes.check_kernel`` is the one comparison of each public
+wrapper with its kernel and a written-out reference (every composition to
+n = 12), and the acceptance runs of the ``verify`` suites in
+test_acceptance.py check the facts themselves to n = 16-17; so the solver,
+phi-involution and classify sweeps live there, not here.  This file keeps
+hand-computed values, domain errors, and small sweeps of stated properties
+of the wrappers.
 """
 
 import pytest
@@ -31,7 +36,8 @@ C = Composition
 
 
 # ---------------------------------------------------------------------------
-# solvers
+# solvers; both equations and their solutions are swept by check_kernel
+# (n <= 12) and the lemma-bounds runs (n <= 17)
 
 
 def test_solve_ps_examples():
@@ -46,36 +52,6 @@ def test_solve_qt_examples():
     assert solve_qt(C((7, 2, 2)), 4) == (3, 1)
     assert solve_qt(C((5, 2, 2, 2)), 4) == (3, 1)
     assert solve_qt(C((3, 2)), 2) == (2, 1)
-
-
-def test_solver_solutions_satisfy_their_equations_and_are_unique():
-    for n in range(1, 10):
-        for comp in compositions_of(n, 1):
-            parts = comp.parts
-            z = len(parts)
-            for b in range(0, n):
-                value = b + 1
-                p, s = solve_ps(comp, b)
-                assert 1 <= p <= z and 1 <= s <= parts[p - 1]
-                assert sum(parts[: p - 1]) + s == value
-                brute_ps = [
-                    (pp, value - sum(parts[: pp - 1]))
-                    for pp in range(1, z + 1)
-                    if 1 <= value - sum(parts[: pp - 1]) <= parts[pp - 1]
-                ]
-                assert brute_ps == [(p, s)]
-                q, t = solve_qt(comp, b)
-                nxt = parts[q] if q < z else parts[0]
-                assert 1 <= q <= z and 1 <= t <= nxt
-                assert sum(parts[1:q]) + t == value
-                brute_qt = [
-                    (qq, value - sum(parts[1:qq]))
-                    for qq in range(1, z + 1)
-                    if 1
-                    <= value - sum(parts[1:qq])
-                    <= (parts[qq] if qq < z else parts[0])
-                ]
-                assert brute_qt == [(q, t)]
 
 
 def test_solver_domain_errors():
@@ -121,7 +97,9 @@ def test_delta_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# phi
+# phi; the involution, its partition, weight and first part are swept by
+# check_kernel (n <= 12), test_fast_routes' random involution test (n <= 30)
+# and the phi-involution runs (n <= 17)
 
 
 def test_phi_fixed_points_and_rotation():
@@ -129,17 +107,6 @@ def test_phi_fixed_points_and_rotation():
     assert phi(C((5, 2, 2, 2)), 6) == C((5, 2, 2, 2))
     assert phi(C((3, 4, 2, 1, 2)), 3) == C((3, 2, 4, 1, 2))
     assert phi(C((3, 2, 4, 1, 2)), 3) == C((3, 4, 2, 1, 2))
-
-
-def test_phi_is_an_involution_preserving_partition_weight_and_head():
-    for n in range(1, 11):
-        for comp in compositions_of(n, 1):
-            for a in range(1, n + 1):
-                image = phi(comp, a)
-                assert phi(image, a) == comp
-                assert image.rho() == comp.rho()
-                assert image.weight == comp.weight
-                assert image.parts[0] == comp.parts[0]
 
 
 def test_phi_preserves_the_exact_suffix_family():
@@ -209,7 +176,8 @@ def test_psi_preserves_partition_and_maps_low_class_to_high_class():
 
 
 # ---------------------------------------------------------------------------
-# classify
+# classify; swept by check_kernel (n <= 12), and W_> as q >= p by the
+# lemma-bounds runs (n <= 17)
 
 
 def test_classify_examples():
@@ -226,20 +194,9 @@ def test_classify_in_A_requires_positive_weight():
     assert classify(C((1, 3, 5)), 5).in_A
 
 
-def test_classify_agrees_with_the_solver_characterization():
-    # on all-parts->=2 compositions: W_> exactly when q >= p
-    for n in range(5, 12):
-        for a, b in clock_pairs(n):
-            for comp in compositions_of(n, 2):
-                sol = solve_psqt(comp, b)
-                expected = WClass.W_GT if sol.q >= sol.p else WClass.W_LE
-                assert classify(comp, a).wclass is expected
-                if sol.q == sol.p - 1:
-                    assert comp.parts[0] <= comp.parts[sol.p - 1] - sol.s
-
-
 # ---------------------------------------------------------------------------
-# fiber
+# fiber; also swept by check_kernel and the fiber-body check in
+# test_fast_routes (n <= 12) and the fiber runs (n <= 16)
 
 
 def test_fiber_known_lists():
@@ -280,7 +237,9 @@ def test_fiber_elements_are_exactly_the_low_class_preimages():
 
 
 # ---------------------------------------------------------------------------
-# assembled coefficients
+# assembled coefficients; also swept by check_kernel (n <= 12), D's W_<=
+# closed form by the lemma-bounds runs (n <= 17) and c'' >= 0 by the
+# c-doubleprime runs (n <= 17)
 
 
 def test_coeff_c_reduces_to_delta_when_shortest_path_has_length_one():

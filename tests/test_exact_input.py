@@ -80,8 +80,11 @@ CALLS = [
     ("closed_form_cycle_chord", closed_form_cycle_chord, (2, 3)),
     ("closed_form_clock", closed_form_clock, (3, 2)),
     ("build_family_graph", lambda a, b, c: build_family_graph("theta", a=a, b=b, c=c), (3, 3, 2)),
+    ("build_family_graph_clock", lambda a, b: build_family_graph("clock", a=a, b=b), (3, 2)),
     ("expansion_closed_form", lambda a, l: expansion_closed_form("tadpole", a=a, l=l), (3, 1)),
     ("expansion_closed_form_path", lambda n: expansion_closed_form("path", n=n), (5,)),
+    ("expansion_closed_form_theta",
+     lambda a, b, c: expansion_closed_form("theta", a=a, b=b, c=c), (4, 3, 2)),
     ("family_degree", lambda a, l: family_degree("tadpole", a=a, l=l), (3, 1)),
     ("verify_triple_deletion", lambda *t: verify_triple_deletion(PATH, t), (0, 2, 4)),
     ("BasisVector", lambda d, c: BasisVector(Basis.E, d, {(3,): c}), (3, 1)),

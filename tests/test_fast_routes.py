@@ -21,6 +21,7 @@ from csfkit.coefficients import (
     fiber,
     phi,
     psi,
+    solve_ps,
     solve_psqt,
     solve_qt,
     split_LR,
@@ -396,7 +397,13 @@ def ref_c_doubleprime(I, a, b):
 
 def check_kernel(I):
     """Each kernel function on (I.parts, I.prefix_moduli) equals its public
-    wrapper and the written-out reference, at every valid threshold."""
+    wrapper and the written-out reference, at every valid threshold.
+
+    This is the one comparison of each public wrapper of the composition
+    layer with its kernel: every composition to n = 12 below, and random ones
+    to n = 30.  The facts themselves (phi an involution, the fibers, the
+    lemma bounds, c'' >= 0) are swept by the acceptance runs of the verify
+    suites to n = 16-17, so test_coefficients.py holds no sweep per wrapper."""
     parts, moduli = I.parts, I.prefix_moduli
     n = I.modulus
     assert _moduli(parts) == moduli
@@ -422,6 +429,7 @@ def check_kernel(I):
         public = solve_psqt(I, b)
         assert sol == (public.p, public.s, public.q, public.t) \
             == ref_ps(parts, b + 1) + ref_qt(parts, b + 1), (I, b)
+        assert solve_ps(I, b) == ref_ps(parts, b + 1), (I, b)
         assert solve_qt(I, b) == ref_qt(parts, b + 1), (I, b)
         assert _delta_parts(parts, sol) == delta(I, b + 1) == ref_delta(parts, b + 1), (I, b)
     for a, b, c in theta_triples(n):
