@@ -235,13 +235,6 @@ def test_verify_json_format_keeps_summary_last(capsys):
     assert payload["violations"] == []
 
 
-def test_verify_triple_deletion_smoke(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "triple-deletion",
-                       "--count", "3", "--seed", "7")
-    assert code == 0
-    assert out.splitlines()[-1].endswith("VIOLATIONS 0")
-
-
 def test_verify_budget_exceeded(capsys, monkeypatch):
     monkeypatch.setenv("CSFKIT_MAX_N", "10")
     code, _, err = run(capsys, "verify", "--suite", "positivity",

@@ -4,10 +4,11 @@ Expected values were computed by hand from the defining equations.
 ``test_fast_routes.check_kernel`` is the one comparison of each public
 wrapper with its kernel and a written-out reference (every composition to
 n = 12), and the acceptance runs of the ``verify`` suites in
-test_acceptance.py check the facts themselves to n = 16-17; so the solver,
-phi-involution and classify sweeps live there, not here.  This file keeps
-hand-computed values, domain errors, and small sweeps of stated properties
-of the wrappers.
+test_acceptance.py check the facts themselves to n = 16-17; so the sweeps of
+the solvers, phi, classify, the fibers, D's W_<= closed form and c'' >= 0
+live there, not here.  This file keeps hand-computed values, domain errors,
+and small sweeps of split_LR, psi, delta >= 0 and the relations between the
+coefficient wrappers.
 """
 
 import pytest
@@ -97,9 +98,10 @@ def test_delta_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# phi; the involution, its partition, weight and first part are swept by
-# check_kernel (n <= 12), test_fast_routes' random involution test (n <= 30)
-# and the phi-involution runs (n <= 17)
+# phi; check_kernel compares phi and the exact-suffix family with their
+# references (n <= 12), and the phi-involution runs check that phi is an
+# involution keeping the partition, weight, first part and exact-suffix family
+# (n <= 17); test_fast_routes' random involution test goes to n = 30
 
 
 def test_phi_fixed_points_and_rotation():
@@ -107,14 +109,6 @@ def test_phi_fixed_points_and_rotation():
     assert phi(C((5, 2, 2, 2)), 6) == C((5, 2, 2, 2))
     assert phi(C((3, 4, 2, 1, 2)), 3) == C((3, 2, 4, 1, 2))
     assert phi(C((3, 2, 4, 1, 2)), 3) == C((3, 4, 2, 1, 2))
-
-
-def test_phi_preserves_the_exact_suffix_family():
-    for n in range(2, 10):
-        for comp in compositions_of(n, 1):
-            for a in range(1, n + 1):
-                if classify(comp, a).in_A:
-                    assert classify(phi(comp, a), a).in_A
 
 
 def test_phi_domain_errors():
@@ -195,8 +189,9 @@ def test_classify_in_A_requires_positive_weight():
 
 
 # ---------------------------------------------------------------------------
-# fiber; also swept by check_kernel and the fiber-body check in
-# test_fast_routes (n <= 12) and the fiber runs (n <= 16)
+# fiber; compared with its reference by check_kernel and the fiber-body check
+# in test_fast_routes (n <= 12); the fiber runs check that the fibers are the
+# W_<= preimages under psi, each once and with its partition (n <= 16)
 
 
 def test_fiber_known_lists():
@@ -214,32 +209,10 @@ def test_fiber_rejects_wrong_inputs():
         fiber(C((7, 2, 2)), 6, 5)  # modulus mismatch
 
 
-def test_fiber_elements_are_exactly_the_low_class_preimages():
-    for n in range(5, 12):
-        for a, b in clock_pairs(n):
-            preimage_of = {}
-            for comp in compositions_of(n, 2):
-                if classify(comp, a).wclass is WClass.W_GT:
-                    for h in fiber(comp, a, b):
-                        assert psi(h, a) == comp
-                        assert classify(h, a).wclass is WClass.W_LE
-                        assert h.rho() == comp.rho()
-                        assert h not in preimage_of
-                        preimage_of[h] = comp
-            low = [
-                comp
-                for comp in compositions_of(n, 2)
-                if classify(comp, a).wclass is WClass.W_LE
-            ]
-            assert sorted(h.parts for h in preimage_of) == sorted(
-                comp.parts for comp in low
-            )
-
-
 # ---------------------------------------------------------------------------
-# assembled coefficients; also swept by check_kernel (n <= 12), D's W_<=
-# closed form by the lemma-bounds runs (n <= 17) and c'' >= 0 by the
-# c-doubleprime runs (n <= 17)
+# assembled coefficients; each compared with its kernel and reference by
+# check_kernel (n <= 12); D's W_<= closed form is checked by the lemma-bounds
+# runs and c'' >= 0 by the c-doubleprime runs (both n <= 17)
 
 
 def test_coeff_c_reduces_to_delta_when_shortest_path_has_length_one():
@@ -325,17 +298,6 @@ def test_one_clock_instance_has_one_modulus_message():
     assert messages == [f"composition {I} has modulus 11, expected a+b+1 = 12"] * 3
 
 
-def test_coeff_D_closed_form_on_low_class():
-    for n in range(5, 12):
-        for a, b in clock_pairs(n):
-            for comp in compositions_of(n, 2):
-                if classify(comp, a).wclass is WClass.W_LE:
-                    p, s = solve_ps(comp, b)
-                    expected = (s - 1) * (comp.parts[p - 1] - s - comp.parts[0]) - 2
-                    assert coeff_D(comp, a, b) == expected
-                    assert expected >= -2
-
-
 def test_coeff_c_doubleprime_values_and_empty_fiber_case():
     assert coeff_c_doubleprime(C((5, 2, 2, 2)), 6, 4) == 23
     assert coeff_c_doubleprime(C((7, 2, 2)), 6, 4) == 147
@@ -346,11 +308,3 @@ def test_coeff_c_doubleprime_values_and_empty_fiber_case():
 def test_coeff_c_doubleprime_requires_high_class():
     with pytest.raises(ValueError):
         coeff_c_doubleprime(C((2, 5, 2, 2)), 6, 4)
-
-
-def test_coeff_c_doubleprime_nonnegative_small_sweep():
-    for n in range(5, 13):
-        for a, b in clock_pairs(n):
-            for comp in compositions_of(n, 2):
-                if classify(comp, a).wclass is WClass.W_GT:
-                    assert coeff_c_doubleprime(comp, a, b) >= 0

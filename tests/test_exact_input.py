@@ -7,6 +7,9 @@ returns a value; each range of the composition layer, the instance count and
 the worker count are pinned at their ends, and the graph, vector and deletion
 parameters at their lower ends.  The constructors refuse a container of the
 wrong kind the same way.
+
+Each ``CALLS`` entry runs once with its valid arguments, and each suite run
+among them passes; every refusal changes one slot of that call.
 """
 
 from unittest import mock
@@ -30,7 +33,7 @@ from csfkit.graphs import (
 )
 from csfkit.symfunc import Basis, BasisVector, e_partition_to_p
 from csfkit.verify import (
-    clock_pairs, run_c_doubleprime, run_fiber, run_positivity, run_triple_deletion,
+    SuiteResult, clock_pairs, run_c_doubleprime, run_fiber, run_positivity, run_triple_deletion,
     theta_deletion_instance, theta_triples,
 )
 
@@ -121,10 +124,18 @@ def _at(args: tuple, k: int, value) -> tuple:
     return args[:k] + (value,) + args[k + 1:]
 
 
+@pytest.mark.parametrize("name, call, args", CALLS, ids=[entry[0] for entry in CALLS])
+def test_every_call_accepts_its_valid_arguments(name, call, args):
+    result = call(*args)
+    if isinstance(result, SuiteResult):
+        assert result.ok, (name, result.violations)
+    elif name == "verify_triple_deletion":
+        assert result is True
+
+
 @pytest.mark.parametrize("name, call, args, k",
                          [pytest.param(*slot, id=f"{slot[0]}-{slot[3]}") for slot in SLOTS])
 def test_every_integer_position_refuses_inexact_values(name, call, args, k):
-    call(*args)
     x = args[k]
     for bad in (float(x), x + 0.5, True, False, str(x)):
         message = _refused(call, *_at(args, k, bad))

@@ -401,9 +401,10 @@ def check_kernel(I):
 
     This is the one comparison of each public wrapper of the composition
     layer with its kernel: every composition to n = 12 below, and random ones
-    to n = 30.  The facts themselves (phi an involution, the fibers, the
-    lemma bounds, c'' >= 0) are swept by the acceptance runs of the verify
-    suites to n = 16-17, so test_coefficients.py holds no sweep per wrapper."""
+    to n = 30.  The facts themselves (phi an involution keeping the
+    exact-suffix family, the fibers, the lemma bounds with D's W_<= closed
+    form, c'' >= 0) are swept by the acceptance runs of the verify suites to
+    n = 16-17, so test_coefficients.py holds no sweep of them."""
     parts, moduli = I.parts, I.prefix_moduli
     n = I.modulus
     assert _moduli(parts) == moduli
